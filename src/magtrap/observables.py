@@ -84,14 +84,14 @@ class RadialWavefunction:
     @classmethod
     def from_solution(cls, solution: RadialEigenSolution,
                       level: int = 0) -> "RadialWavefunction":
-        basis = solution.basis
-        # S-orthonormal eigenvector => int chi^2 = 1; rescale to 1/(2 pi)
-        coeff = solution.coefficients[:, level] * np.sqrt(_CHI_NORM)
-
-        def chi(rho):
-            rho_arr = np.atleast_1d(np.asarray(rho, dtype=float))
-            vals = basis.value_matrix(rho_arr) @ coeff
-            return vals if np.ndim(rho) else float(vals[0])
+        if solution.vectors is None:
+            raise ValueError("solution carries no orthonormal-basis vectors; "
+                             "use solve_sector")
+        # orthonormal eigenvector => int chi^2 = 1; rescale to 1/(2 pi).  The
+        # sum runs over the orthonormal basis: the raw monomial expansion
+        # cancels catastrophically in float64 once K reaches ~40
+        chi = solution.basis.expansion(
+            solution.vectors[:, level] * np.sqrt(_CHI_NORM))
 
         # outermost radius where the state still carries weight; beyond the
         # classical turning point chi decays like a Gaussian

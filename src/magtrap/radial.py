@@ -6,41 +6,46 @@ of hbar*omega_t) is
     h = (1/2) [ -d^2/drho^2 + V(rho) ]
     V(rho) = -m nu + a^2 rho^2 + (m^2 - 1/4)/rho^2 + 2b/rho,  a^2 = 1 + nu^2/4
 
-It is diagonalized in the non-orthogonal radial Gaussian basis
+It is diagonalized in the radial Gaussian basis
 
     u_k(rho) = rho^(1/2 + |m| + k) exp(-alpha rho^2),   k = 0 .. K-1
 
-whose matrix elements all reduce to half-line Gaussian moments
+which spans rho^(1/2 + |m|) exp(-alpha rho^2) times every polynomial of
+degree below K.  Overlaps are moments of the weight
+w(rho) = rho^(2|m| + 1) exp(-2 alpha rho^2) on the half line,
 
-    M(p; beta) = int_0^inf rho^p exp(-beta rho^2) drho
-               = Gamma((p+1)/2) / (2 beta^((p+1)/2)),   beta = 2 alpha.
+    mu_t = int_0^inf rho^t w drho = M(2|m| + 1 + t; 2 alpha),
+    M(p; beta) = Gamma((p+1)/2) / (2 beta^((p+1)/2)),
 
-Moments are evaluated in log-Gamma form and exponentiated entry by entry so
-that large K + |m| does not overflow intermediate factorials.  The kinetic
-term is combined with the centrifugal one before integration: acting on u_k,
+and the solver works in the basis phi_k = rho^(1/2 + |m|) exp(-alpha rho^2)
+q_k(rho) built from the polynomials q_k orthonormal under w, so that the
+overlap is the identity.  In that basis the pencil splits into three blocks
+fixed by (|m|, K, alpha) alone,
 
-    [-d^2/drho^2 + (m^2 - 1/4)/rho^2] u_k =
-        (m^2 - (|m|+k)^2) rho^(s_k - 2) u_k / rho^(s_k)
-        + 2 alpha (2 s_k + 1) u_k - 4 alpha^2 rho^2 u_k
+    H(nu, b) = T + a^2 P + b C - (m nu / 2) I,
 
-with s_k = 1/2 + |m| + k.  The divergent rho^(-2) moments cancel exactly in
-this combination (the k = 0 coefficient vanishes), which is what makes the
-basis usable at the critical m = 0 coupling.
+    T_jk = (1/2) int w g_j g_k,  g_k = q_k' - 2 alpha rho q_k,
+    P_jk = (1/2) int w rho^2 q_j q_k,   C_jk = int (w / rho) q_j q_k.
 
-The generalized problem H c = E S c is reduced with a Cholesky factorization
-S = L L^T and solved with a dense symmetric eigensolver; eigenvectors are
-returned S-orthonormal.  The overlap matrix of this basis is severely
-ill-conditioned (condition number growing roughly like 10^(1.2 K), losing
-double-precision positive definiteness near K = 14), so the factorization
-and the triangular transforms run in software extended precision sized to
-the basis, while the reduced eigenproblem itself is solved in double
-precision in inverted form B = L^T H^{-1} L: the eigenvalues of B are the
-reciprocal energies, B's condition number is only E_max/E_0 of the
-projected spectrum, and the bottom of the spectrum therefore keeps full
-relative accuracy.  H is positive definite here (every sector energy is
-positive for b >= 0 since a > nu/2), which is what makes the inverted form
-available.  A factorization that fails even at the extended working
-precision is reported as a basis conditioning error naming the offending K.
+T is the kinetic plus centrifugal term integrated by parts; the (m^2 - 1/4)
+/ rho^2 part cancels exactly, so T is regular even at the critical m = 0
+coupling.  P is half the square of the Jacobi matrix of the recurrence, T
+is an exact (K+1)-point Gauss sum of w and C an exact K-point Gauss sum of
+w / rho.  Gauss weights are Christoffel numbers taken from the recurrence.
+
+The recurrence coefficients follow from the moments by the Chebyshev
+algorithm, which loses roughly 1.2 decimal digits per basis function, so it
+runs in software extended precision sized to the basis, once per
+(|m|, K, alpha); the float64 blocks are cached.  A solve at any (nu, b) is
+then one float64 symmetric eigendecomposition.  A nonpositive norm in the
+Chebyshev algorithm (the moment matrix is no longer positive definite at
+the working precision) is reported as a basis conditioning error naming the
+offending K.
+
+overlap_and_hamiltonian_matrices still assembles the raw monomial pencil
+(S, H) in float64, from log-Gamma moments with the kinetic and centrifugal
+terms combined on u_k so that the divergent rho^-2 moment at m = 0 only
+meets a vanishing coefficient; the solver itself does not use it.
 """
 
 from __future__ import annotations
@@ -78,13 +83,13 @@ DEFAULT_M_RANGE = (-3, 6)
 # ground energy movement under K -> K + 10 that triggers a convergence warning
 _SENTINEL_SHIFT = 1e-7
 
-# decimal digits carried through the Cholesky reduction: enough for the
-# ~10^(1.2 K) overlap condition number plus a double-precision result, capped
+# decimal digits carried through the moment recurrence: enough for its loss
+# of ~1.2 digits per basis function plus a double-precision result, capped
 # so that absurd basis sizes fail loudly instead of running forever
 _DPS_CAP = 100
 
 # the extended-precision library keeps its working precision in mutable
-# process-global state, so fresh pencil solves must not overlap in time
+# process-global state, so basis reductions must not overlap in time
 _MP_LOCK = threading.Lock()
 
 
@@ -93,12 +98,12 @@ def _working_dps(size: int) -> int:
 
 
 class BasisConditioningError(RuntimeError):
-    """Raised when the sector pencil cannot be factorized.
+    """Raised when the sector basis cannot be orthonormalized.
 
     At the extended working precision this only happens once the basis size
-    exhausts the solver's precision budget (K a bit above 90 with the
-    default cap); a failing Cholesky of either pencil matrix is reported the
-    same way, since both matrices live in the same degenerating basis.
+    exhausts the solver's precision budget (K between about 85 and 92 with
+    the default cap, depending on |m|); a failing float64 eigensolve of the
+    reduced pencil is reported the same way.
     """
 
     def __init__(self, size: int, m: int):
@@ -147,6 +152,41 @@ class RadialBasis:
         log_u = np.outer(np.log(rho), s) - self.alpha * (rho ** 2)[:, None]
         return np.exp(log_u)
 
+    def expansion(self, weights):
+        """Callable rho -> sum_k weights[k] phi_k(rho), a float or an array.
+
+        phi_k = rho^(1/2 + |m|) exp(-alpha rho^2) q_k(rho) is the orthonormal
+        basis that RadialEigenSolution.vectors refers to.  The sum runs the
+        three-term recurrence of the q_k with the Gaussian factor carried
+        from the start, so it neither cancels like the monomial expansion
+        nor overflows far out; a float argument stays in plain Python
+        arithmetic, which is what adaptive quadrature calls it with.
+        """
+        blocks = _sector_blocks(self.m, self.size, self.alpha)
+        a, sb = blocks.a, blocks.sb
+        w = [float(x) for x in weights]
+        s = 0.5 + abs(self.m)
+        alpha = self.alpha
+
+        def series(rho):
+            if np.ndim(rho):
+                rho = np.asarray(rho, dtype=float)
+                if np.any(rho <= 0):
+                    raise ValueError("rho must be strictly positive")
+                q = np.exp(s * np.log(rho) - alpha * rho * rho) / sb[0]
+            else:
+                rho = float(rho)
+                if rho <= 0:
+                    raise ValueError("rho must be strictly positive")
+                q = math.exp(s * math.log(rho) - alpha * rho * rho) / sb[0]
+            q_prev, total = 0.0, w[0] * q
+            for k in range(len(w) - 1):
+                q, q_prev = ((rho - a[k]) * q - sb[k] * q_prev) / sb[k + 1], q
+                total = total + w[k + 1] * q
+            return total
+
+        return series
+
 
 def _log_moment(p, beta: float):
     """log of M(p; beta) = int_0^inf rho^p exp(-beta rho^2) drho, p > -1."""
@@ -190,121 +230,173 @@ def overlap_and_hamiltonian_matrices(basis: RadialBasis, tp: TrapParams):
     return S, H
 
 
-def _equilibrated_pencil_mp(basis: RadialBasis, tp: TrapParams):
-    """(Se, He, d) as object arrays of mpf at the active working precision.
+def _moment_ladder(m_abs: int, size: int, beta):
+    """mu_t = M(2|m| + 1 + t; beta) for t = -1 .. 2K + 1, as a list of mpf.
 
-    Same matrix elements as overlap_and_hamiltonian_matrices, evaluated
-    exactly at extended precision and symmetrically scaled to unit overlap
-    diagonal; d is the scaling vector, raw coefficients are d * equilibrated
-    ones.  All moments are integer translates of one Gamma ladder, so only
-    O(K) transcendental evaluations are needed.
+    Two Gamma values start the ladder; every further moment follows exactly
+    from M(p + 2; beta) = M(p; beta) (p + 1) / (2 beta).
     """
-    K = basis.size
-    m = basis.m
-    alpha = mp.mpf(basis.alpha)
-    beta = 2 * alpha
-    nu = mp.mpf(tp.nu)
-    a2 = 1 + nu * nu / 4
-    p0 = 1 + 2 * abs(m)  # s_j + s_k = p0 + j + k
-
-    # mom[t + 2] = M(p0 + t; beta) for t = -2 .. 2K; the only divergent case
-    # (t = -2 at m = 0) is stored as 0 and killed by the vanishing k = 0
-    # kinetic coefficient below
-    mom = np.empty(2 * K + 3, dtype=object)
-    for t in range(-2, 2 * K + 1):
-        p = p0 + t
-        if p <= -1:
-            mom[t + 2] = mp.mpf(0)
-        else:
-            q = mp.mpf(p + 1) / 2
-            mom[t + 2] = mp.gamma(q) / (2 * beta ** q)
-
-    jk = np.add.outer(np.arange(K), np.arange(K))
-    S = mom[jk + 2]
-    M_plus2 = mom[jk + 4]
-    M_minus1 = mom[jk + 1]
-    M_minus2 = mom[jk]
-
-    k_idx = np.arange(K)
-    c_sing = np.array([m * m - (abs(m) + k) ** 2 for k in k_idx], dtype=object)
-    s_k = np.array([mp.mpf(1) / 2 + abs(m) + k for k in k_idx], dtype=object)
-    kin = (s_k * 2 + 1) * (2 * alpha)
-
-    H = (M_minus2 * c_sing[None, :] + S * kin[None, :]
-         + M_plus2 * (a2 - 4 * alpha * alpha) - S * (m * nu)
-         + M_minus1 * (2 * mp.mpf(tp.b))) / 2
-    H = (H + H.T) / 2
-
-    d = np.array([1 / mp.sqrt(S[j, j]) for j in range(K)], dtype=object)
-    scale = d[:, None] * d[None, :]
-    return S * scale, H * scale, d
+    mom = [mp.gamma(mp.mpf(2 * m_abs + 2 + t) / 2)
+           / (2 * beta ** (mp.mpf(2 * m_abs + 2 + t) / 2)) for t in (-1, 0)]
+    for t in range(1, 2 * size + 2):
+        mom.append(mom[-2] * (mp.mpf(2 * m_abs + t) / 2) / beta)
+    return mom
 
 
-def _cholesky_mp(A, basis: RadialBasis):
-    """Lower Cholesky factor of an object-array SPD matrix.
+def _chebyshev(mom, n: int):
+    """Recurrence coefficients (a_k, b_k), k < n, from the moments mom[:2n].
 
-    A nonpositive pivot means the matrix is numerically degenerate at the
-    active precision and is reported as a conditioning error.
+    Chebyshev algorithm (Gautschi, SIAM J. Sci. Stat. Comput. 3, 289, 1982)
+    for the monic orthogonal polynomials pi_{k+1} = (x - a_k) pi_k -
+    b_k pi_{k-1}, with b_0 the total mass.  sigma_kk = ||pi_k||^2 is the
+    k-th Cholesky pivot of the moment matrix; a nonpositive one means the
+    working precision is exhausted and returns None.
     """
-    K = A.shape[0]
-    L = np.zeros((K, K), dtype=object)
-    for j in range(K):
-        pivot = A[j, j] - (L[j, :j] @ L[j, :j] if j else 0)
-        if pivot <= 0:
-            raise BasisConditioningError(basis.size, basis.m)
-        root = mp.sqrt(pivot)
-        L[j, j] = root
-        if j + 1 < K:
-            below = A[j + 1:, j] - (L[j + 1:, :j] @ L[j, :j] if j else 0)
-            L[j + 1:, j] = below / root
-    return L
+    cur = np.array(mom[:2 * n], dtype=object)
+    prev = np.zeros(2 * n, dtype=object)
+    a, b = [mom[1] / mom[0]], [mom[0]]
+    for k in range(1, n):
+        nxt = np.zeros(2 * n, dtype=object)
+        # array operand first: an mpf left operand would try to convert the
+        # whole array through its repr
+        nxt[k:2 * n - k] = (cur[k + 1:2 * n - k + 1] - cur[k:2 * n - k] * a[-1]
+                            - prev[k:2 * n - k] * b[-1])
+        if nxt[k] <= 0:
+            return None
+        a.append(nxt[k + 1] / nxt[k] - cur[k] / cur[k - 1])
+        b.append(nxt[k] / cur[k - 1])
+        prev, cur = cur, nxt
+    return a, b
 
 
-@functools.lru_cache(maxsize=1024)
-def _solve_pencil(m: int, size: int, alpha: float, nu: float, b: float):
-    """Energies and raw S-orthonormal coefficients of one sector.
+def _orthonormal_table(x: np.ndarray, a: np.ndarray, sb: np.ndarray, n: int,
+                       derivative: bool = False):
+    """q_k(x) and, on request, q_k'(x) for k < n; each of shape (len(x), n).
 
-    Cached on the full parameter tuple; callers must copy the returned
-    arrays before exposing them.  The extended-precision context is
-    process-global state: a concurrent workdps exit would silently drop
-    the precision mid-factorization, so the whole reduction holds a lock.
-    Cache hits never touch it, which is what sweep worker threads mostly
-    see; only fresh solves serialize.
+    q_k are the orthonormal polynomials of the recurrence
+    sb[k+1] q_{k+1} = (x - a[k]) q_k - sb[k] q_{k-1}, q_0 = 1/sb[0].
     """
-    basis = RadialBasis(m=m, size=size, alpha=alpha)
-    tp = TrapParams(nu=nu, b=b)
+    q = np.empty((len(x), n))
+    dq = np.zeros((len(x), n))
+    q[:, 0] = 1.0 / sb[0]
+    for k in range(n - 1):
+        q_prev = q[:, k - 1] if k else 0.0
+        q[:, k + 1] = ((x - a[k]) * q[:, k] - sb[k] * q_prev) / sb[k + 1]
+        if derivative:
+            dq_prev = dq[:, k - 1] if k else 0.0
+            dq[:, k + 1] = (q[:, k] + (x - a[k]) * dq[:, k]
+                            - sb[k] * dq_prev) / sb[k + 1]
+    return (q, dq) if derivative else q
+
+
+def _gauss_rule(a: np.ndarray, sb: np.ndarray):
+    """Nodes and weights of the len(a)-point Gauss rule of a recurrence.
+
+    The weights are Christoffel numbers 1 / sum_k q_k(x_n)^2.  The
+    Golub-Welsch form (first eigenvector components squared) loses its
+    relative accuracy at the outermost nodes, where the tiny weights still
+    multiply large polynomial values.
+    """
+    n = len(a)
+    nodes = sla.eigvalsh_tridiagonal(a, sb[1:n])
+    weights = 1.0 / np.sum(_orthonormal_table(nodes, a, sb, n) ** 2, axis=1)
+    return nodes, weights
+
+
+@dataclass(frozen=True)
+class _SectorMatrices:
+    """Float64 pencil blocks of one (|m|, K, alpha) basis, orthonormal form.
+
+    H(nu, b) = kinetic + a^2 trap + b coulomb - (m nu / 2) I.  monomials
+    holds the raw-basis coefficients of each q_k, one row per k; a and sb
+    are the recurrence coefficients of the q_k.
+    """
+
+    kinetic: np.ndarray
+    trap: np.ndarray
+    coulomb: np.ndarray
+    monomials: np.ndarray
+    a: list
+    sb: list
+
+
+@functools.lru_cache(maxsize=64)
+def _reduce(m_abs: int, size: int, alpha: float) -> _SectorMatrices | None:
+    """Reduce the sector pencil to the orthonormal basis, once per basis.
+
+    The recurrence coefficients and the monomial coefficients of the q_k
+    come from the moment ladder at extended precision; the matrices are
+    then exact Gauss sums in float64.  Returns None (and caches that) when
+    the working precision cannot resolve the moment matrix.
+    """
     with _MP_LOCK, mp.workdps(_working_dps(size)):
-        Se, He, d = _equilibrated_pencil_mp(basis, tp)
-        L = _cholesky_mp(Se, basis)
-        R = _cholesky_mp(He, basis)
+        mom = _moment_ladder(m_abs, size, 2 * mp.mpf(alpha))
+        # weight w = rho^(2|m| + 1) exp(-2 alpha rho^2) and its partner w / rho
+        weight = _chebyshev(mom[1:], size + 1)
+        inverse = _chebyshev(mom[:-2], size)
+        if weight is None or inverse is None:
+            return None
+        a_mp, b_mp = weight
+        sb_mp = [mp.sqrt(v) for v in b_mp]
+        # monomial coefficients of q_0 .. q_{K-1}, by the same recurrence
+        Q = np.zeros((size, size), dtype=object)
+        Q[0, 0] = 1 / sb_mp[0]
+        for k in range(size - 1):
+            row = Q[k] * -a_mp[k]
+            row[1:] += Q[k, :-1]
+            if k:
+                row -= Q[k - 1] * sb_mp[k]
+            Q[k + 1] = row / sb_mp[k + 1]
+        a, sb = np.array(a_mp, dtype=float), np.array(sb_mp, dtype=float)
+        a_inv = np.array(inverse[0], dtype=float)
+        sb_inv = np.array([mp.sqrt(v) for v in inverse[1]], dtype=float)
+        monomials = np.array(Q, dtype=float)
 
-        # G = R^-1 L, so B = G^T G = L^T He^-1 L has eigenvalues 1/E with
-        # condition E_max/E_0 of the projected spectrum: tame in float64
-        K = size
-        G = np.empty((K, K), dtype=object)
-        for i in range(K):
-            acc = L[i] - (R[i, :i] @ G[:i] if i else 0)
-            G[i] = acc / R[i, i]
-        B = G.T @ G
-        Bf = np.array([[float(x) for x in row] for row in B])
+    # kinetic + centrifugal, integrated by parts: T_jk = (1/2) int w g_j g_k
+    # with g_k = q_k' - 2 alpha rho q_k, regular at m = 0; g_j g_k has degree
+    # 2K, exact under the (K+1)-point rule of w
+    nodes, weights = _gauss_rule(a, sb)
+    q, dq = _orthonormal_table(nodes, a, sb, size, derivative=True)
+    g = dq - 2.0 * alpha * nodes[:, None] * q
+    kinetic = 0.5 * (g.T * weights) @ g
+    # (1/2) rho^2 is half the square of the (K+1) Jacobi matrix, truncated
+    J = np.diag(a) + np.diag(sb[1:], 1) + np.diag(sb[1:], -1)
+    trap = 0.5 * (J @ J)[:size, :size]
+    # 1/rho: the K-point rule of w/rho is exact for every q_j q_k
+    nodes, weights = _gauss_rule(a_inv, sb_inv)
+    q = _orthonormal_table(nodes, a, sb, size)
+    coulomb = (q.T * weights) @ q
 
-        lam, Y = sla.eigh(Bf)
-        lam = lam[::-1]
-        Y = Y[:, ::-1]
-        # safety clamp only: the projected spectrum is bounded, so lam stays
-        # well above eigensolver roundoff for any K the precision cap admits
-        lam = np.maximum(lam, np.finfo(float).eps * lam[0])
-        energies = 1.0 / lam
+    blocks = (kinetic, trap, coulomb, monomials)
+    if not all(np.isfinite(x).all() for x in blocks):
+        return None
+    for x in blocks:
+        x.flags.writeable = False
+    return _SectorMatrices(kinetic, trap, coulomb, monomials,
+                           a.tolist(), sb.tolist())
 
-        # back-transform: c_tilde = L^-T y is exactly Se-orthonormal, then
-        # undo the equilibration
-        X = np.empty((K, K), dtype=object)
-        for i in range(K - 1, -1, -1):
-            acc = Y[i] - (L[i + 1:, i] @ X[i + 1:] if i + 1 < K else 0)
-            X[i] = acc / L[i, i]
-        coeff = np.array([[float(x) for x in row] for row in X * d[:, None]])
 
-    return energies, coeff
+def _sector_blocks(m: int, size: int, alpha: float) -> _SectorMatrices:
+    blocks = _reduce(abs(m), size, float(alpha))
+    if blocks is None:
+        raise BasisConditioningError(size, m)
+    return blocks
+
+
+def _sector_eigh(m: int, size: int, alpha: float, nu: float, b: float):
+    """Ascending energies, orthonormal-basis eigenvectors and the blocks.
+
+    nu may carry a sign here: the pencil depends on it only through nu^2
+    and m nu, so (nu, m) and (-nu, -m) give bit-identical spectra.
+    """
+    blocks = _sector_blocks(m, size, alpha)
+    try:
+        energies, vectors = np.linalg.eigh(
+            blocks.kinetic + (1.0 + 0.25 * nu * nu) * blocks.trap
+            + b * blocks.coulomb)
+    except np.linalg.LinAlgError:
+        raise BasisConditioningError(size, m) from None
+    return energies - 0.5 * m * nu, vectors, blocks
 
 
 @dataclass(frozen=True)
@@ -314,6 +406,9 @@ class RadialEigenSolution:
     energies        ascending, in units of hbar*omega_t
     coefficients    (K, K); column j holds the raw-basis coefficients of
                     state j, S-orthonormalized: c_i^T S c_j = delta_ij
+    vectors         (K, K); column j holds state j in the orthonormal basis
+                    of basis.expansion, the well-conditioned form of the
+                    same states (None only for hand-built solutions)
     """
 
     m: int
@@ -321,6 +416,7 @@ class RadialEigenSolution:
     basis: RadialBasis
     energies: np.ndarray
     coefficients: np.ndarray
+    vectors: np.ndarray | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -339,22 +435,23 @@ def solve_sector(tp: TrapParams, m: int, size: int = DEFAULT_BASIS_SIZE,
                  check_convergence: bool = False) -> RadialEigenSolution:
     """Diagonalize the m sector in a basis of `size` radial Gaussians.
 
-    The generalized problem is symmetrically equilibrated (unit overlap
-    diagonal) and reduced by extended-precision Cholesky factorizations of
-    both pencil matrices; the reduced problem is solved densely in inverted
-    form so the low spectrum is accurate in double precision (module
-    docstring).  Coefficient columns are S-orthonormal by construction, but
-    high columns carry entries of order 1e10 and beyond whose orthonormality
-    cannot survive rounding to float64; the low, physically converged
-    columns do.  With check_convergence=True the solve is repeated at
-    size + 10 and a warning is emitted if the ground energy moves by more
-    than 1e-7.
+    The first solve of a (|m|, size, alpha) basis orthonormalizes it at
+    extended precision and caches the float64 pencil blocks (module
+    docstring); every solve, that one included, is then a single float64
+    symmetric eigendecomposition at (nu, b).  Raises BasisConditioningError
+    when the working precision cannot orthonormalize the basis.  Raw
+    coefficient columns are S-orthonormal, but high columns carry entries
+    of order 1e10 and beyond whose orthonormality cannot survive rounding to
+    float64; the low, physically converged columns do, and `vectors` holds
+    every state orthonormal to rounding.  With check_convergence=True the solve
+    is repeated at size + 10 and a warning is emitted if the ground energy
+    moves by more than 1e-7.
     """
-    energies, coeff = _solve_pencil(m, size, float(alpha), tp.nu, tp.b)
-    sol = RadialEigenSolution(m=m, params=tp,
-                              basis=RadialBasis(m=m, size=size, alpha=alpha),
-                              energies=energies.copy(),
-                              coefficients=coeff.copy())
+    basis = RadialBasis(m=m, size=size, alpha=alpha)
+    energies, vectors, blocks = _sector_eigh(m, size, alpha, tp.nu, tp.b)
+    sol = RadialEigenSolution(m=m, params=tp, basis=basis, energies=energies,
+                              coefficients=blocks.monomials.T @ vectors,
+                              vectors=vectors)
 
     if check_convergence:
         try:
@@ -481,7 +578,7 @@ def spectrum_sweep(b: float, nu_values, m_values, size: int = DEFAULT_BASIS_SIZE
     def solve(task):
         nu, m = task
         sol = solve_sector(TrapParams(nu=nu, b=b), m, size=size)
-        return task, sol.energies[:n_levels].copy()
+        return task, sol.energies[:n_levels]
 
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor

@@ -4,7 +4,10 @@ Everything here is deliberately written from scratch against the model
 definitions, not by calling into the package: closed-form Landau-level
 energies, a brute-force radial grid diagonalization, adaptive-quadrature
 matrix elements, and a classical trajectory integrator.  Agreement between
-these and the package is what the cross-checks in the tests mean.
+these and the package is what the cross-checks in the tests mean.  The
+extended-precision sector solver here is the package's former per-point
+eigensolver, kept as the reference for the orthonormal-basis solver that
+replaced it.
 """
 
 from __future__ import annotations
@@ -90,6 +93,122 @@ def quadrature_matrices(m: int, nu: float, b: float, size: int,
                 S[j, k] = S[k, j] = float(sjk)
                 H[j, k] = H[k, j] = float(hjk)
     return S, H
+
+
+def _mp_working_dps(size: int) -> int:
+    return min(100, max(50, int(1.6 * size) + 20))
+
+
+def _mp_moment(p: int, beta):
+    """M(p; beta) = int_0^inf rho^p exp(-beta rho^2) drho at the active dps."""
+    q = mp.mpf(p + 1) / 2
+    return mp.gamma(q) / (2 * beta ** q)
+
+
+def _mp_equilibrated_pencil(m: int, nu: float, b: float, size: int, alpha):
+    """Raw (S, H) of the monomial Gaussian basis, scaled to unit S diagonal.
+
+    Basis u_k = rho^(1/2 + |m| + k) exp(-alpha rho^2); every entry is an
+    integer translate of one Gamma ladder.  The kinetic and centrifugal
+    terms are combined on u_k so that the divergent rho^-2 moment at m = 0
+    only ever meets a vanishing coefficient.  Returns (Se, He, d) as mpf
+    object arrays; raw coefficients are d times equilibrated ones.
+    """
+    beta = 2 * alpha
+    nu = mp.mpf(nu)
+    a2 = 1 + nu * nu / 4
+    p0 = 1 + 2 * abs(m)  # s_j + s_k = p0 + j + k
+
+    mom = np.empty(2 * size + 3, dtype=object)
+    for t in range(-2, 2 * size + 1):
+        mom[t + 2] = mp.mpf(0) if p0 + t <= -1 else _mp_moment(p0 + t, beta)
+
+    jk = np.add.outer(np.arange(size), np.arange(size))
+    S = mom[jk + 2]
+    k_idx = np.arange(size)
+    c_sing = np.array([m * m - (abs(m) + k) ** 2 for k in k_idx], dtype=object)
+    s_k = np.array([mp.mpf(1) / 2 + abs(m) + k for k in k_idx], dtype=object)
+    kin = (s_k * 2 + 1) * (2 * alpha)
+
+    H = (mom[jk] * c_sing[None, :] + S * kin[None, :]
+         + mom[jk + 4] * (a2 - 4 * alpha * alpha) - S * (m * nu)
+         + mom[jk + 1] * (2 * mp.mpf(b))) / 2
+    H = (H + H.T) / 2
+
+    d = np.array([1 / mp.sqrt(S[j, j]) for j in range(size)], dtype=object)
+    scale = d[:, None] * d[None, :]
+    return S * scale, H * scale, d
+
+
+def _mp_cholesky(A) -> np.ndarray:
+    size = A.shape[0]
+    L = np.zeros((size, size), dtype=object)
+    for j in range(size):
+        pivot = A[j, j] - (L[j, :j] @ L[j, :j] if j else 0)
+        if pivot <= 0:
+            raise ArithmeticError(f"Cholesky pivot {j} is not positive")
+        root = mp.sqrt(pivot)
+        L[j, j] = root
+        if j + 1 < size:
+            below = A[j + 1:, j] - (L[j + 1:, :j] @ L[j, :j] if j else 0)
+            L[j + 1:, j] = below / root
+    return L
+
+
+def mp_sector_solve(m: int, nu: float, b: float, size: int,
+                    alpha: float = 0.5):
+    """Energies and raw S-orthonormal coefficients of one sector, per point.
+
+    The whole generalized problem is assembled and Cholesky-reduced at
+    extended precision for this one (nu, b); the reduced problem is solved
+    in float64 in the inverted form B = L^T H^-1 L, whose eigenvalues are
+    the reciprocal energies, and the eigenvectors are back-transformed
+    exactly.  Raises ArithmeticError when either Cholesky factorization
+    fails at the working precision.
+    """
+    with mp.workdps(_mp_working_dps(size)):
+        Se, He, d = _mp_equilibrated_pencil(m, nu, b, size, mp.mpf(alpha))
+        L = _mp_cholesky(Se)
+        R = _mp_cholesky(He)
+
+        G = np.empty((size, size), dtype=object)  # G = R^-1 L
+        for i in range(size):
+            acc = L[i] - (R[i, :i] @ G[:i] if i else 0)
+            G[i] = acc / R[i, i]
+        B = np.array([[float(x) for x in row] for row in G.T @ G])
+
+        lam, Y = np.linalg.eigh(B)
+        lam, Y = lam[::-1], Y[:, ::-1]
+        lam = np.maximum(lam, np.finfo(float).eps * lam[0])
+
+        X = np.empty((size, size), dtype=object)  # X = L^-T Y
+        for i in range(size - 1, -1, -1):
+            acc = Y[i] - (L[i + 1:, i] @ X[i + 1:] if i + 1 < size else 0)
+            X[i] = acc / L[i, i]
+        coeff = np.array([[float(x) for x in row] for row in X * d[:, None]])
+    return 1.0 / lam, coeff
+
+
+def mp_velocity(m: int, nu: float, coeff, alpha: float = 0.5) -> float:
+    """<v_phi> = m <1/rho> - (nu/2) <rho> of one raw coefficient vector.
+
+    Each expectation is a quadratic form over exact Gaussian moments,
+    evaluated at 120 digits so that the alternating raw coefficients
+    cancel without loss.
+    """
+    with mp.workdps(120):
+        beta = 2 * mp.mpf(alpha)
+        c = [mp.mpf(float(x)) for x in coeff]
+        size = len(c)
+        p0 = 1 + 2 * abs(m)  # s_j + s_k = p0 + j + k
+        mom = {p: _mp_moment(p, beta) for p in range(p0 - 1, p0 + 2 * size)}
+
+        def form(p):
+            return mp.fsum(c[j] * c[k] * mom[p0 + j + k + p]
+                           for j in range(size) for k in range(size))
+
+        norm = form(0)
+        return float((m * form(-1) - mp.mpf(nu) / 2 * form(1)) / norm)
 
 
 def classical_trajectory(nu: float, xi0: float, taus,

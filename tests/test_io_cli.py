@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import magtrap
 from magtrap.cli import (
     ConfigError,
     RunConfig,
@@ -216,6 +221,23 @@ class TestExitCodes:
                    "--out", str(blocker / "x.csv")])
         assert rc == 4
         assert json.loads(capsys.readouterr().err)["exit_code"] == 4
+
+
+class TestModuleEntry:
+    def test_python_dash_m_runs_the_command(self, tmp_path):
+        out = tmp_path / "x.json"
+        package_root = str(Path(magtrap.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "magtrap.cli", "groundstate", "--nu", "1",
+             "--b", "5", "--K", "10", "--m-range", "-2:4", "--out", str(out)],
+            env=env, cwd=tmp_path, capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == str(out)
+        _, result = read_json_record(out)
+        assert result["m_star"] == 1
 
 
 class TestCommandArtifacts:

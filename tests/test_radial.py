@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -14,6 +14,7 @@ from magtrap.radial import (
     BasisConditioningError,
     BracketingError,
     RadialBasis,
+    _sector_eigh,
     crude_variational_energy,
     find_crossing,
     ground_state_scan,
@@ -122,6 +123,39 @@ class TestCoefficients:
         assert sol.params.field_sign == -1
         assert sol.m == 1
         assert sol.coefficients.shape == (6, 6)
+
+
+class TestInvariantProperties:
+    @given(nu=st.floats(0.0, 3.0), b=st.floats(0.0, 10.0),
+           m=st.integers(-4, 4), size=st.integers(4, 40))
+    def test_field_reversal_mirrors_sector_bit_for_bit(self, nu, b, m, size):
+        # the pencil sees nu only through nu^2 and m nu
+        plus, _, _ = _sector_eigh(m, size, 0.5, nu, b)
+        minus, _, _ = _sector_eigh(-m, size, 0.5, -nu, b)
+        np.testing.assert_array_equal(minus, plus)
+
+    @given(nu=st.floats(0.0, 3.0), b=st.floats(0.0, 10.0),
+           m=st.integers(-3, 3), size=st.integers(4, 40))
+    def test_ground_energy_never_rises_with_basis(self, nu, b, m, size):
+        tp = TrapParams(nu=nu, b=b)
+        small = solve_sector(tp, m, size=size).energies[0]
+        large = solve_sector(tp, m, size=size + 5).energies[0]
+        assert large <= small + 1e-12 * abs(small)
+
+    @given(size=st.integers(4, 100), m=st.integers(-6, 6),
+           nu=st.floats(0.0, 3.0), b=st.floats(0.0, 10.0))
+    @example(size=86, m=3, nu=1.0, b=1.0)
+    @example(size=90, m=0, nu=1.0, b=1.0)
+    @example(size=92, m=0, nu=1.0, b=1.0)
+    @settings(max_examples=20)
+    def test_any_size_solves_or_names_itself(self, size, m, nu, b):
+        # never a bare LinAlgError: a precision failure names the basis size
+        try:
+            sol = solve_sector(TrapParams(nu=nu, b=b), m, size=size)
+        except BasisConditioningError as err:
+            assert err.size == size and f"K={size}" in str(err)
+        else:
+            assert np.all(np.isfinite(sol.energies))
 
 
 class TestConditioningFailure:

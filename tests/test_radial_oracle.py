@@ -1,0 +1,37 @@
+"""Orthonormal-basis sector solver against the per-point mpf oracle.
+
+The oracle in `oracles.mp_sector_solve` assembles and Cholesky-reduces the
+whole monomial pencil at extended precision for every (nu, b, m); the
+package reduces each basis once and solves each point in float64.  Both
+are Rayleigh-Ritz in the same K-dimensional space, so their low levels
+and level-0 drift velocities must coincide to rounding.
+"""
+
+import numpy as np
+import pytest
+
+import oracles
+from magtrap import TrapParams
+from magtrap.observables import RadialWavefunction, velocity_expectation
+from magtrap.radial import solve_sector
+
+ENERGY_RTOL = 1e-11
+VELOCITY_ATOL = 1e-10
+
+GRID = [(nu, b, m) for nu in (0.0, 1.3) for b in (0.0, 4.0)
+        for m in (-1, 0, 2)]
+CASES = ([(K, *point) for K in (10, 20, 30, 40) for point in GRID]
+         + [(80, 1.0, 1.0, 0), (80, 2.0, 5.0, 1)])
+
+
+@pytest.mark.parametrize("size,nu,b,m", CASES)
+def test_matches_per_point_oracle(size, nu, b, m):
+    tp = TrapParams(nu=nu, b=b)
+    sol = solve_sector(tp, m, size=size)
+    ref_energies, ref_coeff = oracles.mp_sector_solve(m, nu, b, size)
+    np.testing.assert_allclose(sol.energies[:5], ref_energies[:5],
+                               rtol=ENERGY_RTOL, atol=0)
+
+    velocity = velocity_expectation(RadialWavefunction.from_solution(sol), tp)
+    assert velocity == pytest.approx(
+        oracles.mp_velocity(m, nu, ref_coeff[:, 0]), abs=VELOCITY_ATOL, rel=0)
