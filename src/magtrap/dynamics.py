@@ -82,6 +82,10 @@ DEFAULT_PACKET_WIDTH = 0.5
 
 _HALF_PI = 0.5 * math.pi
 
+# evolve checks the edge guard at least this often, in steps, whatever the
+# record cadence: a packet must not wrap around unseen between records
+_EDGE_CHECK_EVERY = 10
+
 
 class NormDriftError(RuntimeError):
     """Real-time norm left its tolerance band; the run is unreliable."""
@@ -539,8 +543,9 @@ def evolve(state: GridState, tp: TrapParams, dtau: float, tau_end: float,
     can differ from tau_end by up to dtau/2.  observers is a sequence of
     (name, callable) pairs evaluated on the current rotating frame state at
     record times.  Aborts with NormDriftError when the norm leaves
-    1 +- norm_tol and with BoundaryLeakError when more than edge_tol
-    probability sits within edge_cells of the box edge.
+    1 +- norm_tol (checked every step) and with BoundaryLeakError when more
+    than edge_tol probability sits within edge_cells of the box edge
+    (checked on every record step and at least every 10th step).
     """
     if dtau <= 0:
         raise ValueError("dtau must be positive")
@@ -591,11 +596,12 @@ def evolve(state: GridState, tp: TrapParams, dtau: float, tau_end: float,
         tau_i = tau0 + i_step * dtau
         th = theta_at(tau_i)
         nu_i = nu_at(tau_i)
+        if ((i_step in record_idx or i_step % _EDGE_CHECK_EVERY == 0)
+                and stepper.edge_mass(psi_now, edge_cells) > edge_tol):
+            raise BoundaryLeakError(
+                f"more than {edge_tol:g} probability within {edge_cells} "
+                f"cells of the edge at tau = {tau_i:.6g}; enlarge the box")
         if i_step in record_idx:
-            if stepper.edge_mass(psi_now, edge_cells) > edge_tol:
-                raise BoundaryLeakError(
-                    f"more than {edge_tol:g} probability within {edge_cells} "
-                    f"cells of the edge at tau = {tau_i:.6g}; enlarge the box")
             obs = stepper.observables(psi_now, nu_i)
             c, s = math.cos(th), math.sin(th)
             if th != 0.0:

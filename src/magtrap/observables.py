@@ -17,9 +17,18 @@ in units sqrt(hbar omega_t / mu).  For m = 0 this is -(nu/2)<rho> < 0: the
 drag term always wins, and jumps of the ground-state velocity along a field
 sweep mark the m -> m + 1 ground-state crossings.
 
-Integrals are done with adaptive Gauss-Kronrod quadrature on (0, rho_max]
-with rho_max chosen where chi^2 falls below 1e-16; non-convergence is
-raised, not silenced.
+For a state built from a solver solution, chi = sum_k y_k phi_k / sqrt(2 pi)
+over the orthonormal basis, and <rho^p> = y^T M_p y is an exact quadratic
+form for p = -1, 1, 2: M_-1 is the Coulomb block, M_1 the truncated Jacobi
+matrix of the basis recurrence and M_2 twice the trap block, all cached
+with the basis.  velocity_expectation and the mean radius of
+density_profile therefore run no quadrature for such states.
+
+Adaptive Gauss-Kronrod quadrature on (0, rho_max] remains for norm_check,
+for radial_moment(0) and any other power, and for every moment of a state
+built from samples, which has no basis.  rho_max is where chi^2 falls below
+1e-16 of its peak for a solution-built state and the last sample otherwise;
+non-convergence is raised, not silenced.
 """
 
 from __future__ import annotations
@@ -28,10 +37,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
-from scipy.integrate import IntegrationWarning
-from scipy.interpolate import CubicSpline
-from scipy.optimize import minimize_scalar
 
 from .params import TrapParams
 from .radial import DEFAULT_BASIS_SIZE, DEFAULT_M_RANGE, RadialEigenSolution, solve_sector
@@ -57,6 +62,11 @@ class QuadratureConvergenceError(RuntimeError):
 
 
 def _quad(f, lo: float, hi: float) -> float:
+    # imported here: the solution path runs no quadrature, so importing the
+    # package (and the command line) need not load scipy.integrate
+    from scipy import integrate
+    from scipy.integrate import IntegrationWarning
+
     with warnings.catch_warnings():
         warnings.simplefilter("error", IntegrationWarning)
         try:
@@ -80,6 +90,8 @@ class RadialWavefunction:
         self.m = int(m)
         self._chi = chi
         self.rho_max = float(rho_max)
+        # <rho^p> known exactly, by power; filled only by from_solution
+        self._moments: dict[int, float] = {}
 
     @classmethod
     def from_solution(cls, solution: RadialEigenSolution,
@@ -90,8 +102,8 @@ class RadialWavefunction:
         # orthonormal eigenvector => int chi^2 = 1; rescale to 1/(2 pi).  The
         # sum runs over the orthonormal basis: the raw monomial expansion
         # cancels catastrophically in float64 once K reaches ~40
-        chi = solution.basis.expansion(
-            solution.vectors[:, level] * np.sqrt(_CHI_NORM))
+        y = solution.vectors[:, level]
+        chi = solution.basis.expansion(y * np.sqrt(_CHI_NORM))
 
         # outermost radius where the state still carries weight; beyond the
         # classical turning point chi decays like a Gaussian
@@ -99,11 +111,15 @@ class RadialWavefunction:
         vals = chi(grid) ** 2
         above = np.nonzero(vals > 1e-16 * vals.max())[0]
         rho_max = grid[above[-1]] + 1.0
-        return cls(solution.m, chi, rho_max)
+        wf = cls(solution.m, chi, rho_max)
+        wf._moments = solution.basis.radial_moments(y)
+        return wf
 
     @classmethod
     def from_samples(cls, rho: np.ndarray, chi_values: np.ndarray,
                      m: int) -> "RadialWavefunction":
+        from scipy.interpolate import CubicSpline
+
         rho = np.asarray(rho, dtype=float)
         chi_values = np.asarray(chi_values, dtype=float)
         spline = CubicSpline(rho, chi_values, extrapolate=False)
@@ -143,7 +159,13 @@ class RadialWavefunction:
                                    0.0, self.rho_max)
 
     def radial_moment(self, power: int) -> float:
-        """<rho^power> = 2 pi int rho^power chi^2 drho."""
+        """<rho^power> = 2 pi int rho^power chi^2 drho.
+
+        Returned from the exact quadratic forms for p = -1, 1, 2 of a
+        solution-built state; integrated by quadrature otherwise.
+        """
+        if power in self._moments:
+            return self._moments[power]
         return 2.0 * np.pi * _quad(
             lambda r: r ** power * self._chi(r) ** 2, 0.0, self.rho_max)
 
@@ -164,8 +186,10 @@ class CurrentField:
     def plane_integral(self) -> float:
         """int J d^2rho = 2 pi int J(rho) rho drho, the velocity expectation.
 
-        Evaluated by quadrature of the same integrand as
-        velocity_expectation, to which it is equal by construction.
+        Not a sum over the sampled grid: it is velocity_expectation of the
+        same state, equal by construction, so for a solution-built state it
+        is m <1/rho> - (nu/2) <rho> from the exact quadratic forms, and
+        quadrature only for a state built from samples.
         """
         return velocity_expectation(self.wavefunction, self.params)
 
@@ -209,14 +233,9 @@ def current_vector_field(wf: RadialWavefunction, tp: TrapParams,
 
 
 def velocity_expectation(wf: RadialWavefunction, tp: TrapParams) -> float:
-    """<v_phi> = <m/rho> - (nu/2) <rho>, in units sqrt(hbar omega_t / mu)."""
-    if wf.m != 0:
-        canonical = wf.m * 2.0 * np.pi * _quad(
-            lambda r: wf.chi(r) ** 2 / r, 0.0, wf.rho_max)
-    else:
-        canonical = 0.0
-    drag = 0.5 * tp.nu * wf.radial_moment(1)
-    return canonical - drag
+    """<v_phi> = m <1/rho> - (nu/2) <rho>, in units sqrt(hbar omega_t / mu)."""
+    canonical = wf.m * wf.radial_moment(-1) if wf.m != 0 else 0.0
+    return canonical - 0.5 * tp.nu * wf.radial_moment(1)
 
 
 @dataclass(frozen=True)
@@ -241,6 +260,8 @@ def density_profile(wf: RadialWavefunction,
     in the strong-coupling ring regime it approaches the classical minimum
     of the effective potential.
     """
+    from scipy.optimize import minimize_scalar
+
     if rho_grid is None:
         rho_grid = np.linspace(1e-3, wf.rho_max, 4000)
     rho = np.asarray(rho_grid, dtype=float)

@@ -32,6 +32,9 @@ T is the kinetic plus centrifugal term integrated by parts; the (m^2 - 1/4)
 coupling.  P is half the square of the Jacobi matrix of the recurrence, T
 is an exact (K+1)-point Gauss sum of w and C an exact K-point Gauss sum of
 w / rho.  Gauss weights are Christoffel numbers taken from the recurrence.
+The K x K truncated Jacobi matrix is the exact block of rho; with C and 2P
+it gives the radial moments <1/rho>, <rho> and <rho^2> of any state as
+quadratic forms (RadialBasis.radial_moments).
 
 The recurrence coefficients follow from the moments by the Chebyshev
 algorithm, which loses roughly 1.2 decimal digits per basis function, so it
@@ -187,6 +190,19 @@ class RadialBasis:
 
         return series
 
+    def radial_moments(self, weights) -> dict[int, float]:
+        """<rho^p> for p = -1, 1, 2 of the state sum_k weights[k] phi_k.
+
+        Exact quadratic forms w^T M_p w over the cached blocks: the Coulomb
+        block for 1/rho, the truncated Jacobi matrix for rho and twice the
+        trap block for rho^2.  weights are taken as normalized.
+        """
+        blocks = _sector_blocks(self.m, self.size, self.alpha)
+        w = np.asarray(weights, dtype=float)
+        return {-1: float(w @ blocks.coulomb @ w),
+                1: float(w @ blocks.position @ w),
+                2: 2.0 * float(w @ blocks.trap @ w)}
+
 
 def _log_moment(p, beta: float):
     """log of M(p; beta) = int_0^inf rho^p exp(-beta rho^2) drho, p > -1."""
@@ -307,7 +323,11 @@ def _gauss_rule(a: np.ndarray, sb: np.ndarray):
 class _SectorMatrices:
     """Float64 pencil blocks of one (|m|, K, alpha) basis, orthonormal form.
 
-    H(nu, b) = kinetic + a^2 trap + b coulomb - (m nu / 2) I.  monomials
+    H(nu, b) = kinetic + a^2 trap + b coulomb - (m nu / 2) I.  position is
+    the K x K truncated Jacobi matrix, the block of rho itself.  a and sb
+    determine it, but it is kept dense so that <1/rho>, <rho> and <rho^2>
+    are the same BLAS form y^T M y over read-only float64 blocks (at most a
+    few tens of kB per sector) instead of a Python-list recurrence.  monomials
     holds the raw-basis coefficients of each q_k, one row per k; a and sb
     are the recurrence coefficients of the q_k.
     """
@@ -315,6 +335,7 @@ class _SectorMatrices:
     kinetic: np.ndarray
     trap: np.ndarray
     coulomb: np.ndarray
+    position: np.ndarray
     monomials: np.ndarray
     a: list
     sb: list
@@ -359,21 +380,23 @@ def _reduce(m_abs: int, size: int, alpha: float) -> _SectorMatrices | None:
     q, dq = _orthonormal_table(nodes, a, sb, size, derivative=True)
     g = dq - 2.0 * alpha * nodes[:, None] * q
     kinetic = 0.5 * (g.T * weights) @ g
-    # (1/2) rho^2 is half the square of the (K+1) Jacobi matrix, truncated
+    # rho q_k is the three-term recurrence, so the K x K truncation of the
+    # (K+1) Jacobi matrix is the exact rho block; (1/2) rho^2 is half the
+    # truncated square of the full one
     J = np.diag(a) + np.diag(sb[1:], 1) + np.diag(sb[1:], -1)
+    position = J[:size, :size].copy()
     trap = 0.5 * (J @ J)[:size, :size]
     # 1/rho: the K-point rule of w/rho is exact for every q_j q_k
     nodes, weights = _gauss_rule(a_inv, sb_inv)
     q = _orthonormal_table(nodes, a, sb, size)
     coulomb = (q.T * weights) @ q
 
-    blocks = (kinetic, trap, coulomb, monomials)
+    blocks = (kinetic, trap, coulomb, position, monomials)
     if not all(np.isfinite(x).all() for x in blocks):
         return None
     for x in blocks:
         x.flags.writeable = False
-    return _SectorMatrices(kinetic, trap, coulomb, monomials,
-                           a.tolist(), sb.tolist())
+    return _SectorMatrices(*blocks, a.tolist(), sb.tolist())
 
 
 def _sector_blocks(m: int, size: int, alpha: float) -> _SectorMatrices:

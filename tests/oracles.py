@@ -189,26 +189,32 @@ def mp_sector_solve(m: int, nu: float, b: float, size: int,
     return 1.0 / lam, coeff
 
 
-def mp_velocity(m: int, nu: float, coeff, alpha: float = 0.5) -> float:
-    """<v_phi> = m <1/rho> - (nu/2) <rho> of one raw coefficient vector.
+def mp_radial_moment(m: int, coeff, p: int, alpha: float = 0.5) -> float:
+    """<rho^p> of one raw coefficient vector, for integer p >= -1.
 
-    Each expectation is a quadratic form over exact Gaussian moments,
-    evaluated at 120 digits so that the alternating raw coefficients
-    cancel without loss.
+    The expectation is a ratio of quadratic forms over exact Gaussian
+    moments, evaluated at 120 digits so that the alternating raw
+    coefficients cancel without loss.
     """
     with mp.workdps(120):
         beta = 2 * mp.mpf(alpha)
         c = [mp.mpf(float(x)) for x in coeff]
         size = len(c)
         p0 = 1 + 2 * abs(m)  # s_j + s_k = p0 + j + k
-        mom = {p: _mp_moment(p, beta) for p in range(p0 - 1, p0 + 2 * size)}
+        mom = {t: _mp_moment(t, beta)
+               for t in range(p0 + min(p, 0), p0 + 2 * size + max(p, 0))}
 
-        def form(p):
-            return mp.fsum(c[j] * c[k] * mom[p0 + j + k + p]
+        def form(power):
+            return mp.fsum(c[j] * c[k] * mom[p0 + j + k + power]
                            for j in range(size) for k in range(size))
 
-        norm = form(0)
-        return float((m * form(-1) - mp.mpf(nu) / 2 * form(1)) / norm)
+        return float(form(p) / form(0))
+
+
+def mp_velocity(m: int, nu: float, coeff, alpha: float = 0.5) -> float:
+    """<v_phi> = m <1/rho> - (nu/2) <rho> of one raw coefficient vector."""
+    return (m * mp_radial_moment(m, coeff, -1, alpha)
+            - nu / 2 * mp_radial_moment(m, coeff, 1, alpha))
 
 
 def classical_trajectory(nu: float, xi0: float, taus,

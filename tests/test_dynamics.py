@@ -282,6 +282,14 @@ class TestGuards:
             evolve(gaussian_packet(SPEC128, 0.0), FREE, 1e-3, 0.01,
                    edge_cells=60)
 
+    def test_edge_guard_fires_between_records(self):
+        # a tight packet breathes out to the edge around tau = pi/2 and is
+        # back at the centre by tau = pi, so the only two records (steps 0
+        # and 628) both look clean; the guard must fire in between
+        with pytest.raises(BoundaryLeakError, match=r"tau = 1\.\d+;"):
+            evolve(gaussian_packet(SPEC64, 0.0, width=2.2), FREE, 5e-3,
+                   math.pi, record_every=1000)
+
     def test_interaction_flavor_mismatch_radiates(self):
         # a state relaxed under the cell-averaged interaction is not
         # stationary for the soft-core stepper: the defect at the origin

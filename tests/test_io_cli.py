@@ -223,21 +223,37 @@ class TestExitCodes:
         assert json.loads(capsys.readouterr().err)["exit_code"] == 4
 
 
+def _fresh_python(args, cwd):
+    """Run a fresh interpreter that imports this checkout of magtrap."""
+    package_root = str(Path(magtrap.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
+
+
 class TestModuleEntry:
     def test_python_dash_m_runs_the_command(self, tmp_path):
         out = tmp_path / "x.json"
-        package_root = str(Path(magtrap.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [package_root, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-m", "magtrap.cli", "groundstate", "--nu", "1",
-             "--b", "5", "--K", "10", "--m-range", "-2:4", "--out", str(out)],
-            env=env, cwd=tmp_path, capture_output=True, text=True,
-            timeout=120)
+        proc = _fresh_python(
+            ["-m", "magtrap.cli", "groundstate", "--nu", "1", "--b", "5",
+             "--K", "10", "--m-range", "-2:4", "--out", str(out)], tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == str(out)
         _, result = read_json_record(out)
         assert result["m_star"] == 1
+
+    def test_import_loads_no_quadrature_or_optimizer(self, tmp_path):
+        # these scipy subpackages serve only sample-built states and the
+        # density peak search; loading them would cost every cold command
+        lazy = ["scipy.integrate", "scipy.optimize", "scipy.interpolate",
+                "scipy.sparse"]
+        proc = _fresh_python(
+            ["-c", "import sys, magtrap.cli; "
+                   f"print([m for m in {lazy!r} if m in sys.modules])"],
+            tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestCommandArtifacts:

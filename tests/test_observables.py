@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from magtrap import TrapParams
 from magtrap.observables import (
@@ -118,6 +120,42 @@ class TestVelocityExpectation:
         tp = TrapParams(nu=0.0, b=2.0)
         wf = RadialWavefunction.from_solution(solve_sector(tp, 0))
         assert velocity_expectation(wf, tp) == pytest.approx(0.0, abs=1e-12)
+
+
+# central-difference step for the Hellmann-Feynman checks: its truncation
+# error (~step^2) and the eigensolver's rounding (~1e-14 / step) both stay
+# at or below about 1e-9, far inside the 1e-7 tolerance
+HF_STEP = 1e-4
+HF_TOL = 1e-7
+
+
+def _ground_energy(nu: float, b: float, m: int, size: int) -> float:
+    return solve_sector(TrapParams(nu=nu, b=b), m, size=size).energies[0]
+
+
+class TestHellmannFeynman:
+    """dE0/dx = <dh/dx> for the Ritz ground level of a fixed sector basis."""
+
+    @given(nu=st.floats(0.0, 3.0), b=st.floats(HF_STEP, 10.0),
+           m=st.integers(-3, 3), size=st.integers(8, 40))
+    def test_coupling_slope_is_inverse_radius(self, nu, b, m, size):
+        wf = RadialWavefunction.from_solution(
+            solve_sector(TrapParams(nu=nu, b=b), m, size=size))
+        slope = (_ground_energy(nu, b + HF_STEP, m, size)
+                 - _ground_energy(nu, b - HF_STEP, m, size)) / (2 * HF_STEP)
+        assert slope == pytest.approx(wf.radial_moment(-1), abs=HF_TOL, rel=0)
+
+    @given(nu=st.floats(HF_STEP, 3.0), b=st.floats(0.0, 10.0),
+           m=st.integers(-3, 3), size=st.integers(8, 40))
+    def test_field_slope_is_paramagnetic_plus_diamagnetic(self, nu, b, m,
+                                                           size):
+        # dh/dnu = -m/2 + (nu/4) rho^2
+        wf = RadialWavefunction.from_solution(
+            solve_sector(TrapParams(nu=nu, b=b), m, size=size))
+        slope = (_ground_energy(nu + HF_STEP, b, m, size)
+                 - _ground_energy(nu - HF_STEP, b, m, size)) / (2 * HF_STEP)
+        expected = -0.5 * m + 0.25 * nu * wf.radial_moment(2)
+        assert slope == pytest.approx(expected, abs=HF_TOL, rel=0)
 
 
 class TestGroundVelocitySweep:
