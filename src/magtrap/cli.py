@@ -393,6 +393,12 @@ def resolve_config(args) -> RunConfig:
         lo, hi = cfg.nu_bracket
         if not (hi > lo >= 0):
             raise ConfigError(f"bad nu bracket {cfg.nu_bracket}")
+        if cfg.m1 == cfg.m2:
+            raise ConfigError(f"m1 and m2 are both {cfg.m1}; a crossing "
+                              "needs two different sectors")
+    if cfg.command == "spectrum" and cfg.levels > cfg.K:
+        raise ConfigError(f"levels = {cfg.levels} exceeds the basis size "
+                          f"K = {cfg.K}")
     if cfg.snapshots is not None and cfg.snapshots <= 0:
         raise ConfigError("snapshot stride must be positive")
     return cfg

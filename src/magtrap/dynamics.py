@@ -3,7 +3,8 @@
 In trap units the Hamiltonian of the relative motion splits as h = h1 + h2,
 
     h1 = -(nu/2) L_z,
-    h2 = -(1/2)(d^2/dxi^2 + d^2/deta^2) + (1/2)(1 + nu^2/4) rho^2 + b/rho,
+    h2 = -(1/2)(d^2/dxi^2 + d^2/deta^2) + V0 + (nu^2/8) rho^2,
+    V0 = (1/2) rho^2 + b/rho,
 
 and [h1, h2] = 0 at all times, even for time-dependent nu(tau), because h2
 is rotationally symmetric.  The factorization
@@ -17,18 +18,21 @@ here live in that rotating frame.  Lab-frame patterns follow by rotating
 the field clockwise by theta (for nu > 0); lab-frame vector observables by
 rotating the 2-vectors, which costs nothing.
 
-h2 is advanced with the symmetric second-order kernel
+h2 is advanced with one symmetric second-order kernel, the same for real
+and imaginary time,
 
-    exp(-i V2 dtau/2) . IFFT exp(-i k^2 dtau/2) FFT . exp(-i V2 dtau/2),
+    K . IFFT exp(z k^2/2) FFT . K,    K = exp(z V0/2) e(xi) e(eta),
 
-unitary by construction.  The grid is offset by half a cell so no sample
-sits on the Coulomb singularity, and the stepped potential uses the
-bounded soft core b/sqrt(rho^2 + eps^2) with eps = h/2.  Imaginary-time
-relaxation replaces the phases by decaying exponentials and renormalizes
-every step; there the Coulomb term is instead the exact cell average of
-1/rho (closed-form antiderivative), whose energy bias is orders of
-magnitude below the soft core's and small enough for 1e-4 cross-checks
-against the radial eigensolver.
+with the complex step z = -i dtau (real time, unitary) or z = -dtau
+(imaginary time, renormalized every step) and e(x) = exp(z nu^2 x^2/16).
+The field enters only through that separable factor, so a change of nu
+costs 2n exponentials and a broadcast product.  Samples sit half a cell
+off the origin, at -L + (i + 1/2) h, so none lies on the Coulomb
+singularity.  Real time uses the bounded soft core b/sqrt(rho^2 + eps^2)
+with eps = h/2; imaginary time uses the exact cell average of 1/rho
+(closed-form antiderivative), whose energy bias is orders of magnitude
+below the soft core's and small enough for 1e-4 cross-checks against the
+radial eigensolver.
 
 Frame rotations by arbitrary angles need no interpolation: multiples of
 90 degrees are index permutations (the half-cell offset grid maps onto
@@ -103,14 +107,13 @@ class SectorLeakageError(RuntimeError):
 class GridSpec:
     """Square FFT grid: n points per axis on [-half_extent, half_extent).
 
-    With offset on (the default) samples sit at -L + (i + 1/2) h, so none
-    coincides with the origin and the point set is closed under the square's
+    Samples sit at -L + (i + 1/2) h, half a cell off the origin, so none
+    coincides with it and the point set is closed under the square's
     rotations and reflections.
     """
 
     n: int = 256
     half_extent: float = 8.0
-    offset: bool = True
 
     def __post_init__(self):
         if self.n < 4 or (self.n & (self.n - 1)) != 0:
@@ -128,8 +131,7 @@ class GridSpec:
         return 0.5 * self.h
 
     def axis(self) -> np.ndarray:
-        shift = 0.5 * self.h if self.offset else 0.0
-        return -self.half_extent + shift + self.h * np.arange(self.n)
+        return -self.half_extent + 0.5 * self.h + self.h * np.arange(self.n)
 
     def wavenumbers(self) -> np.ndarray:
         return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.h)
@@ -251,80 +253,72 @@ def _cell_averaged_inverse_radius(spec: GridSpec) -> np.ndarray:
     it.  This is the Coulomb discretization used in imaginary time, where
     the soft core's O(h) energy bias would dominate the error budget.
     """
-    shift = 0.0 if spec.offset else -0.5 * spec.h
-    faces = -spec.half_extent + shift + spec.h * np.arange(spec.n + 1)
+    faces = -spec.half_extent + spec.h * np.arange(spec.n + 1)
     s = _signed_corner_primitive(faces[:, None], faces[None, :])
     return (s[1:, 1:] - s[:-1, 1:] - s[1:, :-1] + s[:-1, :-1]) / spec.h ** 2
 
 
 class _Stepper:
-    """Cached kernels for one (grid, b, dtau, Coulomb flavor) combination."""
+    """Cached kernels for one (grid, b, z, Coulomb flavor) combination.
 
-    def __init__(self, spec: GridSpec, b: float, dtau: float,
+    z is the complex time step of the module docstring, -1j * dtau or
+    complex(-dtau).  The half kick at nu is kept until nu changes.
+    """
+
+    def __init__(self, spec: GridSpec, b: float, z: complex,
                  coulomb: str, workers):
         self.spec = spec
-        self.b = b
-        self.dtau = dtau
+        self.z = z
         self.workers = workers
-        ax = spec.axis()
-        self.xi = ax[:, None]
-        self.eta = ax[None, :]
-        self.rho2 = self.xi ** 2 + self.eta ** 2
+        self.ax = spec.axis()
+        self.xi = self.ax[:, None]
+        self.eta = self.ax[None, :]
+        self.ax2 = self.ax ** 2
+        rho2 = self.xi ** 2 + self.eta ** 2
         if coulomb == "softcore":
             eps = spec.coulomb_epsilon
-            self.inv_rho = 1.0 / np.sqrt(self.rho2 + eps * eps)
+            inv_rho = 1.0 / np.sqrt(rho2 + eps * eps)
         elif coulomb == "cell":
-            self.inv_rho = _cell_averaged_inverse_radius(spec)
+            inv_rho = _cell_averaged_inverse_radius(spec)
         else:
             raise ValueError(f"unknown Coulomb flavor {coulomb!r}")
+        self.v0 = 0.5 * rho2 + b * inv_rho
+        self.v0_max = float(self.v0.max())
+        self.rho2_max = float(rho2.max())
         k = spec.wavenumbers()
         self.kx = k[:, None]
         self.ky = k[None, :]
-        self.k2 = self.kx ** 2 + self.ky ** 2
-        self.kin_real = np.exp(-0.5j * dtau * self.k2)
-        self.kin_imag = np.exp(-0.5 * dtau * self.k2)
-        # one-slot potential cache: hit for constant nu and settled ramps
-        self._pot_nu = None
-        self._pot = None
-        self._half_real = None
-        self._half_imag = None
+        self.kinetic = np.exp(0.5 * z * (self.kx ** 2 + self.ky ** 2))
+        self.kick0 = np.exp(0.5 * z * self.v0)
+        self._kick_nu = None
+        self._kick = None
 
-    def potential(self, nu: float) -> np.ndarray:
-        if self._pot_nu is None or not math.isclose(
-                nu, self._pot_nu, rel_tol=1e-13, abs_tol=1e-15):
-            v2 = 0.5 * (1.0 + 0.25 * nu * nu) * self.rho2 + self.b * self.inv_rho
-            self._pot_nu = nu
-            self._pot = v2
-            self._half_real = None
-            self._half_imag = None
-        return self._pot
-
-    def _half_kick(self, nu: float, mode: str) -> np.ndarray:
-        v2 = self.potential(nu)
-        if mode == "real":
-            if self._half_real is None:
-                self._half_real = np.exp(-0.5j * self.dtau * v2)
-                # phase wrapping aliases the corner potential in real time
-                # only; the imaginary-time factor just decays
-                vmax = float(v2.max())
-                if vmax * self.dtau > np.pi:
+    def _half_kick(self, nu: float) -> np.ndarray:
+        if nu != self._kick_nu:
+            field = np.exp(0.0625 * self.z * nu * nu * self.ax2)
+            self._kick = self.kick0 * field[:, None] * field[None, :]
+            self._kick_nu = nu
+            # phase wrapping aliases the corner potential in real time only,
+            # where -z.imag = dtau (it is 0 in imaginary time); the grid
+            # maximum of V2 is taken only when its bound
+            # max V0 + (nu^2/8) max rho^2 wraps
+            dtau = -self.z.imag
+            quad = 0.125 * nu * nu
+            if (self.v0_max + quad * self.rho2_max) * dtau > np.pi:
+                rho2 = self.xi ** 2 + self.eta ** 2
+                vmax = float((self.v0 + quad * rho2).max())
+                if vmax * dtau > np.pi:
                     warnings.warn(
-                        f"max|V2| dtau = {vmax * self.dtau:.3g} exceeds pi; "
+                        f"max|V2| dtau = {vmax * dtau:.3g} exceeds pi; "
                         "the potential phase wraps, reduce dtau or the box",
                         stacklevel=4)
-            return self._half_real
-        if self._half_imag is None:
-            self._half_imag = np.exp(-0.5 * self.dtau * v2)
-        return self._half_imag
+        return self._kick
 
-    def step(self, psi: np.ndarray, nu: float, mode: str) -> np.ndarray:
-        if mode not in ("real", "imag"):
-            raise ValueError(f"mode must be 'real' or 'imag', got {mode!r}")
-        half = self._half_kick(nu, mode)
-        kin = self.kin_real if mode == "real" else self.kin_imag
+    def step(self, psi: np.ndarray, nu: float) -> np.ndarray:
+        half = self._half_kick(nu)
         out = half * psi
         out = sfft.fft2(out, workers=self.workers)
-        out *= kin
+        out *= self.kinetic
         out = sfft.ifft2(out, workers=self.workers)
         out *= half
         return out
@@ -333,30 +327,35 @@ class _Stepper:
         return self.spec.h ** 2 * float(np.vdot(psi, psi).real)
 
     def observables(self, psi: np.ndarray, nu: float) -> dict:
-        """Rotating-frame expectation values of the normalized state."""
-        h2 = self.spec.h ** 2
-        nrm2 = h2 * float(np.vdot(psi, psi).real)
-        ft = sfft.fft2(psi, workers=self.workers)
-        kin = 0.5 * h2 / psi.size * float(np.sum(self.k2 * np.abs(ft) ** 2))
+        """Rotating-frame expectation values of the state, normalized.
+
+        p_xi psi and p_eta psi are one-axis spectral derivatives, and the
+        kinetic energy is half their squared norms (Parseval).
+        """
+        w = self.workers
+        px = sfft.ifft(self.kx * sfft.fft(psi, axis=0, workers=w),
+                       axis=0, workers=w)
+        py = sfft.ifft(self.ky * sfft.fft(psi, axis=1, workers=w),
+                       axis=1, workers=w)
         dens = np.abs(psi) ** 2
-        pot = h2 * float(np.sum(self.potential(nu) * dens))
-        px = sfft.ifft2(self.kx * ft, workers=self.workers)
-        py = sfft.ifft2(self.ky * ft, workers=self.workers)
-        pc = psi.conj()
-        lz = h2 * float(np.sum((pc * (self.xi * py - self.eta * px)).real))
-        mean_px = h2 * float(np.sum((pc * px).real))
-        mean_py = h2 * float(np.sum((pc * py).real))
-        cx = h2 * float(np.sum(self.xi * dens))
-        cy = h2 * float(np.sum(self.eta * dens))
-        kin, pot, lz = kin / nrm2, pot / nrm2, lz / nrm2
-        mean_px, mean_py = mean_px / nrm2, mean_py / nrm2
-        cx, cy = cx / nrm2, cy / nrm2
+        dens_xi, dens_eta = dens.sum(axis=1), dens.sum(axis=0)
+        total = float(np.vdot(psi, psi).real)  # h^2 cancels in every mean
+
+        def mean(bra, ket):
+            return float(np.vdot(bra, ket).real) / total
+
+        kin = 0.5 * (mean(px, px) + mean(py, py))
+        rho2 = float(dens_xi @ self.ax2 + dens_eta @ self.ax2)
+        pot = (float(np.sum(self.v0 * dens)) + 0.125 * nu * nu * rho2) / total
+        lz = mean(self.xi * psi, py) - mean(self.eta * psi, px)
+        cx = float(dens_xi @ self.ax) / total
+        cy = float(dens_eta @ self.ax) / total
         return {
-            "norm": math.sqrt(nrm2),
+            "norm": math.sqrt(self.spec.h ** 2 * total),
             "energy": kin + pot - 0.5 * nu * lz,
             "Lz": lz,
-            "vx": mean_px + 0.5 * nu * cy,
-            "vy": mean_py - 0.5 * nu * cx,
+            "vx": mean(psi, px) + 0.5 * nu * cy,
+            "vy": mean(psi, py) - 0.5 * nu * cx,
             "cx": cx,
             "cy": cy,
         }
@@ -370,9 +369,9 @@ class _Stepper:
 
 
 @lru_cache(maxsize=16)
-def _stepper_for(spec: GridSpec, b: float, dtau: float,
+def _stepper_for(spec: GridSpec, b: float, z: complex,
                  coulomb: str, workers) -> _Stepper:
-    return _Stepper(spec, b, dtau, coulomb, workers)
+    return _Stepper(spec, b, z, coulomb, workers)
 
 
 def gaussian_packet(spec: GridSpec, center: float = 4.0,
@@ -417,9 +416,9 @@ def strang_step(state: GridState, tp: TrapParams, dtau: float,
         raise ValueError("dtau must be positive")
     if mode not in ("real", "imaginary"):
         raise ValueError(f"mode must be 'real' or 'imaginary', got {mode!r}")
-    stepper = _stepper_for(state.spec, tp.b, dtau, "softcore", workers)
-    key = "real" if mode == "real" else "imag"
-    psi = stepper.step(state.amplitudes, tp.nu, key)
+    z = -1j * dtau if mode == "real" else complex(-dtau)
+    stepper = _stepper_for(state.spec, tp.b, z, "softcore", workers)
+    psi = stepper.step(state.amplitudes, tp.nu)
     if mode == "imaginary":
         psi = psi / math.sqrt(stepper.norm_sq(psi))
     return replace(state, amplitudes=psi, tau=state.tau + dtau)
@@ -436,13 +435,10 @@ def _shear(psi: np.ndarray, axis: int, k: np.ndarray,
     return sfft.ifft(ft, axis=axis, workers=workers)
 
 
-def _quarter_turn(psi: np.ndarray, offset: bool) -> np.ndarray:
+def _quarter_turn(psi: np.ndarray) -> np.ndarray:
     # psi'(xi, eta) = psi(eta, -xi), an exact permutation: the offset axis
-    # negates under i -> n-1-i, the origin-bearing axis under i -> n-i mod n
-    out = psi.T[::-1, :]
-    if not offset:
-        out = np.roll(out, 1, axis=0)
-    return out
+    # negates under i -> n-1-i
+    return psi.T[::-1, :]
 
 
 def _rotate_amplitudes(spec: GridSpec, psi: np.ndarray, theta: float,
@@ -459,7 +455,7 @@ def _rotate_amplitudes(spec: GridSpec, psi: np.ndarray, theta: float,
         out = _shear(out, 1, k, s * ax, workers)
         out = _shear(out, 0, k, a * ax, workers)
     for _ in range(quarters % 4):
-        out = _quarter_turn(out, spec.offset)
+        out = _quarter_turn(out)
     return np.ascontiguousarray(out)
 
 
@@ -485,6 +481,16 @@ def to_lab_frame(state: GridState, workers=None) -> GridState:
         psi = _rotate_amplitudes(state.spec, psi, -state.theta, workers)
     return GridState(spec=state.spec, amplitudes=psi, frame="lab",
                      tau=state.tau, theta=0.0)
+
+
+def _lab_vectors(obs: dict, theta: float) -> dict:
+    """obs with (vx, vy) and (cx, cy) rotated from the frame at theta."""
+    c, s = math.cos(theta), math.sin(theta)
+    out = dict(obs)
+    for x, y in (("vx", "vy"), ("cx", "cy")):
+        out[x] = c * obs[x] + s * obs[y]
+        out[y] = -s * obs[x] + c * obs[y]
+    return out
 
 
 @dataclass(frozen=True)
@@ -561,8 +567,13 @@ def evolve(state: GridState, tp: TrapParams, dtau: float, tau_end: float,
     # the times actually reached
     n_steps = max(1, round(span / dtau))
 
-    stepper = _stepper_for(spec, tp.b, dtau, "softcore", workers)
+    stepper = _stepper_for(spec, tp.b, -1j * dtau, "softcore", workers)
     psi = np.array(state.amplitudes, dtype=complex, copy=True)
+    norm0 = math.sqrt(stepper.norm_sq(psi))
+    if abs(norm0 - 1.0) > norm_tol:
+        raise ValueError(
+            f"input state norm is {norm0:.6g}, not 1 within norm_tol = "
+            f"{norm_tol:g}; normalize the state before evolving it")
 
     def nu_at(tau: float) -> float:
         return ramp.nu(tau) if ramp is not None else tp.nu
@@ -602,22 +613,16 @@ def evolve(state: GridState, tp: TrapParams, dtau: float, tau_end: float,
                 f"more than {edge_tol:g} probability within {edge_cells} "
                 f"cells of the edge at tau = {tau_i:.6g}; enlarge the box")
         if i_step in record_idx:
-            obs = stepper.observables(psi_now, nu_i)
-            c, s = math.cos(th), math.sin(th)
             if th != 0.0:
                 psi_lab = _rotate_amplitudes(spec, psi_now, -th, workers)
             else:
                 psi_lab = psi_now
-            ac = abs(spec.h ** 2 * np.vdot(psi_ref, psi_lab))
             columns["tau"].append(tau_i)
-            columns["norm"].append(obs["norm"])
-            columns["energy"].append(obs["energy"])
-            columns["Lz"].append(obs["Lz"])
-            columns["vx"].append(c * obs["vx"] + s * obs["vy"])
-            columns["vy"].append(-s * obs["vx"] + c * obs["vy"])
-            columns["autocorr"].append(ac)
-            columns["cx"].append(c * obs["cx"] + s * obs["cy"])
-            columns["cy"].append(-s * obs["cx"] + c * obs["cy"])
+            columns["autocorr"].append(
+                abs(spec.h ** 2 * np.vdot(psi_ref, psi_lab)))
+            obs = _lab_vectors(stepper.observables(psi_now, nu_i), th)
+            for name, value in obs.items():
+                columns[name].append(value)
             if observers:
                 view = GridState(spec=spec, amplitudes=psi_now.copy(),
                                  frame="rotating", tau=tau_i, theta=th)
@@ -635,7 +640,7 @@ def evolve(state: GridState, tp: TrapParams, dtau: float, tau_end: float,
     take_records(0, psi)
     for i in range(n_steps):
         nu_mid = nu_at(tau0 + (i + 0.5) * dtau)
-        psi = stepper.step(psi, nu_mid, "real")
+        psi = stepper.step(psi, nu_mid)
         drift = abs(math.sqrt(stepper.norm_sq(psi)) - 1.0)
         worst_drift = max(worst_drift, drift)
         if drift > norm_tol:
@@ -703,11 +708,12 @@ def imaginary_time_ground(spec: GridSpec, tp: TrapParams, m_seed: int,
     total = 0
     stage_energy = []
     for stage_dtau, stage_tol in stages:
-        stepper = _stepper_for(spec, tp.b, stage_dtau, coulomb, workers)
+        stepper = _stepper_for(spec, tp.b, complex(-stage_dtau), coulomb,
+                               workers)
         e_prev = None
         while True:
             for _ in range(check_every):
-                psi = stepper.step(psi, tp.nu, "imag")
+                psi = stepper.step(psi, tp.nu)
                 psi /= math.sqrt(stepper.norm_sq(psi))
             total += check_every
             obs = stepper.observables(psi, tp.nu)
@@ -741,19 +747,10 @@ def state_observables(state: GridState, tp: TrapParams,
     accumulated angle; pass nu to override tp.nu (ramp diagnostics).
     """
     nu_now = tp.nu if nu is None else nu
-    stepper = _stepper_for(state.spec, tp.b, DEFAULT_DTAU, "softcore", workers)
-    obs = stepper.observables(state.amplitudes, nu_now)
-    th = state.theta
-    c, s = math.cos(th), math.sin(th)
-    return {
-        "norm": obs["norm"],
-        "energy": obs["energy"],
-        "Lz": obs["Lz"],
-        "vx": c * obs["vx"] + s * obs["vy"],
-        "vy": -s * obs["vx"] + c * obs["vy"],
-        "cx": c * obs["cx"] + s * obs["cy"],
-        "cy": -s * obs["cx"] + c * obs["cy"],
-    }
+    stepper = _stepper_for(state.spec, tp.b, -1j * DEFAULT_DTAU, "softcore",
+                           workers)
+    return _lab_vectors(stepper.observables(state.amplitudes, nu_now),
+                        state.theta)
 
 
 def angular_harmonics(state: GridState, n_harmonics: int = 48) -> np.ndarray:

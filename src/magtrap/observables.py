@@ -285,26 +285,16 @@ def ground_velocity_sweep(b: float, nu_values,
     """Ground-state velocity along a field sweep at fixed b.
 
     For each nu the ground sector is found by scanning m_range; rows are
-    (nu, m_star, energy, velocity) in ascending nu order.  Sector scans are
-    independent, so with workers > 1 they run on a thread pool and are
-    merged back in deterministic nu order.
+    (nu, m_star, energy, velocity) in ascending nu order.  workers is
+    accepted for compatibility and ignored: a sector scan takes a few
+    milliseconds, and a thread pool made sweeps several times slower.
     """
     from .radial import ground_state_scan
 
-    nu_list = [float(nu) for nu in nu_values]
-
-    def one(nu: float):
-        rec = ground_state_scan(TrapParams(nu=nu, b=b), m_range=m_range,
-                                size=size)
+    rows = []
+    for nu in sorted({float(nu) for nu in nu_values}):
+        tp = TrapParams(nu=nu, b=b)
+        rec = ground_state_scan(tp, m_range=m_range, size=size)
         wf = RadialWavefunction.from_solution(rec.solution)
-        vel = velocity_expectation(wf, TrapParams(nu=nu, b=b))
-        return nu, (rec.m_star, rec.energy, vel)
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = dict(pool.map(one, nu_list))
-    else:
-        results = dict(map(one, nu_list))
-
-    return [(nu, *results[nu]) for nu in sorted(results)]
+        rows.append((nu, rec.m_star, rec.energy, velocity_expectation(wf, tp)))
+    return rows

@@ -146,15 +146,6 @@ class RadialBasis:
         """Exponents s_k = 1/2 + |m| + k of the basis monomials."""
         return 0.5 + abs(self.m) + np.arange(self.size, dtype=float)
 
-    def value_matrix(self, rho: np.ndarray) -> np.ndarray:
-        """Basis values u_k(rho_i), shape (len(rho), size)."""
-        rho = np.asarray(rho, dtype=float)
-        if np.any(rho <= 0):
-            raise ValueError("rho must be strictly positive")
-        s = self.powers()
-        log_u = np.outer(np.log(rho), s) - self.alpha * (rho ** 2)[:, None]
-        return np.exp(log_u)
-
     def expansion(self, weights):
         """Callable rho -> sum_k weights[k] phi_k(rho), a float or an array.
 
@@ -553,11 +544,15 @@ def find_crossing(tp: TrapParams, m1: int, m2: int,
     Bisects E(m1; nu) - E(m2; nu) on nu_bracket until the gap is below tol
     (default 1e-10).  Raises BracketingError when the difference does not
     change sign over the bracket, e.g. for b = 0 where the m = 0 / m = 1
-    gap a(nu) - nu/2 stays positive at every finite nu.
+    gap a(nu) - nu/2 stays positive at every finite nu.  m1 and m2 must
+    differ: a sector has zero gap to itself everywhere.
     """
     lo, hi = nu_bracket
     if not (0 <= lo < hi):
         raise ValueError("need 0 <= lo < hi in nu_bracket")
+    if m1 == m2:
+        raise ValueError(
+            f"m1 and m2 are both {m1}; a sector cannot cross itself")
 
     def gap(nu: float) -> float:
         return (_ground_energy(tp.b, m1, nu, size)
@@ -592,27 +587,18 @@ def spectrum_sweep(b: float, nu_values, m_values, size: int = DEFAULT_BASIS_SIZE
                    n_levels: int = 1, workers: int = 1):
     """Sector energies on a (nu, m) grid, as rows (nu, m, level, energy).
 
-    Sector solves are independent; with workers > 1 they are dispatched to a
-    thread pool and the result is assembled in sorted (nu, m) order either
-    way, so the output ordering never depends on scheduling.
+    Rows come in sorted (nu, m) order.  n_levels may not exceed size, the
+    number of levels a basis of that size has.  workers is accepted for
+    compatibility and ignored: a sector solve takes well under a
+    millisecond, and a thread pool made sweeps several times slower.
     """
-    tasks = [(float(nu), int(m)) for nu in nu_values for m in m_values]
-
-    def solve(task):
-        nu, m = task
-        sol = solve_sector(TrapParams(nu=nu, b=b), m, size=size)
-        return task, sol.energies[:n_levels]
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = dict(pool.map(solve, tasks))
-    else:
-        results = dict(map(solve, tasks))
-
+    if not 1 <= n_levels <= size:
+        raise ValueError(
+            f"n_levels = {n_levels} must lie in [1, size = {size}]")
+    tasks = sorted({(float(nu), int(m)) for nu in nu_values for m in m_values})
     rows = []
-    for task in sorted(results):
-        nu, m = task
-        for level, energy in enumerate(results[task]):
+    for nu, m in tasks:
+        sol = solve_sector(TrapParams(nu=nu, b=b), m, size=size)
+        for level, energy in enumerate(sol.energies[:n_levels]):
             rows.append((nu, m, level, float(energy)))
     return rows

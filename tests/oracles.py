@@ -3,8 +3,10 @@
 Everything here is deliberately written from scratch against the model
 definitions, not by calling into the package: closed-form Landau-level
 energies, a brute-force radial grid diagonalization, adaptive-quadrature
-matrix elements, and a classical trajectory integrator.  Agreement between
-these and the package is what the cross-checks in the tests mean.  The
+matrix elements, a classical trajectory integrator, and a grid split step
+and grid observables that rebuild the full potential on every call.
+Agreement between these and the package is what the cross-checks in the
+tests mean.  The
 extended-precision sector solver here is the package's former per-point
 eigensolver, kept as the reference for the orthonormal-basis solver that
 replaced it.
@@ -215,6 +217,83 @@ def mp_velocity(m: int, nu: float, coeff, alpha: float = 0.5) -> float:
     """<v_phi> = m <1/rho> - (nu/2) <rho> of one raw coefficient vector."""
     return (m * mp_radial_moment(m, coeff, -1, alpha)
             - nu / 2 * mp_radial_moment(m, coeff, 1, alpha))
+
+
+def _offset_grid(n: int, half_extent: float):
+    """Spacing, sample meshes and wavenumber meshes of the n x n grid.
+
+    Samples sit half a cell off the origin, at -L + (i + 1/2) h.
+    """
+    h = 2.0 * half_extent / n
+    ax = -half_extent + h * (np.arange(n) + 0.5)
+    k = 2.0 * np.pi * np.fft.fftfreq(n, d=h)
+    xi, eta = np.meshgrid(ax, ax, indexing="ij")
+    kx, ky = np.meshgrid(k, k, indexing="ij")
+    return h, xi, eta, kx, ky
+
+
+def _softcore_v2(h, xi, eta, nu: float, b: float) -> np.ndarray:
+    """(1/2)(1 + nu^2/4) rho^2 + b/sqrt(rho^2 + eps^2) with eps = h/2."""
+    rho2 = xi ** 2 + eta ** 2
+    return (0.5 * (1.0 + 0.25 * nu * nu) * rho2
+            + b / np.sqrt(rho2 + 0.25 * h * h))
+
+
+def reference_strang_step(psi, half_extent: float, nu: float, b: float,
+                          dtau: float, imaginary: bool = False) -> np.ndarray:
+    """One symmetric split step of the co-rotating Hamiltonian h2.
+
+    The whole potential V2 is rebuilt on every call and the kinetic factor
+    weights the 2-D transform by k^2 = kx^2 + ky^2.  Real time multiplies by
+    exp(-i V2 dtau/2) and exp(-i k^2 dtau/2); imaginary time by the decaying
+    exp(-V2 dtau/2) and exp(-k^2 dtau/2), then renormalizes.
+    """
+    h, xi, eta, kx, ky = _offset_grid(psi.shape[0], half_extent)
+    v2 = _softcore_v2(h, xi, eta, nu, b)
+    k2 = kx ** 2 + ky ** 2
+    if imaginary:
+        half, kin = np.exp(-0.5 * dtau * v2), np.exp(-0.5 * dtau * k2)
+    else:
+        half, kin = np.exp(-0.5j * dtau * v2), np.exp(-0.5j * dtau * k2)
+    out = half * np.fft.ifft2(kin * np.fft.fft2(half * psi))
+    if imaginary:
+        out = out / np.sqrt(h * h * np.sum(np.abs(out) ** 2))
+    return out
+
+
+def reference_observables(psi, half_extent: float, nu: float, b: float,
+                          theta: float = 0.0) -> dict:
+    """Norm, energy, L_z, kinetic velocity and centre of a grid state.
+
+    psi lives in the frame rotated by theta; the vectors are returned in the
+    lab frame.  Momenta come from the 2-D transform, the kinetic energy from
+    its k^2 weighting, and the potential from the full V2 grid.  Kinetic
+    velocity is <p> + (nu/2)(eta, -xi), the symmetric-gauge drift.
+    """
+    h, xi, eta, kx, ky = _offset_grid(psi.shape[0], half_extent)
+    ft = np.fft.fft2(psi)
+    px = np.fft.ifft2(kx * ft)
+    py = np.fft.ifft2(ky * ft)
+    dens = np.abs(psi) ** 2
+    total = np.sum(dens)
+    pc = psi.conj()
+    kin = 0.5 * np.sum((kx ** 2 + ky ** 2) * np.abs(ft) ** 2) / psi.size
+    pot = np.sum(_softcore_v2(h, xi, eta, nu, b) * dens)
+    lz = np.sum((pc * (xi * py - eta * px)).real) / total
+    cx = np.sum(xi * dens) / total
+    cy = np.sum(eta * dens) / total
+    vx = np.sum((pc * px).real) / total + 0.5 * nu * cy
+    vy = np.sum((pc * py).real) / total - 0.5 * nu * cx
+    c, s = math.cos(theta), math.sin(theta)
+    return {
+        "norm": math.sqrt(h * h * total),
+        "energy": (kin + pot) / total - 0.5 * nu * lz,
+        "Lz": lz,
+        "vx": c * vx + s * vy,
+        "vy": -s * vx + c * vy,
+        "cx": c * cx + s * cy,
+        "cy": -s * cx + c * cy,
+    }
 
 
 def classical_trajectory(nu: float, xi0: float, taus,

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import oracles
@@ -201,6 +203,68 @@ class TestStateObservables:
         assert seen["vy"] == pytest.approx(-rot["vx"], abs=1e-12)
 
 
+def moving_packet(spec, x0, y0, kx0, ky0):
+    """Normalized unit-width Gaussian at (x0, y0) with momentum (kx0, ky0)."""
+    xi, eta = spec.meshes()
+    psi = np.exp(-0.5 * ((xi - x0) ** 2 + (eta - y0) ** 2)
+                 + 1j * (kx0 * xi + ky0 * eta))
+    return psi / math.sqrt(spec.h ** 2 * np.vdot(psi, psi).real)
+
+
+def assert_observables_match(got, ref):
+    assert set(got) == set(ref)
+    for name, value in ref.items():
+        assert got[name] == pytest.approx(value, rel=1e-12, abs=1e-12), name
+
+
+class TestKernelAgainstReference:
+    """strang_step and state_observables against the oracles' split step,
+    which rebuilds the whole potential on every call and weights the 2-D
+    transform by k^2."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(nu=st.floats(0.0, 3.0), b=st.floats(0.0, 2.0),
+           dtau=st.floats(1e-4, 1e-2),
+           x0=st.floats(-3.0, 3.0), y0=st.floats(-3.0, 3.0),
+           kx0=st.floats(-2.0, 2.0), ky0=st.floats(-2.0, 2.0),
+           theta=st.floats(-4.0, 4.0))
+    @example(nu=0.0, b=0.0, dtau=1e-3, x0=2.0, y0=0.0, kx0=0.0, ky0=0.0,
+             theta=0.0)
+    def test_step_and_observables(self, nu, b, dtau, x0, y0, kx0, ky0, theta):
+        tp = TrapParams(nu=nu, b=b)
+        psi = moving_packet(SPEC64, x0, y0, kx0, ky0)
+        state = GridState(spec=SPEC64, amplitudes=psi, theta=theta)
+        for mode in ("real", "imaginary"):
+            got = strang_step(state, tp, dtau, mode=mode).amplitudes
+            ref = oracles.reference_strang_step(
+                psi, SPEC64.half_extent, nu, b, dtau,
+                imaginary=(mode == "imaginary"))
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+        assert_observables_match(
+            state_observables(state, tp),
+            oracles.reference_observables(psi, SPEC64.half_extent, nu, b,
+                                          theta))
+
+    def test_ramp_changes_nu_every_step(self):
+        tp = TrapParams(nu=1.5, b=1.0)
+        ramp = RampProtocol("linear", 1.5, tau_ramp=1.0)
+        dtau = 1e-2
+        psi = moving_packet(SPEC64, 2.0, -1.0, 0.5, 1.0)
+        res = evolve(GridState(spec=SPEC64, amplitudes=psi), tp, dtau,
+                     20 * dtau, ramp, record_every=20)
+        ref = psi
+        for i in range(20):
+            ref = oracles.reference_strang_step(
+                ref, SPEC64.half_extent, ramp.nu((i + 0.5) * dtau), tp.b, dtau)
+        final = res.final_state
+        np.testing.assert_allclose(final.amplitudes, ref, rtol=0, atol=1e-12)
+        expected = oracles.reference_observables(
+            ref, SPEC64.half_extent, ramp.nu(final.tau), tp.b, final.theta)
+        last_row = {name: col[-1] for name, col in res.as_columns().items()
+                    if name in expected}
+        assert_observables_match(last_row, expected)
+
+
 class TestClassicalMotion:
     def test_zero_field_packet_oscillates_as_cosine(self):
         res = evolve(gaussian_packet(SPEC128, 2.0, 0.5), FREE,
@@ -270,6 +334,10 @@ class TestEvolveBookkeeping:
             evolve(st, FREE, 1e-3, 0.0)
         with pytest.raises(ValueError):
             evolve(st, FREE, 1e-3, 1.0, snapshot_frame="corotating")
+        # an unnormalized input is named as such, not blamed on dtau
+        doubled = GridState(spec=SPEC128, amplitudes=2.0 * st.amplitudes)
+        with pytest.raises(ValueError, match="input state norm is 2"):
+            evolve(doubled, FREE, 1e-3, 1.0)
 
     def test_coarse_step_warns_about_phase_wrap(self):
         with pytest.warns(UserWarning, match="phase wraps"):

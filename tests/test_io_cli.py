@@ -193,6 +193,10 @@ class TestExitCodes:
         ["potential", "--nu", "1", "--format", "hdf5"],
         ["current", "--nu", "1", "--m", "0,1"],
         ["crossings", "--b", "1", "--nu-bracket", "2:1"],
+        ["crossings", "--b", "1", "--m1", "1", "--m2", "1",
+         "--nu-bracket", "0.3:5"],                      # a sector vs itself
+        ["spectrum", "--b", "1", "--nu-grid", "0:1:0.5", "--levels", "15",
+         "--K", "10"],                                  # more levels than K
     ])
     def test_config_validation_exits_2(self, argv, capsys):
         assert main(argv) == 2

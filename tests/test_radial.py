@@ -222,6 +222,12 @@ class TestFindCrossing:
         with pytest.raises(ValueError):
             find_crossing(tp, 0, 1, (-1.0, 2.0))
 
+    def test_rejects_equal_sectors(self):
+        # a sector against itself has zero gap everywhere; the search used
+        # to return the bracket's lower end as a crossing
+        with pytest.raises(ValueError, match="m1 and m2 are both 1"):
+            find_crossing(TrapParams(nu=0.0, b=1.0), 1, 1, (0.3, 5.0))
+
 
 class TestSpectrumSweep:
     def test_row_layout_and_order(self):
@@ -236,6 +242,11 @@ class TestSpectrumSweep:
         threaded = spectrum_sweep(2.0, [0.3, 0.9, 1.7], [-1, 0, 2], size=12,
                                   n_levels=2, workers=3)
         assert serial == threaded
+
+    @pytest.mark.parametrize("n_levels", [0, 11])
+    def test_rejects_levels_the_basis_does_not_have(self, n_levels):
+        with pytest.raises(ValueError, match="n_levels"):
+            spectrum_sweep(1.0, [0.5], [0], size=10, n_levels=n_levels)
 
     def test_values_match_direct_solves(self):
         rows = spectrum_sweep(0.5, [1.1], [0], size=10, n_levels=3)
