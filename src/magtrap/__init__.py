@@ -14,112 +14,17 @@ observables  densities, azimuthal currents, velocity expectations
 dynamics     split-operator real- and imaginary-time propagation
 io_utils     headered CSV / JSON / grid-dump artifact files
 cli          the `magtrap` command line front end
+
+Each module's `__all__` is its list of public names.  The package
+re-exports those of params, radial, observables and dynamics.
 """
 
 from .io_utils import ARTIFACT_VERSION as __version__
-from .params import (
-    COULOMB_K,
-    PhysicalParams,
-    QuantumNumbers,
-    TrapParams,
-    effective_potential,
-    effective_potential_minimum,
-    fock_darwin_energy,
-    from_physical,
-)
-from .radial import (
-    BasisConditioningError,
-    BracketingError,
-    GroundStateRecord,
-    RadialBasis,
-    RadialEigenSolution,
-    crude_variational_energy,
-    find_crossing,
-    ground_state_scan,
-    overlap_and_hamiltonian_matrices,
-    solve_sector,
-    spectrum_sweep,
-)
-from .observables import (
-    CurrentField,
-    DensityProfile,
-    QuadratureConvergenceError,
-    RadialWavefunction,
-    current_density,
-    current_vector_field,
-    density_profile,
-    ground_velocity_sweep,
-    velocity_expectation,
-)
-from .dynamics import (
-    BoundaryLeakError,
-    EvolutionResult,
-    GridSpec,
-    GridState,
-    NormDriftError,
-    RampProtocol,
-    SectorLeakageError,
-    Snapshot,
-    angular_harmonics,
-    angular_maxima_count,
-    circular_variance,
-    evolve,
-    gaussian_packet,
-    imaginary_time_ground,
-    rotate_frame,
-    sector_seed,
-    state_observables,
-    strang_step,
-    to_lab_frame,
-)
+from .params import *  # noqa: F401,F403
+from .radial import *  # noqa: F401,F403
+from .observables import *  # noqa: F401,F403
+from .dynamics import *  # noqa: F401,F403
+from . import dynamics, observables, params, radial
 
-__all__ = [
-    "__version__",
-    "COULOMB_K",
-    "PhysicalParams",
-    "QuantumNumbers",
-    "TrapParams",
-    "effective_potential",
-    "effective_potential_minimum",
-    "fock_darwin_energy",
-    "from_physical",
-    "BasisConditioningError",
-    "BracketingError",
-    "GroundStateRecord",
-    "RadialBasis",
-    "RadialEigenSolution",
-    "crude_variational_energy",
-    "find_crossing",
-    "ground_state_scan",
-    "overlap_and_hamiltonian_matrices",
-    "solve_sector",
-    "spectrum_sweep",
-    "CurrentField",
-    "DensityProfile",
-    "QuadratureConvergenceError",
-    "RadialWavefunction",
-    "current_density",
-    "current_vector_field",
-    "density_profile",
-    "ground_velocity_sweep",
-    "velocity_expectation",
-    "BoundaryLeakError",
-    "EvolutionResult",
-    "GridSpec",
-    "GridState",
-    "NormDriftError",
-    "RampProtocol",
-    "SectorLeakageError",
-    "Snapshot",
-    "angular_harmonics",
-    "angular_maxima_count",
-    "circular_variance",
-    "evolve",
-    "gaussian_packet",
-    "imaginary_time_ground",
-    "rotate_frame",
-    "sector_seed",
-    "state_observables",
-    "strang_step",
-    "to_lab_frame",
-]
+__all__ = ["__version__", *params.__all__, *radial.__all__,
+           *observables.__all__, *dynamics.__all__]

@@ -4,22 +4,32 @@ Each subcommand maps a library call onto flat output files: CSV tables for
 curves and sweeps, JSON for scalar records, compressed grid dumps for
 snapshots.  Every artifact embeds a `# key = value` header echoing the full
 run configuration, and identical configurations produce byte-identical
-tables.  Durations and snapshot strides accept pi-expressions like
-`pi/12` or `2*pi`.
+tables.  Float flags accept pi-expressions like `pi/12` or `2*pi`.
+
+The annotations of the `RunConfig` fields are the only statement of how a
+value is read from a flag, a config file or a header, and of how it is
+written back: `float` takes a pi-expression, `X | None` spells an absent
+value `none`, a variable-length tuple such as `tuple[int, ...]` is comma
+separated, and a fixed-length one such as `tuple[int, int]` is colon
+separated and must have that many parts.  A tuple's elements share one
+type.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
-(conditioning, bracketing, norm drift, sector leakage), 4 I/O failure.
-Failures print a single machine-readable JSON line to stderr.
+(conditioning, bracketing, norm drift, sector leakage, overflow), 4 I/O
+failure.  Failures print a single machine-readable JSON line to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import math
+import operator
 import re
 import sys
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -68,72 +78,49 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # pi-expressions
 
-_TOKEN = re.compile(r"\d+(?:\.\d*)?(?:e[+-]?\d+)?|\.\d+(?:e[+-]?\d+)?"
-                    r"|pi|[()+\-*/]")
+# checked before ast.parse: keeps out 1_0, 0x1, 1j, True and every name
+# but pi
+_PI_CHARS = re.compile(r"[0-9.epi+\-*/() ]+")
+# Python rejects 01 as an integer literal; the value is plainly 1
+_LEADING_ZEROS = re.compile(r"(?<![0-9.])0+(?=[0-9])")
+_BINARY_OPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+               ast.Mult: operator.mul, ast.Div: operator.truediv}
+
+
+def _evaluate(node) -> float:
+    # a literal is read through its text, so every operation is a float
+    # operation and an integer too long for a float is inf, as 1e999 is
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return float(repr(node.value))
+    if isinstance(node, ast.Name) and node.id == "pi":
+        return math.pi
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return -_evaluate(node.operand)
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPS:
+        return _BINARY_OPS[type(node.op)](_evaluate(node.left),
+                                          _evaluate(node.right))
+    raise ValueError(f"{type(node).__name__} is not allowed")
 
 
 def parse_pi_expression(text: str) -> float:
     """Evaluate a constant arithmetic expression over numbers and pi.
 
-    Supports + - * / and parentheses, e.g. '2*pi', 'pi/12', '1e-3'.
+    Supports + - * /, unary minus and parentheses, e.g. '2*pi', 'pi/12',
+    '1e-3'.  A division by zero or a result that is not finite is an error.
     """
     s = text.strip().lower()
-    tokens = _TOKEN.findall(s)
-    if not tokens or "".join(tokens) != s.replace(" ", ""):
-        raise ConfigError(f"cannot parse numeric expression {text!r}")
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def advance():
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def atom():
-        tok = peek()
-        if tok == "(":
-            advance()
-            val = expr()
-            if peek() != ")":
-                raise ConfigError(f"unbalanced parentheses in {text!r}")
-            advance()
-            return val
-        if tok == "pi":
-            advance()
-            return math.pi
-        if tok is None or tok in "+*/)":
-            raise ConfigError(f"malformed expression {text!r}")
-        if tok == "-":
-            advance()
-            return -atom()
-        advance()
-        return float(tok)
-
-    def term():
-        val = atom()
-        while peek() in ("*", "/"):
-            if advance() == "*":
-                val *= atom()
-            else:
-                val /= atom()
-        return val
-
-    def expr():
-        val = term()
-        while peek() in ("+", "-"):
-            if advance() == "+":
-                val += term()
-            else:
-                val -= term()
-        return val
-
-    result = expr()
-    if pos != len(tokens):
-        raise ConfigError(f"trailing junk in expression {text!r}")
-    return float(result)
+    if not _PI_CHARS.fullmatch(s):
+        raise ConfigError(f"numeric expression {text!r} may hold only "
+                          "numbers, pi, + - * / and parentheses")
+    try:
+        value = _evaluate(ast.parse(_LEADING_ZEROS.sub("", s),
+                                    mode="eval").body)
+    except (SyntaxError, ValueError, ArithmeticError, RecursionError) as exc:
+        raise ConfigError(
+            f"cannot evaluate numeric expression {text!r} ({exc})") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"numeric expression {text!r} is not finite")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -141,15 +128,19 @@ def parse_pi_expression(text: str) -> float:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One fully resolved run; serializes to and from artifact headers."""
+    """One fully resolved run; serializes to and from artifact headers.
+
+    Each field's annotation decides how its text is parsed and written
+    (see the module docstring).
+    """
 
     command: str
     nu: float = 0.0
     b: float = 0.0
-    m: tuple = (0,)
+    m: tuple[int, ...] = (0,)
     m1: int = 0
     m2: int = 1
-    m_range: tuple = (-3, 6)
+    m_range: tuple[int, int] = (-3, 6)
     K: int = 30
     levels: int = 1
     N: int = 256
@@ -158,8 +149,8 @@ class RunConfig:
     tau_end: float | None = None
     tau_ramp: float = 5.0
     ramp: str | None = None
-    nu_grid: tuple | None = None
-    nu_bracket: tuple = (0.0, 5.0)
+    nu_grid: tuple[float, float, float] | None = None
+    nu_bracket: tuple[float, float] = (0.0, 5.0)
     xi0: float = 4.0
     packet_width: float = 0.5
     snapshots: float | None = None
@@ -169,90 +160,53 @@ class RunConfig:
     out: str | None = None
 
     def to_header(self) -> dict:
-        header = {}
-        for f in fields(self):
-            header[f.name] = _FORMATTERS.get(f.name, io_utils.format_value)(
-                getattr(self, f.name))
-        return header
+        return {name: _format(tp, getattr(self, name))
+                for name, tp in _FIELD_TYPES.items()}
 
     @classmethod
     def from_header(cls, header: dict) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        kwargs = {}
-        for key, raw in header.items():
-            if key in known:
-                kwargs[key] = _coerce(key, raw)
-        return cls(**kwargs)
+        return cls(**{key: _coerce(key, raw) for key, raw in header.items()
+                      if key in _FIELD_TYPES})
 
 
-def _fmt_ints(v):
-    return ",".join(str(i) for i in v)
+_FIELD_TYPES = typing.get_type_hints(RunConfig)
 
 
-def _fmt_pair(v):
-    return "none" if v is None else ":".join(io_utils.format_value(x) for x in v)
+def _separator(args) -> str:
+    return "," if args[-1] is Ellipsis else ":"
 
 
-_FORMATTERS = {
-    "m": _fmt_ints,
-    "m_range": lambda v: f"{v[0]}:{v[1]}",
-    "nu_grid": _fmt_pair,
-    "nu_bracket": _fmt_pair,
-}
+def _format(tp, value) -> str:
+    args = typing.get_args(tp)
+    if value is not None and type(None) in args:  # X | None
+        return _format(args[0], value)
+    if value is not None and typing.get_origin(tp) is tuple:
+        return _separator(args).join(_format(args[0], v) for v in value)
+    return io_utils.format_value(value)
 
-_FLOAT_FIELDS = {"nu", "b", "L", "dtau", "tau_ramp", "xi0", "packet_width",
-                 "tol"}
-_OPTIONAL_FLOAT_FIELDS = {"tau_end", "snapshots"}
-_INT_FIELDS = {"m1", "m2", "K", "levels", "N", "seed"}
-_OPTIONAL_STR_FIELDS = {"ramp", "out"}
+
+def _parse(tp, raw: str):
+    args = typing.get_args(tp)
+    if type(None) in args:  # X | None
+        return None if raw == "none" else _parse(args[0], raw)
+    if typing.get_origin(tp) is tuple:
+        parts = raw.split(_separator(args))
+        if args[-1] is not Ellipsis and len(parts) != len(args):
+            raise ValueError(f"expected {len(args)} values separated by ':'")
+        return tuple(_parse(args[0], part) for part in parts)
+    return parse_pi_expression(raw) if tp is float else tp(raw)
 
 
 def _coerce(name: str, raw: str):
-    raw = raw.strip()
     try:
-        if name in _FLOAT_FIELDS:
-            return parse_pi_expression(raw)
-        if name in _OPTIONAL_FLOAT_FIELDS:
-            return None if raw == "none" else parse_pi_expression(raw)
-        if name in _INT_FIELDS:
-            return int(raw)
-        if name == "m":
-            return tuple(int(p) for p in raw.split(","))
-        if name == "m_range":
-            lo, hi = raw.split(":")
-            return (int(lo), int(hi))
-        if name == "nu_grid":
-            if raw == "none":
-                return None
-            lo, hi, step = raw.split(":")
-            return (parse_pi_expression(lo), parse_pi_expression(hi),
-                    parse_pi_expression(step))
-        if name == "nu_bracket":
-            lo, hi = raw.split(":")
-            return (parse_pi_expression(lo), parse_pi_expression(hi))
-        if name in _OPTIONAL_STR_FIELDS:
-            return None if raw == "none" else raw
+        return _parse(_FIELD_TYPES[name], raw.strip())
     except ConfigError:
         raise
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad value for {name}: {raw!r} ({exc})") from None
-    return raw  # plain strings: command, format
 
 
 _COMMON_FLAGS = ("seed", "out", "format")
-
-_COMMAND_FLAGS = {
-    "potential": ("nu", "b", "m"),
-    "spectrum": ("b", "nu_grid", "m", "levels", "K"),
-    "crossings": ("b", "m1", "m2", "nu_bracket", "K"),
-    "groundstate": ("nu", "b", "m_range", "K"),
-    "current": ("nu", "b", "m", "K"),
-    "velocity-sweep": ("b", "nu_grid", "m_range", "K"),
-    "evolve": ("nu", "b", "xi0", "packet_width", "N", "L", "dtau", "tau_end",
-               "snapshots", "ramp", "tau_ramp"),
-    "imag-time": ("nu", "b", "m", "N", "L", "dtau", "tol"),
-    "ramp-compare": ("nu", "b", "tau_ramp", "tau_end", "dtau", "N", "L"),
-}
 
 _FLAG_HELP = {
     "nu": "cyclotron-to-trap frequency ratio (>= 0)",
@@ -292,7 +246,7 @@ def build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--config", help="key = value file; flags override it")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, names in _COMMAND_FLAGS.items():
+    for command, (_, names) in _COMMANDS.items():
         sp = sub.add_parser(command)
         # SUPPRESS so a subcommand-position --config does not clobber one
         # given before the subcommand with its default
@@ -335,7 +289,7 @@ def _merge_negative_values(argv):
 def read_config_file(path) -> dict:
     """Flat `key = value` file with the same keys as the flags."""
     values = {}
-    known = {f.name for f in fields(RunConfig)} - {"command"}
+    known = set(_FIELD_TYPES) - {"command"}
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -357,14 +311,14 @@ def read_config_file(path) -> dict:
 def resolve_config(args) -> RunConfig:
     file_vals = read_config_file(args.config) if args.config else {}
     kwargs = {"command": args.command}
-    for f in fields(RunConfig):
-        if f.name == "command":
+    for name in _FIELD_TYPES:
+        if name == "command":
             continue
-        raw = getattr(args, f.name, None)
+        raw = getattr(args, name, None)
         if raw is None:
-            raw = file_vals.get(f.name)
+            raw = file_vals.get(name)
         if raw is not None:
-            kwargs[f.name] = _coerce(f.name, raw)
+            kwargs[name] = _coerce(name, raw)
     if "dtau" not in kwargs and args.command == "imag-time":
         kwargs["dtau"] = 5e-3  # relaxation tolerates far coarser steps
     cfg = RunConfig(**kwargs)
@@ -583,22 +537,28 @@ def _cmd_ramp_compare(cfg: RunConfig):
     return written
 
 
+# subcommand -> (handler, its flags besides _COMMON_FLAGS)
 _COMMANDS = {
-    "potential": _cmd_potential,
-    "spectrum": _cmd_spectrum,
-    "crossings": _cmd_crossings,
-    "groundstate": _cmd_groundstate,
-    "current": _cmd_current,
-    "velocity-sweep": _cmd_velocity_sweep,
-    "evolve": _cmd_evolve,
-    "imag-time": _cmd_imag_time,
-    "ramp-compare": _cmd_ramp_compare,
+    "potential": (_cmd_potential, ("nu", "b", "m")),
+    "spectrum": (_cmd_spectrum, ("b", "nu_grid", "m", "levels", "K")),
+    "crossings": (_cmd_crossings, ("b", "m1", "m2", "nu_bracket", "K")),
+    "groundstate": (_cmd_groundstate, ("nu", "b", "m_range", "K")),
+    "current": (_cmd_current, ("nu", "b", "m", "K")),
+    "velocity-sweep": (_cmd_velocity_sweep,
+                       ("b", "nu_grid", "m_range", "K")),
+    "evolve": (_cmd_evolve,
+               ("nu", "b", "xi0", "packet_width", "N", "L", "dtau",
+                "tau_end", "snapshots", "ramp", "tau_ramp")),
+    "imag-time": (_cmd_imag_time,
+                  ("nu", "b", "m", "N", "L", "dtau", "tol")),
+    "ramp-compare": (_cmd_ramp_compare,
+                     ("nu", "b", "tau_ramp", "tau_end", "dtau", "N", "L")),
 }
 
 _NUMERICAL_ERRORS = (BasisConditioningError, BracketingError,
                      QuadratureConvergenceError, NormDriftError,
                      BoundaryLeakError, SectorLeakageError,
-                     FloatingPointError)
+                     ArithmeticError)
 
 
 def _fail(exc: BaseException, code: int) -> int:
@@ -615,7 +575,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(_merge_negative_values(list(argv)))
         cfg = resolve_config(args)
-        for path in _COMMANDS[cfg.command](cfg):
+        handler, _ = _COMMANDS[cfg.command]
+        for path in handler(cfg):
             print(path)
         return EXIT_OK
     except _NUMERICAL_ERRORS as exc:

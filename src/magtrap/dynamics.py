@@ -424,14 +424,13 @@ def strang_step(state: GridState, tp: TrapParams, dtau: float,
     return replace(state, amplitudes=psi, tau=state.tau + dtau)
 
 
-def _shear(psi: np.ndarray, axis: int, k: np.ndarray,
-           shift: np.ndarray, workers) -> np.ndarray:
-    # translate each line along `axis` by its own offset, exactly, in k-space
+def _shear(psi: np.ndarray, axis: int, table: np.ndarray,
+           workers) -> np.ndarray:
+    # translate each line along `axis` by its own offset, exactly, in
+    # k-space; table[i, j] is the phase of wavenumber i on line j (axis 0)
+    # or of line i at wavenumber j (axis 1)
     ft = sfft.fft(psi, axis=axis, workers=workers)
-    if axis == 0:
-        ft *= np.exp(-1j * np.outer(k, shift))
-    else:
-        ft *= np.exp(-1j * np.outer(shift, k))
+    ft *= table
     return sfft.ifft(ft, axis=axis, workers=workers)
 
 
@@ -451,9 +450,12 @@ def _rotate_amplitudes(spec: GridSpec, psi: np.ndarray, theta: float,
         s = math.sin(residual)
         ax = spec.axis()
         k = spec.wavenumbers()
-        out = _shear(out, 0, k, a * ax, workers)
-        out = _shear(out, 1, k, s * ax, workers)
-        out = _shear(out, 0, k, a * ax, workers)
+        # the first and third shears are the same: one table serves both.
+        # exp(-i c k_i x_j) does not factor into 1-D tables in i and j
+        outer = np.exp(-1j * np.outer(k, a * ax))
+        out = _shear(out, 0, outer, workers)
+        out = _shear(out, 1, np.exp(-1j * np.outer(k, s * ax)).T, workers)
+        out = _shear(out, 0, outer, workers)
     for _ in range(quarters % 4):
         out = _quarter_turn(out)
     return np.ascontiguousarray(out)

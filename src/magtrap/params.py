@@ -42,6 +42,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import constants as _const
 
+__all__ = [
+    "COULOMB_K",
+    "PhysicalParams",
+    "QuantumNumbers",
+    "TrapParams",
+    "effective_potential",
+    "effective_potential_minimum",
+    "fock_darwin_energy",
+    "from_physical",
+]
+
 # Coulomb constant k = 1/(4 pi eps0), SI units (kg m^3 s^-2 C^-2)
 COULOMB_K = 1.0 / (4.0 * math.pi * _const.epsilon_0)
 

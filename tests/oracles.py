@@ -9,12 +9,14 @@ Agreement between these and the package is what the cross-checks in the
 tests mean.  The
 extended-precision sector solver here is the package's former per-point
 eigensolver, kept as the reference for the orthonormal-basis solver that
-replaced it.
+replaced it, and the recursive-descent pi-expression parser is the CLI's
+former parser, kept as the reference for the one built on `ast`.
 """
 
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 from mpmath import mp
@@ -331,3 +333,73 @@ def classical_trajectory(nu: float, xi0: float, taus,
         t = n_steps * dt + t
         out[i] = y
     return out
+
+
+_PI_TOKEN = re.compile(r"\d+(?:\.\d*)?(?:e[+-]?\d+)?|\.\d+(?:e[+-]?\d+)?"
+                       r"|pi|[()+\-*/]")
+
+
+def reference_pi_expression(text: str) -> float:
+    """Evaluate + - * /, unary minus and parentheses over numbers and pi.
+
+    A tokenizer and a recursive-descent parser; malformed input raises
+    ValueError.  Number tokens are read by float(), so a literal beyond the
+    float range is inf, and division by zero raises ZeroDivisionError.
+    """
+    s = text.strip().lower()
+    tokens = _PI_TOKEN.findall(s)
+    if not tokens or "".join(tokens) != s.replace(" ", ""):
+        raise ValueError(f"cannot parse numeric expression {text!r}")
+    pos = 0
+
+    def peek():
+        return tokens[pos] if pos < len(tokens) else None
+
+    def advance():
+        nonlocal pos
+        tok = tokens[pos]
+        pos += 1
+        return tok
+
+    def atom():
+        tok = peek()
+        if tok == "(":
+            advance()
+            val = expr()
+            if peek() != ")":
+                raise ValueError(f"unbalanced parentheses in {text!r}")
+            advance()
+            return val
+        if tok == "pi":
+            advance()
+            return math.pi
+        if tok is None or tok in "+*/)":
+            raise ValueError(f"malformed expression {text!r}")
+        if tok == "-":
+            advance()
+            return -atom()
+        advance()
+        return float(tok)
+
+    def term():
+        val = atom()
+        while peek() in ("*", "/"):
+            if advance() == "*":
+                val *= atom()
+            else:
+                val /= atom()
+        return val
+
+    def expr():
+        val = term()
+        while peek() in ("+", "-"):
+            if advance() == "+":
+                val += term()
+            else:
+                val -= term()
+        return val
+
+    result = expr()
+    if pos != len(tokens):
+        raise ValueError(f"trailing junk in expression {text!r}")
+    return float(result)

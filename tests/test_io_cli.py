@@ -9,8 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import magtrap
+import oracles
 from magtrap.cli import (
     ConfigError,
     RunConfig,
@@ -27,6 +30,49 @@ from magtrap.io_utils import (
     write_grid_dump,
     write_json_record,
     write_table,
+)
+
+
+_PI_ALPHABET = "0123456789.epi+-*/() "
+_SPACES = st.sampled_from(["", " ", "  "])
+_NUMBERS = st.one_of(
+    st.from_regex(r"[0-9]{1,25}", fullmatch=True),
+    st.from_regex(r"([0-9]{1,12}\.[0-9]{0,12}|\.[0-9]{1,12})(e[+-]?[0-9]{1,3})?",
+                  fullmatch=True),
+    st.just("pi"),
+)
+
+
+def _compound(inner):
+    return st.one_of(
+        st.tuples(inner, _SPACES, st.sampled_from("+-*/"), _SPACES,
+                  inner).map("".join),
+        st.tuples(st.just("-"), _SPACES, inner).map("".join),
+        st.tuples(st.just("("), _SPACES, inner, _SPACES,
+                  st.just(")")).map("".join),
+    )
+
+
+# rendered expression trees: numbers, pi, + - * /, unary minus, parentheses
+_EXPRESSIONS = st.recursive(_NUMBERS, _compound, max_leaves=10)
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_WORDS = st.text("abcdefghijklmnopqrstuvwxyz0123456789_-./",
+                 min_size=1, max_size=12).filter(lambda w: w != "none")
+_RUN_CONFIGS = st.builds(
+    RunConfig,
+    command=_WORDS, nu=_FINITE, b=_FINITE,
+    m=st.lists(st.integers(), min_size=1, max_size=5).map(tuple),
+    m1=st.integers(), m2=st.integers(),
+    m_range=st.tuples(st.integers(), st.integers()),
+    K=st.integers(), levels=st.integers(), N=st.integers(), L=_FINITE,
+    dtau=_FINITE, tau_end=st.none() | _FINITE, tau_ramp=_FINITE,
+    ramp=st.none() | _WORDS,
+    nu_grid=st.none() | st.tuples(_FINITE, _FINITE, _FINITE),
+    nu_bracket=st.tuples(_FINITE, _FINITE), xi0=_FINITE,
+    packet_width=_FINITE, snapshots=st.none() | _FINITE, tol=_FINITE,
+    seed=st.integers(), format=st.just("") | _WORDS,
+    out=st.none() | _WORDS,
 )
 
 
@@ -47,13 +93,72 @@ class TestPiExpressions:
 
     @pytest.mark.parametrize("text", [
         "two*pi", "pi/", "(pi", "1 2", "", "1//2", "2**3", "import os",
+        "1/0", "pi/(1-1)", "1e999", "1e999-1e999",
+        "1_0", "0x1", "1j", "True",
     ])
     def test_rejects_malformed(self, text):
         with pytest.raises(ConfigError):
             parse_pi_expression(text)
 
+    @settings(max_examples=400, deadline=None)
+    @given(text=st.one_of(_EXPRESSIONS, st.text(_PI_ALPHABET, max_size=16)))
+    @example("01")
+    @example("1/" + "9" * 400)
+    @example("1e999/1e999")
+    @example("-0")
+    @example("1 - -2*pi")
+    def test_matches_reference_parser(self, text):
+        # both reject, or both give the same float bit for bit; the
+        # reference rejects by raising or by returning inf or nan
+        try:
+            expected = oracles.reference_pi_expression(text)
+        except (ValueError, ArithmeticError, RecursionError):
+            expected = None
+        if expected is not None and not math.isfinite(expected):
+            expected = None
+        if expected is None:
+            with pytest.raises(ConfigError):
+                parse_pi_expression(text)
+        else:
+            assert parse_pi_expression(text).hex() == expected.hex()
+
 
 class TestRunConfig:
+    def test_header_text_is_pinned(self):
+        cfg = RunConfig(command="evolve", nu=0.25, b=1.5, m=(0, -1, 2),
+                        m1=2, m2=-3, m_range=(-2, 4), K=18, levels=3, N=128,
+                        L=10.0, dtau=0.002, tau_end=math.pi, tau_ramp=2.5,
+                        ramp="smooth", nu_grid=(0.0, 2.0, 0.05),
+                        nu_bracket=(0.05, 4.5), xi0=-1.5, packet_width=0.75,
+                        snapshots=math.pi / 12, tol=1e-08, seed=7,
+                        format="grid-dump", out="runs/a.csv")
+        assert cfg.to_header() == {
+            "command": "evolve", "nu": "0.25", "b": "1.5", "m": "0,-1,2",
+            "m1": "2", "m2": "-3", "m_range": "-2:4", "K": "18",
+            "levels": "3", "N": "128", "L": "10.0", "dtau": "0.002",
+            "tau_end": "3.141592653589793", "tau_ramp": "2.5",
+            "ramp": "smooth", "nu_grid": "0.0:2.0:0.05",
+            "nu_bracket": "0.05:4.5", "xi0": "-1.5", "packet_width": "0.75",
+            "snapshots": "0.2617993877991494", "tol": "1e-08", "seed": "7",
+            "format": "grid-dump", "out": "runs/a.csv"}
+
+    def test_header_text_of_absent_options(self):
+        assert RunConfig(command="potential").to_header() == {
+            "command": "potential", "nu": "0.0", "b": "0.0", "m": "0",
+            "m1": "0", "m2": "1", "m_range": "-3:6", "K": "30",
+            "levels": "1", "N": "256", "L": "8.0", "dtau": "0.001",
+            "tau_end": "none", "tau_ramp": "5.0", "ramp": "none",
+            "nu_grid": "none", "nu_bracket": "0.0:5.0", "xi0": "4.0",
+            "packet_width": "0.5", "snapshots": "none", "tol": "1e-09",
+            "seed": "0", "format": "", "out": "none"}
+
+    @settings(max_examples=200, deadline=None)
+    @given(cfg=_RUN_CONFIGS)
+    def test_drawn_configs_round_trip(self, cfg):
+        header = cfg.to_header()
+        assert all(isinstance(v, str) for v in header.values())
+        assert RunConfig.from_header(header) == cfg
+
     def test_header_round_trip(self):
         cfg = RunConfig(command="spectrum", nu=0.3, b=2.5, m=(0, 1, -2),
                         m_range=(-2, 4), K=18, levels=2, N=128, L=10.0,
@@ -80,6 +185,14 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="m_range"):
             RunConfig.from_header({"command": "groundstate",
                                    "m_range": "broken"})
+
+    @pytest.mark.parametrize("key,raw", [
+        ("m_range", "1:2:3"), ("nu_grid", "0:1"), ("nu_bracket", "0:1:2"),
+        ("m", "0:1"), ("K", "2.5"),
+    ])
+    def test_rejects_values_of_the_wrong_shape(self, key, raw):
+        with pytest.raises(ConfigError, match=key):
+            RunConfig.from_header({"command": "evolve", key: raw})
 
 
 class TestConfigFile:
@@ -197,6 +310,7 @@ class TestExitCodes:
          "--nu-bracket", "0.3:5"],                      # a sector vs itself
         ["spectrum", "--b", "1", "--nu-grid", "0:1:0.5", "--levels", "15",
          "--K", "10"],                                  # more levels than K
+        ["evolve", "--tau-end", "1/0"],                 # division by zero
     ])
     def test_config_validation_exits_2(self, argv, capsys):
         assert main(argv) == 2
@@ -217,6 +331,14 @@ class TestExitCodes:
         assert rc == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "BracketingError" and err["exit_code"] == 3
+
+    def test_overflowing_step_count_exits_3(self, tmp_path, capsys):
+        # every input is finite, but tau_end / dtau is not
+        rc = main(["evolve", "--N", "64", "--tau-end", "1e300",
+                   "--dtau", "1e-300", "--out", str(tmp_path / "e.csv")])
+        assert rc == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "OverflowError" and err["exit_code"] == 3
 
     def test_unwritable_output_exits_4(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
