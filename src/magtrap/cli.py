@@ -14,6 +14,10 @@ separated, and a fixed-length one such as `tuple[int, int]` is colon
 separated and must have that many parts.  A tuple's elements share one
 type.
 
+`evolve` and `ramp-compare` write one record every 10 steps and refuse,
+as a configuration error, a run that would take more than MAX_RECORDS
+(100 000) records, snapshots included.
+
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
 (conditioning, bracketing, norm drift, sector leakage, overflow), 4 I/O
 failure.  Failures print a single machine-readable JSON line to stderr.
@@ -67,8 +71,15 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
-__all__ = ["RunConfig", "ConfigError", "parse_pi_expression", "main",
-           "console_entry"]
+# evolve and ramp-compare record the observables every _RECORD_EVERY steps;
+# a run that would take more than MAX_RECORDS records (snapshots included)
+# is refused up front, since each record costs a frame rotation and an
+# observables pass, tens of milliseconds on a 256^2 grid
+_RECORD_EVERY = 10
+MAX_RECORDS = 100_000
+
+__all__ = ["RunConfig", "ConfigError", "MAX_RECORDS", "parse_pi_expression",
+           "main", "console_entry"]
 
 
 class ConfigError(ValueError):
@@ -200,8 +211,8 @@ def _parse(tp, raw: str):
 def _coerce(name: str, raw: str):
     try:
         return _parse(_FIELD_TYPES[name], raw.strip())
-    except ConfigError:
-        raise
+    except ConfigError as exc:
+        raise ConfigError(f"bad value for {name}: {exc}") from None
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad value for {name}: {raw!r} ({exc})") from None
 
@@ -374,6 +385,19 @@ def _nu_values(grid) -> np.ndarray:
     return lo + step * np.arange(count)
 
 
+def _check_record_count(tau_end: float, dtau: float, snapshots: int = 0):
+    # the step count evolve takes; round raises OverflowError (exit 3) when
+    # tau_end / dtau is not finite
+    steps = max(1, round(tau_end / dtau))
+    records = steps // _RECORD_EVERY + 1 + snapshots
+    if records > MAX_RECORDS:
+        raise ConfigError(
+            f"{steps} steps of dtau = {dtau:g} to tau_end = {tau_end:g} "
+            f"would take {records} records (one every {_RECORD_EVERY} steps, "
+            f"plus snapshots), above the ceiling of {MAX_RECORDS}; raise "
+            f"dtau or shorten the run")
+
+
 def _tagged(path: Path, tag: str) -> Path:
     return path.with_name(path.stem + tag + path.suffix)
 
@@ -469,13 +493,14 @@ def _cmd_evolve(cfg: RunConfig):
         ramp = RampProtocol(cfg.ramp, nu_final=cfg.nu,
                             tau_ramp=0.0 if cfg.ramp == "step" else cfg.tau_ramp)
     tau_end = 2.0 * math.pi if cfg.tau_end is None else cfg.tau_end
-    snapshot_times = []
+    count = 0
     if cfg.snapshots:
         count = int(math.floor(tau_end / cfg.snapshots + 1e-9))
-        snapshot_times = [j * cfg.snapshots for j in range(1, count + 1)]
+    _check_record_count(tau_end, cfg.dtau, count)
+    snapshot_times = [j * cfg.snapshots for j in range(1, count + 1)]
     state0 = gaussian_packet(spec, cfg.xi0, cfg.packet_width)
     result = evolve(state0, tp, cfg.dtau, tau_end, ramp,
-                    snapshot_times=snapshot_times)
+                    record_every=_RECORD_EVERY, snapshot_times=snapshot_times)
     path = _out_path(cfg, ".csv")
     header = _evolve_header(cfg, spec)
     io_utils.write_table(path, result.as_columns(), header)
@@ -518,17 +543,19 @@ def _cmd_ramp_compare(cfg: RunConfig):
     spec = GridSpec(n=cfg.N, half_extent=cfg.L)
     tp = TrapParams(nu=cfg.nu, b=cfg.b)
     rest = TrapParams(nu=0.0, b=cfg.b)
+    tau_end = 2.0 * cfg.tau_ramp + 10.0 if cfg.tau_end is None else cfg.tau_end
+    _check_record_count(tau_end, cfg.dtau)
     # relax under the same softcore interaction evolve steps, else the
     # prepared state radiates from the origin cells
     _, state0 = imaginary_time_ground(spec, rest, 0, tol=cfg.tol,
                                       coulomb="softcore")
-    tau_end = 2.0 * cfg.tau_ramp + 10.0 if cfg.tau_end is None else cfg.tau_end
     base = _out_path(cfg, ".csv")
     written = []
     for kind in ("step", "smooth"):
         ramp = RampProtocol(kind, nu_final=cfg.nu,
                             tau_ramp=0.0 if kind == "step" else cfg.tau_ramp)
-        result = evolve(state0, tp, cfg.dtau, tau_end, ramp)
+        result = evolve(state0, tp, cfg.dtau, tau_end, ramp,
+                        record_every=_RECORD_EVERY)
         path = _tagged(base, f"_{kind}")
         header = _evolve_header(cfg, spec)
         header["ramp"] = kind

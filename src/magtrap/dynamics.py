@@ -53,7 +53,6 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft as sfft
 
 from .params import TrapParams
 
@@ -267,6 +266,10 @@ class _Stepper:
 
     def __init__(self, spec: GridSpec, b: float, z: complex,
                  coulomb: str, workers):
+        # imported here: the radial commands never step a grid, and
+        # scipy.fft would cost each of them scipy's shared base
+        from scipy import fft
+        self.fft = fft
         self.spec = spec
         self.z = z
         self.workers = workers
@@ -317,9 +320,9 @@ class _Stepper:
     def step(self, psi: np.ndarray, nu: float) -> np.ndarray:
         half = self._half_kick(nu)
         out = half * psi
-        out = sfft.fft2(out, workers=self.workers)
+        out = self.fft.fft2(out, workers=self.workers)
         out *= self.kinetic
-        out = sfft.ifft2(out, workers=self.workers)
+        out = self.fft.ifft2(out, workers=self.workers)
         out *= half
         return out
 
@@ -332,11 +335,11 @@ class _Stepper:
         p_xi psi and p_eta psi are one-axis spectral derivatives, and the
         kinetic energy is half their squared norms (Parseval).
         """
-        w = self.workers
-        px = sfft.ifft(self.kx * sfft.fft(psi, axis=0, workers=w),
-                       axis=0, workers=w)
-        py = sfft.ifft(self.ky * sfft.fft(psi, axis=1, workers=w),
-                       axis=1, workers=w)
+        w, fft = self.workers, self.fft
+        px = fft.ifft(self.kx * fft.fft(psi, axis=0, workers=w),
+                      axis=0, workers=w)
+        py = fft.ifft(self.ky * fft.fft(psi, axis=1, workers=w),
+                      axis=1, workers=w)
         dens = np.abs(psi) ** 2
         dens_xi, dens_eta = dens.sum(axis=1), dens.sum(axis=0)
         total = float(np.vdot(psi, psi).real)  # h^2 cancels in every mean
@@ -429,9 +432,10 @@ def _shear(psi: np.ndarray, axis: int, table: np.ndarray,
     # translate each line along `axis` by its own offset, exactly, in
     # k-space; table[i, j] is the phase of wavenumber i on line j (axis 0)
     # or of line i at wavenumber j (axis 1)
-    ft = sfft.fft(psi, axis=axis, workers=workers)
+    from scipy import fft
+    ft = fft.fft(psi, axis=axis, workers=workers)
     ft *= table
-    return sfft.ifft(ft, axis=axis, workers=workers)
+    return fft.ifft(ft, axis=axis, workers=workers)
 
 
 def _quarter_turn(psi: np.ndarray) -> np.ndarray:
@@ -591,8 +595,7 @@ def evolve(state: GridState, tp: TrapParams, dtau: float, tau_end: float,
     else:
         psi_ref = psi.copy()
 
-    record_idx = set(range(0, n_steps + 1, max(1, record_every)))
-    record_idx.add(n_steps)
+    record_every = max(1, record_every)
     snap_idx: dict[int, list[float]] = {}
     for t_req in snapshot_times:
         i = min(max(round((float(t_req) - tau0) / dtau), 0), n_steps)
@@ -609,12 +612,13 @@ def evolve(state: GridState, tp: TrapParams, dtau: float, tau_end: float,
         tau_i = tau0 + i_step * dtau
         th = theta_at(tau_i)
         nu_i = nu_at(tau_i)
-        if ((i_step in record_idx or i_step % _EDGE_CHECK_EVERY == 0)
+        record = i_step % record_every == 0 or i_step == n_steps
+        if ((record or i_step % _EDGE_CHECK_EVERY == 0)
                 and stepper.edge_mass(psi_now, edge_cells) > edge_tol):
             raise BoundaryLeakError(
                 f"more than {edge_tol:g} probability within {edge_cells} "
                 f"cells of the edge at tau = {tau_i:.6g}; enlarge the box")
-        if i_step in record_idx:
+        if record:
             if th != 0.0:
                 psi_lab = _rotate_amplitudes(spec, psi_now, -th, workers)
             else:

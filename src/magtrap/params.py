@@ -40,7 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import constants as _const
 
 __all__ = [
     "COULOMB_K",
@@ -53,10 +52,14 @@ __all__ = [
     "from_physical",
 ]
 
-# Coulomb constant k = 1/(4 pi eps0), SI units (kg m^3 s^-2 C^-2)
-COULOMB_K = 1.0 / (4.0 * math.pi * _const.epsilon_0)
+# vacuum permittivity eps0, F/m (CODATA 2022)
+_EPSILON_0 = 8.8541878188e-12
 
-HBAR = _const.hbar
+# Coulomb constant k = 1/(4 pi eps0), SI units (kg m^3 s^-2 C^-2)
+COULOMB_K = 1.0 / (4.0 * math.pi * _EPSILON_0)
+
+# reduced Planck constant h / 2 pi, J s; h is exact in the 2019 SI
+HBAR = 6.62607015e-34 / (2.0 * math.pi)
 
 
 @dataclass(frozen=True)

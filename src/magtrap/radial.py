@@ -36,14 +36,18 @@ The K x K truncated Jacobi matrix is the exact block of rho; with C and 2P
 it gives the radial moments <1/rho>, <rho> and <rho^2> of any state as
 quadratic forms (RadialBasis.radial_moments).
 
-The recurrence coefficients follow from the moments by the Chebyshev
-algorithm, which loses roughly 1.2 decimal digits per basis function, so it
-runs in software extended precision sized to the basis, once per
-(|m|, K, alpha); the float64 blocks are cached.  A solve at any (nu, b) is
-then one float64 symmetric eigendecomposition.  A nonpositive norm in the
-Chebyshev algorithm (the moment matrix is no longer positive definite at
-the working precision) is reported as a basis conditioning error naming the
-offending K.
+The recurrence coefficients come from the discretized Stieltjes procedure
+(Gautschi, Orthogonal Polynomials: Computation and Approximation, OUP 2004,
+sec. 2.2) in float64: w and w / rho are replaced by one composite
+Gauss-Legendre rule in sqrt(rho), fine enough that every coefficient is
+exact to rounding, and the recurrence is run on it with inner products that
+are sums of positive terms.  The moments themselves are never formed, so
+nothing is lost to the ~1.2 decimal digits per basis function by which the
+moment matrix grows ill-conditioned.  This runs once per (|m|, K, alpha),
+and the float64 blocks are cached; a solve at any (nu, b) is then one
+float64 symmetric eigendecomposition.  A weight whose mass under- or
+overflows float64, or a block that is not finite, is reported as a basis
+conditioning error naming the offending K.
 
 overlap_and_hamiltonian_matrices still assembles the raw monomial pencil
 (S, H) in float64, from log-Gamma moments with the kinetic and centrifugal
@@ -55,14 +59,10 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from mpmath import mp
-from scipy import linalg as sla
-from scipy.special import gammaln
 
 from .params import TrapParams
 
@@ -86,27 +86,17 @@ DEFAULT_M_RANGE = (-3, 6)
 # ground energy movement under K -> K + 10 that triggers a convergence warning
 _SENTINEL_SHIFT = 1e-7
 
-# decimal digits carried through the moment recurrence: enough for its loss
-# of ~1.2 digits per basis function plus a double-precision result, capped
-# so that absurd basis sizes fail loudly instead of running forever
-_DPS_CAP = 100
-
-# the extended-precision library keeps its working precision in mutable
-# process-global state, so basis reductions must not overlap in time
-_MP_LOCK = threading.Lock()
-
-
-def _working_dps(size: int) -> int:
-    return min(_DPS_CAP, max(50, int(1.6 * size) + 20))
+# Gauss-Legendre points per panel of the discretized weight
+_PANEL_ORDER = 40
 
 
 class BasisConditioningError(RuntimeError):
     """Raised when the sector basis cannot be orthonormalized.
 
-    At the extended working precision this only happens once the basis size
-    exhausts the solver's precision budget (K between about 85 and 92 with
-    the default cap, depending on |m|); a failing float64 eigensolve of the
-    reduced pencil is reported the same way.
+    The float64 recurrence has no precision budget that a large K exhausts;
+    it fails only when the weight's mass leaves the float64 range (an
+    extreme alpha) or a pencil block is not finite.  A failing float64
+    eigensolve of the reduced pencil is reported the same way.
     """
 
     def __init__(self, size: int, m: int):
@@ -195,10 +185,14 @@ class RadialBasis:
                 2: 2.0 * float(w @ blocks.trap @ w)}
 
 
+_lgamma = np.vectorize(math.lgamma, otypes=[float])
+
+
 def _log_moment(p, beta: float):
     """log of M(p; beta) = int_0^inf rho^p exp(-beta rho^2) drho, p > -1."""
     p = np.asarray(p, dtype=float)
-    return gammaln(0.5 * (p + 1.0)) - 0.5 * (p + 1.0) * math.log(beta) - math.log(2.0)
+    return (_lgamma(0.5 * (p + 1.0)) - 0.5 * (p + 1.0) * math.log(beta)
+            - math.log(2.0))
 
 
 def overlap_and_hamiltonian_matrices(basis: RadialBasis, tp: TrapParams):
@@ -237,42 +231,65 @@ def overlap_and_hamiltonian_matrices(basis: RadialBasis, tp: TrapParams):
     return S, H
 
 
-def _moment_ladder(m_abs: int, size: int, beta):
-    """mu_t = M(2|m| + 1 + t; beta) for t = -1 .. 2K + 1, as a list of mpf.
+def _panel_count(n: int) -> int:
+    """Gauss-Legendre panels that resolve n recurrence coefficients.
 
-    Two Gamma values start the ladder; every further moment follows exactly
-    from M(p + 2; beta) = M(p; beta) (p + 1) / (2 beta).
+    At least 2.5 times the count at which every coefficient reaches 1e-14,
+    which grows about as n / 10 + 1 (tests/test_radial.py checks half the
+    rule against the extended-precision reference up to n = 241).
     """
-    mom = [mp.gamma(mp.mpf(2 * m_abs + 2 + t) / 2)
-           / (2 * beta ** (mp.mpf(2 * m_abs + 2 + t) / 2)) for t in (-1, 0)]
-    for t in range(1, 2 * size + 2):
-        mom.append(mom[-2] * (mp.mpf(2 * m_abs + t) / 2) / beta)
-    return mom
+    return -(-n // 4) + 5
 
 
-def _chebyshev(mom, n: int):
-    """Recurrence coefficients (a_k, b_k), k < n, from the moments mom[:2n].
+def _discretization(m_abs: int, n: int, alpha: float, panels: int):
+    """Nodes and weights of the discrete measure standing in for w / rho.
 
-    Chebyshev algorithm (Gautschi, SIAM J. Sci. Stat. Comput. 3, 289, 1982)
-    for the monic orthogonal polynomials pi_{k+1} = (x - a_k) pi_k -
-    b_k pi_{k-1}, with b_0 the total mass.  sigma_kk = ||pi_k||^2 is the
-    k-th Cholesky pivot of the moment matrix; a nonpositive one means the
-    working precision is exhausted and returns None.
+    Composite 40-point Gauss-Legendre in u = sqrt(rho) on [0, sqrt(R)],
+    with the Jacobian 2u and the weight rho^(2|m|) exp(-2 alpha rho^2)
+    folded into the rule's weights; the measure of w itself has weights rho
+    times these.  The orthogonal polynomials' zeros crowd the hard edge at
+    rho = 0, where their spacing shrinks like R / n^2, but are about evenly
+    spread in u: panels even in rho would need of order n^2 nodes, panels
+    even in u need of order n.  R lies far beyond the largest zero of the
+    degree-n polynomial,
+    rho^2 < (4n + 2|m| + 2) / (2 alpha), so the dropped tail is below
+    rounding for every polynomial the recurrence meets.
     """
-    cur = np.array(mom[:2 * n], dtype=object)
-    prev = np.zeros(2 * n, dtype=object)
-    a, b = [mom[1] / mom[0]], [mom[0]]
-    for k in range(1, n):
-        nxt = np.zeros(2 * n, dtype=object)
-        # array operand first: an mpf left operand would try to convert the
-        # whole array through its repr
-        nxt[k:2 * n - k] = (cur[k + 1:2 * n - k + 1] - cur[k:2 * n - k] * a[-1]
-                            - prev[k:2 * n - k] * b[-1])
-        if nxt[k] <= 0:
+    radius = (math.sqrt(4 * n + 2 * m_abs + 80) + 4) / math.sqrt(2 * alpha)
+    t, tw = np.polynomial.legendre.leggauss(_PANEL_ORDER)
+    h = math.sqrt(radius) / panels
+    u = (h * (np.arange(panels)[:, None] + 0.5 * (t + 1.0))).ravel()
+    x = u * u
+    weights = np.tile(h * tw, panels) * u * np.exp(
+        4 * m_abs * np.log(u) - 2.0 * alpha * x * x)
+    return x, weights
+
+
+def _stieltjes(x: np.ndarray, weights: np.ndarray, n: int):
+    """Recurrence coefficients (a_k, b_k), k < n, of a discrete measure.
+
+    Discretized Stieltjes procedure (Gautschi, Orthogonal Polynomials:
+    Computation and Approximation, OUP 2004, sec. 2.2) in the orthonormal
+    form sqrt(b_{k+1}) q_{k+1} = (x - a_k) q_k - sqrt(b_k) q_{k-1}, with
+    b_0 the total mass.  a_k and b_{k+1} are sums of positive terms over
+    the nodes, so forming them loses nothing to cancellation, as the
+    moment-based Chebyshev algorithm does.  A norm that is not positive and
+    finite (the weights under- or overflow float64) returns None.
+    """
+    a, b = np.empty(n), np.empty(n)
+    b[0] = weights.sum()
+    if not 0.0 < b[0] < math.inf:
+        return None
+    q_prev, q = np.zeros_like(x), np.full_like(x, 1.0 / math.sqrt(b[0]))
+    for k in range(n):
+        a[k] = (weights * q) @ (x * q)
+        if k + 1 == n:
+            break
+        r = (x - a[k]) * q - math.sqrt(b[k]) * q_prev
+        b[k + 1] = (weights * r) @ r
+        if not 0.0 < b[k + 1] < math.inf:
             return None
-        a.append(nxt[k + 1] / nxt[k] - cur[k] / cur[k - 1])
-        b.append(nxt[k] / cur[k - 1])
-        prev, cur = cur, nxt
+        q_prev, q = q, r / math.sqrt(b[k + 1])
     return a, b
 
 
@@ -305,7 +322,7 @@ def _gauss_rule(a: np.ndarray, sb: np.ndarray):
     multiply large polynomial values.
     """
     n = len(a)
-    nodes = sla.eigvalsh_tridiagonal(a, sb[1:n])
+    nodes = np.linalg.eigvalsh(np.diag(a) + np.diag(sb[1:n], -1))
     weights = 1.0 / np.sum(_orthonormal_table(nodes, a, sb, n) ** 2, axis=1)
     return nodes, weights
 
@@ -332,37 +349,47 @@ class _SectorMatrices:
     sb: list
 
 
+def _recurrences(m_abs: int, size: int, alpha: float):
+    """(a_k, b_k) of w for k <= K and of w / rho for k < K, or None.
+
+    One discretization serves both weights, w = rho^(2|m| + 1)
+    exp(-2 alpha rho^2) and its partner w / rho.
+    """
+    x, weights = _discretization(m_abs, size + 1, alpha,
+                                 _panel_count(size + 1))
+    weight = _stieltjes(x, x * weights, size + 1)
+    inverse = _stieltjes(x, weights, size)
+    if weight is None or inverse is None:
+        return None
+    return weight, inverse
+
+
 @functools.lru_cache(maxsize=64)
+@np.errstate(all="ignore")
 def _reduce(m_abs: int, size: int, alpha: float) -> _SectorMatrices | None:
     """Reduce the sector pencil to the orthonormal basis, once per basis.
 
-    The recurrence coefficients and the monomial coefficients of the q_k
-    come from the moment ladder at extended precision; the matrices are
-    then exact Gauss sums in float64.  Returns None (and caches that) when
-    the working precision cannot resolve the moment matrix.
+    The recurrence coefficients come from a float64 discretization of the
+    weights and the monomial coefficients of the q_k from the same
+    recurrence; the matrices are then exact Gauss sums.  Returns None (and
+    caches that) when the weight under- or overflows float64 or a block is
+    not finite; both outcomes are checked, so the floating-point warnings
+    on the way there are silenced.
     """
-    with _MP_LOCK, mp.workdps(_working_dps(size)):
-        mom = _moment_ladder(m_abs, size, 2 * mp.mpf(alpha))
-        # weight w = rho^(2|m| + 1) exp(-2 alpha rho^2) and its partner w / rho
-        weight = _chebyshev(mom[1:], size + 1)
-        inverse = _chebyshev(mom[:-2], size)
-        if weight is None or inverse is None:
-            return None
-        a_mp, b_mp = weight
-        sb_mp = [mp.sqrt(v) for v in b_mp]
-        # monomial coefficients of q_0 .. q_{K-1}, by the same recurrence
-        Q = np.zeros((size, size), dtype=object)
-        Q[0, 0] = 1 / sb_mp[0]
-        for k in range(size - 1):
-            row = Q[k] * -a_mp[k]
-            row[1:] += Q[k, :-1]
-            if k:
-                row -= Q[k - 1] * sb_mp[k]
-            Q[k + 1] = row / sb_mp[k + 1]
-        a, sb = np.array(a_mp, dtype=float), np.array(sb_mp, dtype=float)
-        a_inv = np.array(inverse[0], dtype=float)
-        sb_inv = np.array([mp.sqrt(v) for v in inverse[1]], dtype=float)
-        monomials = np.array(Q, dtype=float)
+    recurrences = _recurrences(m_abs, size, alpha)
+    if recurrences is None:
+        return None
+    (a, b), (a_inv, b_inv) = recurrences
+    sb, sb_inv = np.sqrt(b), np.sqrt(b_inv)
+    # monomial coefficients of q_0 .. q_{K-1}, by the same recurrence
+    monomials = np.zeros((size, size))
+    monomials[0, 0] = 1.0 / sb[0]
+    for k in range(size - 1):
+        row = -a[k] * monomials[k]
+        row[1:] += monomials[k, :-1]
+        if k:
+            row -= sb[k] * monomials[k - 1]
+        monomials[k + 1] = row / sb[k + 1]
 
     # kinetic + centrifugal, integrated by parts: T_jk = (1/2) int w g_j g_k
     # with g_k = q_k' - 2 alpha rho q_k, regular at m = 0; g_j g_k has degree
@@ -449,17 +476,18 @@ def solve_sector(tp: TrapParams, m: int, size: int = DEFAULT_BASIS_SIZE,
                  check_convergence: bool = False) -> RadialEigenSolution:
     """Diagonalize the m sector in a basis of `size` radial Gaussians.
 
-    The first solve of a (|m|, size, alpha) basis orthonormalizes it at
-    extended precision and caches the float64 pencil blocks (module
+    The first solve of a (|m|, size, alpha) basis orthonormalizes it with
+    the float64 Stieltjes recurrence and caches the pencil blocks (module
     docstring); every solve, that one included, is then a single float64
     symmetric eigendecomposition at (nu, b).  Raises BasisConditioningError
-    when the working precision cannot orthonormalize the basis.  Raw
-    coefficient columns are S-orthonormal, but high columns carry entries
-    of order 1e10 and beyond whose orthonormality cannot survive rounding to
-    float64; the low, physically converged columns do, and `vectors` holds
-    every state orthonormal to rounding.  With check_convergence=True the solve
-    is repeated at size + 10 and a warning is emitted if the ground energy
-    moves by more than 1e-7.
+    when the basis cannot be orthonormalized in float64.  Raw coefficient
+    columns are S-orthonormal only as far as float64 carries them: high
+    columns carry alternating entries of order 1e10 and beyond, whose
+    cancellation their orthonormality cannot survive; the low, physically
+    converged columns keep it, and `vectors` holds every state orthonormal
+    to rounding.  With check_convergence=True the solve is repeated at
+    size + 10 and a warning is emitted if the ground energy moves by more
+    than 1e-7.
     """
     basis = RadialBasis(m=m, size=size, alpha=alpha)
     energies, vectors, blocks = _sector_eigh(m, size, alpha, tp.nu, tp.b)
@@ -500,7 +528,8 @@ def crude_variational_energy(tp: TrapParams, m: int) -> float:
     if m < 0:
         raise ValueError("crude trial state is defined for m >= 0")
     a = tp.gauss_width
-    coul = tp.b * math.sqrt(a) * math.exp(gammaln(m + 0.5) - gammaln(m + 1.0))
+    coul = tp.b * math.sqrt(a) * math.exp(math.lgamma(m + 0.5)
+                                          - math.lgamma(m + 1.0))
     return a * (m + 1.0) - 0.5 * m * tp.nu + coul
 
 

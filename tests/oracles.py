@@ -9,7 +9,9 @@ Agreement between these and the package is what the cross-checks in the
 tests mean.  The
 extended-precision sector solver here is the package's former per-point
 eigensolver, kept as the reference for the orthonormal-basis solver that
-replaced it, and the recursive-descent pi-expression parser is the CLI's
+replaced it; the extended-precision Chebyshev recurrence is the package's
+former basis reduction, kept as the reference for its float64 Stieltjes
+recurrence; and the recursive-descent pi-expression parser is the CLI's
 former parser, kept as the reference for the one built on `ast`.
 """
 
@@ -160,7 +162,7 @@ def _mp_cholesky(A) -> np.ndarray:
 
 
 def mp_sector_solve(m: int, nu: float, b: float, size: int,
-                    alpha: float = 0.5):
+                    alpha: float = 0.5, dps: int | None = None):
     """Energies and raw S-orthonormal coefficients of one sector, per point.
 
     The whole generalized problem is assembled and Cholesky-reduced at
@@ -168,9 +170,11 @@ def mp_sector_solve(m: int, nu: float, b: float, size: int,
     in float64 in the inverted form B = L^T H^-1 L, whose eigenvalues are
     the reciprocal energies, and the eigenvectors are back-transformed
     exactly.  Raises ArithmeticError when either Cholesky factorization
-    fails at the working precision.
+    fails at the working precision, which by default is the package's
+    former budget, 1.6 K + 20 digits capped at 100; pass dps to resolve
+    larger bases.
     """
-    with mp.workdps(_mp_working_dps(size)):
+    with mp.workdps(dps or _mp_working_dps(size)):
         Se, He, d = _mp_equilibrated_pencil(m, nu, b, size, mp.mpf(alpha))
         L = _mp_cholesky(Se)
         R = _mp_cholesky(He)
@@ -191,6 +195,44 @@ def mp_sector_solve(m: int, nu: float, b: float, size: int,
             X[i] = acc / L[i, i]
         coeff = np.array([[float(x) for x in row] for row in X * d[:, None]])
     return 1.0 / lam, coeff
+
+
+def mp_recurrence(power: int, n: int, alpha: float, dps: int):
+    """Recurrence coefficients (a_k, b_k), k < n, of a half-line weight.
+
+    The weight is rho^power exp(-2 alpha rho^2) on [0, inf); b_0 is its
+    total mass.  The moments
+    come from two Gamma values and the exact ladder M(p + 2) = M(p) (p + 1)
+    / (2 beta), and the Chebyshev algorithm (Gautschi, SIAM J. Sci. Stat.
+    Comput. 3, 289, 1982) turns them into the coefficients of the monic
+    orthogonal polynomials pi_{k+1} = (x - a_k) pi_k - b_k pi_{k-1}.  The
+    algorithm loses about 1.2 decimal digits per coefficient, so dps must
+    exceed 1.2 n by the digits wanted in the result.  This is the package's
+    former basis reduction; returns float lists, and raises ArithmeticError
+    when a norm is not positive at the working precision.
+    """
+    with mp.workdps(dps):
+        beta = 2 * mp.mpf(alpha)
+        mom = [_mp_moment(power + t, beta) for t in (0, 1)]
+        for t in range(2, 2 * n):
+            mom.append(mom[-2] * (mp.mpf(power + t - 1) / 2) / beta)
+        cur = np.array(mom, dtype=object)
+        prev = np.zeros(2 * n, dtype=object)
+        a, b = [mom[1] / mom[0]], [mom[0]]
+        for k in range(1, n):
+            nxt = np.zeros(2 * n, dtype=object)
+            top = 2 * n - k
+            # array operand first: an mpf left operand would try to convert
+            # the whole array through its repr
+            nxt[k:top] = (cur[k + 1:top + 1] - cur[k:top] * a[-1]
+                          - prev[k:top] * b[-1])
+            if nxt[k] <= 0:
+                raise ArithmeticError(
+                    f"norm {k} is not positive at {dps} digits")
+            a.append(nxt[k + 1] / nxt[k] - cur[k] / cur[k - 1])
+            b.append(nxt[k] / cur[k - 1])
+            prev, cur = cur, nxt
+        return [float(v) for v in a], [float(v) for v in b]
 
 
 def mp_radial_moment(m: int, coeff, p: int, alpha: float = 0.5) -> float:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import magtrap
 import oracles
 from magtrap.cli import (
+    MAX_RECORDS,
     ConfigError,
     RunConfig,
     _merge_negative_values,
@@ -185,6 +186,13 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="m_range"):
             RunConfig.from_header({"command": "groundstate",
                                    "m_range": "broken"})
+
+    @pytest.mark.parametrize("key,raw", [
+        ("tau_end", "1/0"), ("nu", "pi*"), ("nu_grid", "0:1e999:0.1"),
+    ])
+    def test_bad_pi_expression_reports_field(self, key, raw):
+        with pytest.raises(ConfigError, match=f"bad value for {key}:"):
+            RunConfig.from_header({"command": "evolve", key: raw})
 
     @pytest.mark.parametrize("key,raw", [
         ("m_range", "1:2:3"), ("nu_grid", "0:1"), ("nu_bracket", "0:1:2"),
@@ -358,6 +366,11 @@ def _fresh_python(args, cwd):
                           capture_output=True, text=True, timeout=120)
 
 
+# prints the scipy and mpmath modules the interpreter has loaded
+_HEAVY_MODULES = ("import sys\nprint(sorted(m for m in sys.modules "
+                  "if m.split('.')[0] in ('scipy', 'mpmath')))")
+
+
 class TestModuleEntry:
     def test_python_dash_m_runs_the_command(self, tmp_path):
         out = tmp_path / "x.json"
@@ -370,16 +383,43 @@ class TestModuleEntry:
         assert result["m_star"] == 1
 
     def test_import_loads_no_quadrature_or_optimizer(self, tmp_path):
-        # these scipy subpackages serve only sample-built states and the
-        # density peak search; loading them would cost every cold command
-        lazy = ["scipy.integrate", "scipy.optimize", "scipy.interpolate",
-                "scipy.sparse"]
-        proc = _fresh_python(
-            ["-c", "import sys, magtrap.cli; "
-                   f"print([m for m in {lazy!r} if m in sys.modules])"],
-            tmp_path)
+        # scipy serves only the grid's FFTs, sample-built states and the
+        # density peak search, mpmath only the test oracles; loading either
+        # would cost every cold command
+        proc = _fresh_python(["-c", "import magtrap.cli\n" + _HEAVY_MODULES],
+                             tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("argv", [
+        ["groundstate", "--nu", "1", "--b", "5", "--K", "20"],
+        ["spectrum", "--b", "1", "--nu-grid", "0:1:0.5", "--m", "0,1",
+         "--levels", "2", "--K", "20"],
+        ["crossings", "--b", "1", "--nu-bracket", "0.05:5", "--K", "20"],
+        ["current", "--nu", "1", "--b", "1", "--m", "1", "--K", "20"],
+        ["velocity-sweep", "--b", "1", "--nu-grid", "0.5:1:0.5",
+         "--K", "20"],
+    ])
+    def test_radial_commands_load_no_scipy_or_mpmath(self, argv, tmp_path):
+        out = tmp_path / "artifact"
+        script = ("import magtrap.cli\n"
+                  f"code = magtrap.cli.main({argv + ['--out', str(out)]!r})\n"
+                  "assert code == 0, code\n" + _HEAVY_MODULES)
+        proc = _fresh_python(["-c", script], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [str(out), "[]"]
+
+    def test_evolve_above_the_record_ceiling_exits_2(self, tmp_path):
+        # 10^10 steps: the run is refused before any record index exists
+        proc = _fresh_python(
+            ["-m", "magtrap.cli", "evolve", "--N", "64", "--nu", "0",
+             "--tau-end", "1e10", "--dtau", "1",
+             "--out", str(tmp_path / "e.csv")], tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        err = json.loads(proc.stderr)
+        assert err["error"] == "ConfigError"
+        assert f"ceiling of {MAX_RECORDS}" in err["message"]
+        assert not (tmp_path / "e.csv").exists()
 
 
 class TestCommandArtifacts:

@@ -8,6 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from magtrap.params import (
+    COULOMB_K,
+    HBAR,
     PhysicalParams,
     QuantumNumbers,
     TrapParams,
@@ -172,3 +174,12 @@ class TestFockDarwin:
         # a > nu/2 guarantees positivity of every level
         e = fock_darwin_energy(TrapParams(nu=nu), QuantumNumbers(m=m, n=n))
         assert e > 0
+
+
+class TestConstants:
+    def test_si_literals_match_scipy_bit_for_bit(self):
+        # the package writes them out so that importing it loads no scipy
+        from scipy import constants
+
+        assert COULOMB_K == 1.0 / (4.0 * math.pi * constants.epsilon_0)
+        assert HBAR == constants.hbar

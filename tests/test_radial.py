@@ -1,5 +1,6 @@
 """Sector eigensolver: exact limits, invariants, and failure modes."""
 
+import functools
 import math
 import warnings
 
@@ -14,7 +15,11 @@ from magtrap.radial import (
     BasisConditioningError,
     BracketingError,
     RadialBasis,
+    _discretization,
+    _panel_count,
+    _recurrences,
     _sector_eigh,
+    _stieltjes,
     crude_variational_energy,
     find_crossing,
     ground_state_scan,
@@ -159,11 +164,25 @@ class TestInvariantProperties:
 
 
 class TestConditioningFailure:
-    def test_oversized_basis_raises(self):
+    def test_hundred_function_basis_matches_oracle(self):
+        # K = 100 used to raise once a fixed extended-precision budget ran
+        # out; the float64 recurrence has no such budget.  The per-point
+        # oracle needs about 1.2 K digits for the monomial Gram matrix, and
+        # 200 and 240 digits give the same energies
+        tp = TrapParams(nu=1.0, b=1.0)
+        sol = solve_sector(tp, 0, size=100)
+        ref, _ = oracles.mp_sector_solve(0, 1.0, 1.0, 100, dps=200)
+        np.testing.assert_allclose(sol.energies[:5], ref[:5], rtol=1e-11,
+                                   atol=0)
+
+    @pytest.mark.parametrize("alpha", [1e-300, 1e300])
+    def test_weight_outside_float_range_raises(self, alpha):
+        # the mass of rho^13 exp(-2 alpha rho^2) overflows (small alpha) or
+        # underflows (large alpha) float64
         with pytest.raises(BasisConditioningError) as err:
-            solve_sector(TrapParams(nu=1.0, b=1.0), 0, size=100)
-        assert err.value.size == 100
-        assert "K=100" in str(err.value)
+            solve_sector(TrapParams(nu=1.0, b=1.0), 6, size=10, alpha=alpha)
+        assert err.value.size == 10
+        assert "K=10" in str(err.value)
 
     def test_unconverged_sentinel_warns(self):
         with pytest.warns(RuntimeWarning, match="increase the basis"):
@@ -175,6 +194,61 @@ class TestConditioningFailure:
             warnings.simplefilter("error")
             solve_sector(TrapParams(nu=0.5, b=10.0), 0, size=30,
                          check_convergence=True)
+
+
+def _relative_error(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return float(np.max(np.abs(got - want) / np.abs(want)))
+
+
+# relative tolerance of a recurrence coefficient, set from float64 before
+# any comparison: the coefficients are positive sums, so each carries a
+# few rounding errors per step of the recurrence (~90 eps)
+RECURRENCE_RTOL = 2e-14
+
+# the extended-precision reference loses ~1.2 digits per coefficient
+_mp_recurrence = functools.lru_cache(maxsize=None)(
+    lambda power, n, alpha: oracles.mp_recurrence(power, n, alpha,
+                                                  int(1.3 * n) + 40))
+
+
+class TestRecurrence:
+    @pytest.mark.parametrize("m_abs", [0, 3, 6])
+    @pytest.mark.parametrize("size", [1, 20, 80])
+    @pytest.mark.parametrize("alpha", [0.5, 0.8])
+    def test_matches_extended_precision_chebyshev(self, m_abs, size, alpha):
+        (a, b), (a_inv, b_inv) = _recurrences(m_abs, size, alpha)
+        ref = _mp_recurrence(2 * m_abs + 1, size + 1, alpha)
+        ref_inv = _mp_recurrence(2 * m_abs, size, alpha)
+        assert _relative_error(a, ref[0]) < RECURRENCE_RTOL
+        assert _relative_error(b, ref[1]) < RECURRENCE_RTOL
+        assert _relative_error(a_inv, ref_inv[0]) < RECURRENCE_RTOL
+        assert _relative_error(b_inv, ref_inv[1]) < RECURRENCE_RTOL
+
+    @pytest.mark.parametrize("n", [21, 81, 161, 241])
+    def test_half_the_node_rule_still_resolves(self, n):
+        # the rule keeps a factor of two in hand at every size it serves
+        for m_abs in (0, 6):
+            x, weights = _discretization(m_abs, n, 0.5, _panel_count(n) // 2)
+            a, b = _stieltjes(x, x * weights, n)
+            ref = _mp_recurrence(2 * m_abs + 1, n, 0.5)
+            assert _relative_error(a, ref[0]) < RECURRENCE_RTOL
+            assert _relative_error(b, ref[1]) < RECURRENCE_RTOL
+
+    @given(alpha=st.floats(0.01, 100.0), m_abs=st.integers(0, 6),
+           size=st.integers(1, 40))
+    @settings(max_examples=25, deadline=None)
+    def test_alpha_only_rescales_the_coordinate(self, alpha, m_abs, size):
+        # rho -> rho / sqrt(2 alpha) maps the alpha = 1/2 weight onto this
+        # one: a_k scales as (2 alpha)^(-1/2), b_k as (2 alpha)^(-1) for
+        # k >= 1 and the mass b_0 as (2 alpha)^(-(|m| + 1))
+        (a, b), _ = _recurrences(m_abs, size, alpha)
+        (a_ref, b_ref), _ = _recurrences(m_abs, size, 0.5)
+        beta = 2.0 * alpha
+        assert _relative_error(a * math.sqrt(beta), a_ref) < RECURRENCE_RTOL
+        assert _relative_error(b[1:] * beta, b_ref[1:]) < RECURRENCE_RTOL
+        assert _relative_error(b[0] * beta ** (m_abs + 1),
+                               b_ref[0]) < RECURRENCE_RTOL
 
 
 class TestGroundStateScan:
