@@ -16,7 +16,9 @@ type.
 
 `evolve` and `ramp-compare` write one record every 10 steps and refuse,
 as a configuration error, a run that would take more than MAX_RECORDS
-(100 000) records, snapshots included.
+(100 000) records, snapshots included.  The same ceiling holds for the rows
+of a sweep table, counted before any grid is built: n_nu x (distinct m) x
+levels for `spectrum`, n_nu for `velocity-sweep`.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
 (conditioning, bracketing, norm drift, sector leakage, overflow), 4 I/O
@@ -50,7 +52,6 @@ from .dynamics import (
     imaginary_time_ground,
 )
 from .observables import (
-    QuadratureConvergenceError,
     RadialWavefunction,
     current_density,
     ground_velocity_sweep,
@@ -352,6 +353,15 @@ def resolve_config(args) -> RunConfig:
         lo, hi, step = cfg.nu_grid
         if not (step > 0 and hi > lo and lo >= 0):
             raise ConfigError(f"bad nu grid {cfg.nu_grid}")
+        n_nu = _nu_count(cfg.nu_grid)
+        rows = n_nu
+        if cfg.command == "spectrum":
+            rows = n_nu * len(set(cfg.m)) * cfg.levels
+        if rows > MAX_RECORDS:
+            raise ConfigError(
+                f"{cfg.command} over {n_nu:g} nu values would write {rows:g} "
+                f"rows, above the ceiling of {MAX_RECORDS}; coarsen the nu "
+                f"grid")
     if cfg.command == "current" and len(cfg.m) != 1:
         raise ConfigError("current takes exactly one m")
     if cfg.command == "crossings":
@@ -379,10 +389,16 @@ def _out_path(cfg: RunConfig, extension: str) -> Path:
     return path
 
 
-def _nu_values(grid) -> np.ndarray:
+def _nu_count(grid):
+    """Number of nu values in lo:hi:step; inf when it passes float range."""
     lo, hi, step = grid
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return lo + step * np.arange(count)
+    span = (hi - lo) / step + 1e-9
+    return math.floor(span) + 1 if math.isfinite(span) else math.inf
+
+
+def _nu_values(grid) -> np.ndarray:
+    lo, _, step = grid
+    return lo + step * np.arange(_nu_count(grid))
 
 
 def _check_record_count(tau_end: float, dtau: float, snapshots: int = 0):
@@ -583,8 +599,7 @@ _COMMANDS = {
 }
 
 _NUMERICAL_ERRORS = (BasisConditioningError, BracketingError,
-                     QuadratureConvergenceError, NormDriftError,
-                     BoundaryLeakError, SectorLeakageError,
+                     NormDriftError, BoundaryLeakError, SectorLeakageError,
                      ArithmeticError)
 
 

@@ -762,7 +762,7 @@ def state_observables(state: GridState, tp: TrapParams,
 def angular_harmonics(state: GridState, n_harmonics: int = 48) -> np.ndarray:
     """<e^{i k phi}> for k = 0..n_harmonics, weighted by the density.
 
-    These are the Fourier coefficients of the angular marginal (up to
+    These are the Fourier components of the angular marginal (up to
     conjugation and 1/2pi); they are computed without binning and are
     invariant under frame rotation up to a phase, so spreading diagnostics
     built from their moduli need no lab-frame conversion.
@@ -790,7 +790,7 @@ def angular_maxima_count(state: GridState, n_harmonics: int = 48,
                          resolution: int = 1440, floor: float = 0.02) -> int:
     """Count local maxima of the angular density above floor * its peak.
 
-    The marginal is reconstructed from the harmonic coefficients with a
+    The marginal is reconstructed from these harmonics with a
     Lanczos sigma factor, which damps truncation ringing; ringing would
     otherwise fabricate maxima.
     """

@@ -17,35 +17,31 @@ in units sqrt(hbar omega_t / mu).  For m = 0 this is -(nu/2)<rho> < 0: the
 drag term always wins, and jumps of the ground-state velocity along a field
 sweep mark the m -> m + 1 ground-state crossings.
 
-For a state built from a solver solution, chi = sum_k y_k phi_k / sqrt(2 pi)
-over the orthonormal basis, and <rho^p> = y^T M_p y is an exact quadratic
-form for p = -1, 1, 2: M_-1 is the Coulomb block, M_1 the truncated Jacobi
+A state is one column y of a solver solution's vectors, its eigenvector
+in the orthonormal basis phi_k: chi = sum_k y_k phi_k / sqrt(2 pi), summed
+by the basis recurrence, and <rho^p> = y^T M_p y is an exact quadratic form
+for p = -1, 1, 2: M_-1 is the Coulomb block, M_1 the truncated Jacobi
 matrix of the basis recurrence and M_2 twice the trap block, all cached
-with the basis.  velocity_expectation and the mean radius of
-density_profile therefore run no quadrature for such states.
-
-Adaptive Gauss-Kronrod quadrature on (0, rho_max] remains for norm_check,
-for radial_moment(0) and any other power, and for every moment of a state
-built from samples, which has no basis.  rho_max is where chi^2 falls below
-1e-16 of its peak for a solution-built state and the last sample otherwise;
-non-convergence is raised, not silenced.
+with the basis.  These are the only moments on offer, and they are all the
+observables need: velocity_expectation, CurrentField.plane_integral and the
+mean radius of density_profile are built from them, so no observable
+runs quadrature.  rho_max, the outer end of the default sampling grids, is
+where chi^2 falls below 1e-16 of its peak.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .params import TrapParams
-from .radial import DEFAULT_BASIS_SIZE, DEFAULT_M_RANGE, RadialEigenSolution, solve_sector
+from .radial import DEFAULT_BASIS_SIZE, DEFAULT_M_RANGE, RadialEigenSolution
 
 __all__ = [
     "RadialWavefunction",
     "CurrentField",
     "DensityProfile",
-    "QuadratureConvergenceError",
     "current_density",
     "current_vector_field",
     "velocity_expectation",
@@ -57,33 +53,14 @@ __all__ = [
 _CHI_NORM = 1.0 / (2.0 * np.pi)
 
 
-class QuadratureConvergenceError(RuntimeError):
-    """Raised when an observable integral fails to converge."""
-
-
-def _quad(f, lo: float, hi: float) -> float:
-    # imported here: the solution path runs no quadrature, so importing the
-    # package (and the command line) need not load scipy.integrate
-    from scipy import integrate
-    from scipy.integrate import IntegrationWarning
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", IntegrationWarning)
-        try:
-            val, _ = integrate.quad(f, lo, hi, limit=400,
-                                    epsabs=1e-13, epsrel=1e-12)
-        except IntegrationWarning as w:
-            raise QuadratureConvergenceError(
-                f"quadrature on ({lo}, {hi}) did not converge: {w}") from w
-    return val
-
-
 class RadialWavefunction:
     """Radial factor chi(rho) of one sector eigenstate, plane-normalized.
 
-    Construct via from_solution (coefficient expansion over the solver
-    basis) or from_samples (cubic spline through tabulated values, which
-    must behave like rho^(|m| + 1/2) near the origin).
+    Build it with from_solution, which takes the state's eigenvector in the
+    solver's orthonormal basis and also carries its exact moments.  The
+    constructor accepts any callable chi, but such a state has no moments:
+    radial_moment, and with it velocity_expectation and density_profile,
+    raise ValueError for it.
     """
 
     def __init__(self, m: int, chi, rho_max: float):
@@ -96,12 +73,12 @@ class RadialWavefunction:
     @classmethod
     def from_solution(cls, solution: RadialEigenSolution,
                       level: int = 0) -> "RadialWavefunction":
-        if solution.vectors is None:
-            raise ValueError("solution carries no orthonormal-basis vectors; "
-                             "use solve_sector")
-        # orthonormal eigenvector => int chi^2 = 1; rescale to 1/(2 pi).  The
-        # sum runs over the orthonormal basis: the raw monomial expansion
-        # cancels catastrophically in float64 once K reaches ~40
+        """State `level` of a solution, 0 the lowest, in [0, K)."""
+        size = solution.vectors.shape[1]
+        if not 0 <= level < size:
+            raise ValueError(f"level {level} is outside the valid range "
+                             f"[0, {size}) of a K = {size} solution")
+        # orthonormal eigenvector => int chi^2 = 1; rescale to 1/(2 pi)
         y = solution.vectors[:, level]
         chi = solution.basis.expansion(y * np.sqrt(_CHI_NORM))
 
@@ -114,29 +91,6 @@ class RadialWavefunction:
         wf = cls(solution.m, chi, rho_max)
         wf._moments = solution.basis.radial_moments(y)
         return wf
-
-    @classmethod
-    def from_samples(cls, rho: np.ndarray, chi_values: np.ndarray,
-                     m: int) -> "RadialWavefunction":
-        from scipy.interpolate import CubicSpline
-
-        rho = np.asarray(rho, dtype=float)
-        chi_values = np.asarray(chi_values, dtype=float)
-        spline = CubicSpline(rho, chi_values, extrapolate=False)
-
-        def raw(r):
-            r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-            out = spline(r_arr)
-            out = np.where(np.isnan(out), 0.0, out)
-            return out if np.ndim(r) else float(out[0])
-
-        norm = _quad(lambda r: raw(r) ** 2, rho[0], rho[-1])
-        scale = np.sqrt(_CHI_NORM / norm)
-
-        def chi(r):
-            return scale * raw(r)
-
-        return cls(m, chi, float(rho[-1]))
 
     def chi(self, rho):
         """Radial factor chi(rho)."""
@@ -153,21 +107,17 @@ class RadialWavefunction:
             raise ValueError("rho must be strictly positive")
         return np.asarray(self._chi(rho)) ** 2 / rho_arr
 
-    def norm_check(self) -> float:
-        """2 pi int chi^2 drho; equals 1 for a healthy state."""
-        return 2.0 * np.pi * _quad(lambda r: self._chi(r) ** 2,
-                                   0.0, self.rho_max)
-
     def radial_moment(self, power: int) -> float:
-        """<rho^power> = 2 pi int rho^power chi^2 drho.
+        """<rho^power> = 2 pi int rho^power chi^2 drho, for power -1, 1, 2.
 
-        Returned from the exact quadratic forms for p = -1, 1, 2 of a
-        solution-built state; integrated by quadrature otherwise.
+        The exact quadratic form of RadialBasis.radial_moments.  Any other
+        power, or a state not built by from_solution, raises ValueError.
         """
-        if power in self._moments:
-            return self._moments[power]
-        return 2.0 * np.pi * _quad(
-            lambda r: r ** power * self._chi(r) ** 2, 0.0, self.rho_max)
+        if power not in self._moments:
+            raise ValueError(
+                f"<rho^{power}> is not available: exact moments exist for "
+                f"powers -1, 1, 2 of a state built by from_solution")
+        return self._moments[power]
 
 
 @dataclass(frozen=True)
@@ -187,9 +137,8 @@ class CurrentField:
         """int J d^2rho = 2 pi int J(rho) rho drho, the velocity expectation.
 
         Not a sum over the sampled grid: it is velocity_expectation of the
-        same state, equal by construction, so for a solution-built state it
-        is m <1/rho> - (nu/2) <rho> from the exact quadratic forms, and
-        quadrature only for a state built from samples.
+        same state, equal by construction, m <1/rho> - (nu/2) <rho> from the
+        exact quadratic forms of its eigenvector.
         """
         return velocity_expectation(self.wavefunction, self.params)
 

@@ -36,23 +36,27 @@ The K x K truncated Jacobi matrix is the exact block of rho; with C and 2P
 it gives the radial moments <1/rho>, <rho> and <rho^2> of any state as
 quadratic forms (RadialBasis.radial_moments).
 
-The recurrence coefficients come from the discretized Stieltjes procedure
-(Gautschi, Orthogonal Polynomials: Computation and Approximation, OUP 2004,
-sec. 2.2) in float64: w and w / rho are replaced by one composite
-Gauss-Legendre rule in sqrt(rho), fine enough that every coefficient is
-exact to rounding, and the recurrence is run on it with inner products that
-are sums of positive terms.  The moments themselves are never formed, so
-nothing is lost to the ~1.2 decimal digits per basis function by which the
-moment matrix grows ill-conditioned.  This runs once per (|m|, K, alpha),
-and the float64 blocks are cached; a solve at any (nu, b) is then one
-float64 symmetric eigendecomposition.  A weight whose mass under- or
+The recurrence comes from the discretized Stieltjes procedure (Gautschi,
+Orthogonal Polynomials: Computation and Approximation, OUP 2004, sec. 2.2)
+in float64: w and w / rho are replaced by one composite Gauss-Legendre rule
+in sqrt(rho), fine enough that every a_k and b_k is exact to rounding, and
+the recurrence is run on it with inner products that are sums of positive
+terms.  The moments themselves are never formed, so nothing is lost to the
+~1.2 decimal digits per basis function by which the moment matrix grows
+ill-conditioned.  This runs once per (|m|, K, alpha), and the float64
+blocks are cached; a solve at any (nu, b) is then one float64 symmetric
+eigendecomposition.  A weight whose mass under- or
 overflows float64, or a block that is not finite, is reported as a basis
 conditioning error naming the offending K.
 
-overlap_and_hamiltonian_matrices still assembles the raw monomial pencil
-(S, H) in float64, from log-Gamma moments with the kinetic and centrifugal
-terms combined on u_k so that the divergent rho^-2 moment at m = 0 only
-meets a vanishing coefficient; the solver itself does not use it.
+A state is its eigenvector in the orthonormal basis phi_k, and nothing
+else: no expansion over the raw u_k is formed, since its high terms carry
+alternating entries of order 1e10 and beyond that cancel in float64.
+overlap_and_hamiltonian_matrices still assembles the raw pencil (S, H) in
+float64, as an independent reference for the tests, from log-Gamma moments
+with the kinetic and centrifugal terms combined on u_k so that the
+divergent rho^-2 moment at m = 0 only meets a vanishing coefficient; the
+solver itself does not use it.
 """
 
 from __future__ import annotations
@@ -133,7 +137,7 @@ class RadialBasis:
             raise ValueError("alpha must be positive and finite")
 
     def powers(self) -> np.ndarray:
-        """Exponents s_k = 1/2 + |m| + k of the basis monomials."""
+        """Exponents s_k = 1/2 + |m| + k of the raw functions u_k."""
         return 0.5 + abs(self.m) + np.arange(self.size, dtype=float)
 
     def expansion(self, weights):
@@ -142,9 +146,10 @@ class RadialBasis:
         phi_k = rho^(1/2 + |m|) exp(-alpha rho^2) q_k(rho) is the orthonormal
         basis that RadialEigenSolution.vectors refers to.  The sum runs the
         three-term recurrence of the q_k with the Gaussian factor carried
-        from the start, so it neither cancels like the monomial expansion
-        nor overflows far out; a float argument stays in plain Python
-        arithmetic, which is what adaptive quadrature calls it with.
+        from the start, so it neither cancels like a sum over the raw u_k
+        nor overflows far out.  A float argument stays in plain Python
+        arithmetic: the bounded scalar search for the density peak
+        (observables.density_profile) calls it one point at a time.
         """
         blocks = _sector_blocks(self.m, self.size, self.alpha)
         a, sb = blocks.a, blocks.sb
@@ -232,9 +237,9 @@ def overlap_and_hamiltonian_matrices(basis: RadialBasis, tp: TrapParams):
 
 
 def _panel_count(n: int) -> int:
-    """Gauss-Legendre panels that resolve n recurrence coefficients.
+    """Gauss-Legendre panels that resolve n steps of the recurrence.
 
-    At least 2.5 times the count at which every coefficient reaches 1e-14,
+    At least 2.5 times the count at which every a_k and b_k reaches 1e-14,
     which grows about as n / 10 + 1 (tests/test_radial.py checks half the
     rule against the extended-precision reference up to n = 241).
     """
@@ -266,7 +271,7 @@ def _discretization(m_abs: int, n: int, alpha: float, panels: int):
 
 
 def _stieltjes(x: np.ndarray, weights: np.ndarray, n: int):
-    """Recurrence coefficients (a_k, b_k), k < n, of a discrete measure.
+    """Recurrence terms (a_k, b_k), k < n, of a discrete measure.
 
     Discretized Stieltjes procedure (Gautschi, Orthogonal Polynomials:
     Computation and Approximation, OUP 2004, sec. 2.2) in the orthonormal
@@ -335,16 +340,14 @@ class _SectorMatrices:
     the K x K truncated Jacobi matrix, the block of rho itself.  a and sb
     determine it, but it is kept dense so that <1/rho>, <rho> and <rho^2>
     are the same BLAS form y^T M y over read-only float64 blocks (at most a
-    few tens of kB per sector) instead of a Python-list recurrence.  monomials
-    holds the raw-basis coefficients of each q_k, one row per k; a and sb
-    are the recurrence coefficients of the q_k.
+    few tens of kB per sector) instead of a Python-list recurrence.  a and
+    sb, with sb_k = sqrt(b_k), are the recurrence of the q_k.
     """
 
     kinetic: np.ndarray
     trap: np.ndarray
     coulomb: np.ndarray
     position: np.ndarray
-    monomials: np.ndarray
     a: list
     sb: list
 
@@ -369,28 +372,17 @@ def _recurrences(m_abs: int, size: int, alpha: float):
 def _reduce(m_abs: int, size: int, alpha: float) -> _SectorMatrices | None:
     """Reduce the sector pencil to the orthonormal basis, once per basis.
 
-    The recurrence coefficients come from a float64 discretization of the
-    weights and the monomial coefficients of the q_k from the same
-    recurrence; the matrices are then exact Gauss sums.  Returns None (and
-    caches that) when the weight under- or overflows float64 or a block is
-    not finite; both outcomes are checked, so the floating-point warnings
-    on the way there are silenced.
+    The recurrence comes from a float64 discretization of the weights; the
+    matrices are then exact Gauss sums.  Returns None (and caches that) when
+    the weight under- or overflows float64 or a block is not finite; both
+    outcomes are checked, so the floating-point warnings on the way there
+    are silenced.
     """
     recurrences = _recurrences(m_abs, size, alpha)
     if recurrences is None:
         return None
     (a, b), (a_inv, b_inv) = recurrences
     sb, sb_inv = np.sqrt(b), np.sqrt(b_inv)
-    # monomial coefficients of q_0 .. q_{K-1}, by the same recurrence
-    monomials = np.zeros((size, size))
-    monomials[0, 0] = 1.0 / sb[0]
-    for k in range(size - 1):
-        row = -a[k] * monomials[k]
-        row[1:] += monomials[k, :-1]
-        if k:
-            row -= sb[k] * monomials[k - 1]
-        monomials[k + 1] = row / sb[k + 1]
-
     # kinetic + centrifugal, integrated by parts: T_jk = (1/2) int w g_j g_k
     # with g_k = q_k' - 2 alpha rho q_k, regular at m = 0; g_j g_k has degree
     # 2K, exact under the (K+1)-point rule of w
@@ -409,7 +401,7 @@ def _reduce(m_abs: int, size: int, alpha: float) -> _SectorMatrices | None:
     q = _orthonormal_table(nodes, a, sb, size)
     coulomb = (q.T * weights) @ q
 
-    blocks = (kinetic, trap, coulomb, position, monomials)
+    blocks = (kinetic, trap, coulomb, position)
     if not all(np.isfinite(x).all() for x in blocks):
         return None
     for x in blocks:
@@ -444,20 +436,18 @@ def _sector_eigh(m: int, size: int, alpha: float, nu: float, b: float):
 class RadialEigenSolution:
     """Eigenpairs of one (nu, b, m) sector.
 
-    energies        ascending, in units of hbar*omega_t
-    coefficients    (K, K); column j holds the raw-basis coefficients of
-                    state j, S-orthonormalized: c_i^T S c_j = delta_ij
-    vectors         (K, K); column j holds state j in the orthonormal basis
-                    of basis.expansion, the well-conditioned form of the
-                    same states (None only for hand-built solutions)
+    energies   ascending, in units of hbar*omega_t
+    vectors    (K, K), orthonormal; column j is state j in the orthonormal
+               basis phi_k of basis.expansion, the only form of a state:
+               its radial factor is basis.expansion(vectors[:, j]) and its
+               moments basis.radial_moments(vectors[:, j])
     """
 
     m: int
     params: TrapParams
     basis: RadialBasis
     energies: np.ndarray
-    coefficients: np.ndarray
-    vectors: np.ndarray | None = field(default=None, repr=False)
+    vectors: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -479,20 +469,16 @@ def solve_sector(tp: TrapParams, m: int, size: int = DEFAULT_BASIS_SIZE,
     The first solve of a (|m|, size, alpha) basis orthonormalizes it with
     the float64 Stieltjes recurrence and caches the pencil blocks (module
     docstring); every solve, that one included, is then a single float64
-    symmetric eigendecomposition at (nu, b).  Raises BasisConditioningError
-    when the basis cannot be orthonormalized in float64.  Raw coefficient
-    columns are S-orthonormal only as far as float64 carries them: high
-    columns carry alternating entries of order 1e10 and beyond, whose
-    cancellation their orthonormality cannot survive; the low, physically
-    converged columns keep it, and `vectors` holds every state orthonormal
-    to rounding.  With check_convergence=True the solve is repeated at
+    symmetric eigendecomposition at (nu, b), whose eigenvectors are the
+    states in the orthonormal basis, orthonormal to rounding.  Raises
+    BasisConditioningError when the basis cannot be orthonormalized in
+    float64.  With check_convergence=True the solve is repeated at
     size + 10 and a warning is emitted if the ground energy moves by more
     than 1e-7.
     """
     basis = RadialBasis(m=m, size=size, alpha=alpha)
-    energies, vectors, blocks = _sector_eigh(m, size, alpha, tp.nu, tp.b)
+    energies, vectors, _ = _sector_eigh(m, size, alpha, tp.nu, tp.b)
     sol = RadialEigenSolution(m=m, params=tp, basis=basis, energies=energies,
-                              coefficients=blocks.monomials.T @ vectors,
                               vectors=vectors)
 
     if check_convergence:

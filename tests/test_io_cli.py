@@ -19,9 +19,11 @@ from magtrap.cli import (
     ConfigError,
     RunConfig,
     _merge_negative_values,
+    build_parser,
     main,
     parse_pi_expression,
     read_config_file,
+    resolve_config,
 )
 from magtrap.io_utils import (
     ARTIFACT_VERSION,
@@ -383,9 +385,9 @@ class TestModuleEntry:
         assert result["m_star"] == 1
 
     def test_import_loads_no_quadrature_or_optimizer(self, tmp_path):
-        # scipy serves only the grid's FFTs, sample-built states and the
-        # density peak search, mpmath only the test oracles; loading either
-        # would cost every cold command
+        # scipy serves only the grid's FFTs and the density peak search,
+        # mpmath only the test oracles; loading either would cost every
+        # cold command
         proc = _fresh_python(["-c", "import magtrap.cli\n" + _HEAVY_MODULES],
                              tmp_path)
         assert proc.returncode == 0, proc.stderr
@@ -420,6 +422,38 @@ class TestModuleEntry:
         assert err["error"] == "ConfigError"
         assert f"ceiling of {MAX_RECORDS}" in err["message"]
         assert not (tmp_path / "e.csv").exists()
+
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--b", "1", "--nu-grid", "0:1e12:1", "--m", "0"],
+        ["velocity-sweep", "--nu-grid", "0:1e15:1e-3"],
+        ["spectrum", "--b", "1", "--nu-grid", "0:1e308:1e-308", "--m", "0"],
+    ])
+    def test_sweep_above_the_row_ceiling_exits_2(self, argv, tmp_path):
+        # the rows are counted before the nu grid is built; these grids
+        # used to crash with a traceback from allocating it
+        proc = _fresh_python(["-m", "magtrap.cli", *argv,
+                              "--out", str(tmp_path / "s.csv")], tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        err = json.loads(proc.stderr)
+        assert err["error"] == "ConfigError"
+        assert f"ceiling of {MAX_RECORDS}" in err["message"]
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("command,grid,extra,refused", [
+        ("velocity-sweep", "0:99999:1", [], False),
+        ("velocity-sweep", "0:100000:1", [], True),
+        # 25 000 nu values x 2 distinct sectors x 2 levels = 100 000 rows
+        ("spectrum", "0:24999:1", ["--m", "0,1,1", "--levels", "2"], False),
+        ("spectrum", "0:25000:1", ["--m", "0,1", "--levels", "2"], True),
+    ])
+    def test_sweep_row_ceiling_is_exact(self, command, grid, extra, refused):
+        args = build_parser().parse_args([command, "--nu-grid", grid, *extra])
+        if refused:
+            with pytest.raises(ConfigError, match="rows, above the ceiling"):
+                resolve_config(args)
+        else:
+            resolve_config(args)
 
 
 class TestCommandArtifacts:

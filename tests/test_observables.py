@@ -28,9 +28,28 @@ def wf_m1():
 
 class TestRadialWavefunction:
     def test_plane_normalization(self, wf_m1):
+        from scipy.integrate import quad
         wf, _ = wf_m1
-        assert wf.norm_check() == pytest.approx(1.0, abs=1e-9)
-        assert wf.radial_moment(0) == pytest.approx(1.0, abs=1e-9)
+        norm, _ = quad(wf.density, 0.0, wf.rho_max, limit=400,
+                       epsabs=1e-13, epsrel=1e-12)
+        assert norm == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("level", [-1, 30])
+    def test_from_solution_rejects_levels_outside_the_basis(self, level):
+        # a K = 30 solution has levels 0 .. 29; -1 used to return the
+        # highest, unconverged one and 30 raised a bare IndexError
+        sol = solve_sector(TrapParams(nu=1.0, b=1.0), 1, size=30)
+        with pytest.raises(ValueError, match=r"\[0, 30\)"):
+            RadialWavefunction.from_solution(sol, level)
+
+    def test_moments_beyond_the_exact_forms_raise(self, wf_m1):
+        wf, _ = wf_m1
+        for power in (-2, 0, 3):
+            with pytest.raises(ValueError, match="powers -1, 1, 2"):
+                wf.radial_moment(power)
+        bare = RadialWavefunction(1, wf.chi, wf.rho_max)
+        with pytest.raises(ValueError):
+            bare.radial_moment(1)
 
     def test_origin_behavior(self, wf_m1):
         # chi ~ rho^(|m| + 1/2), so |psi|^2 = chi^2/rho stays finite
@@ -41,16 +60,6 @@ class TestRadialWavefunction:
         wf, _ = wf_m1
         with pytest.raises(ValueError):
             wf.psi_squared(0.0)
-
-    def test_resampled_copy_reproduces_observables(self, wf_m1):
-        wf, tp = wf_m1
-        grid = np.linspace(1e-4, wf.rho_max, 3000)
-        resampled = RadialWavefunction.from_samples(grid, wf.chi(grid), wf.m)
-        r = np.linspace(0.3, 5.0, 50)
-        np.testing.assert_allclose(resampled.density(r), wf.density(r),
-                                   atol=1e-9)
-        assert velocity_expectation(resampled, tp) == pytest.approx(
-            velocity_expectation(wf, tp), abs=1e-8)
 
 
 class TestCurrentDensity:
@@ -156,6 +165,27 @@ class TestHellmannFeynman:
                  - _ground_energy(nu - HF_STEP, b, m, size)) / (2 * HF_STEP)
         expected = -0.5 * m + 0.25 * nu * wf.radial_moment(2)
         assert slope == pytest.approx(expected, abs=HF_TOL, rel=0)
+
+
+# rounding allowance of the moment inequalities: a few units in the last
+# place of the quadratic forms, which treat the eigenvector as normalized
+MOMENT_ULPS = 4 * np.finfo(float).eps
+
+
+class TestMomentInequalities:
+    """The exact moments of any state obey the inequalities of a density."""
+
+    @given(nu=st.floats(0.0, 3.0), b=st.floats(0.0, 10.0),
+           m=st.integers(-4, 4), size=st.integers(1, 40), data=st.data())
+    def test_cauchy_schwarz_and_jensen(self, nu, b, m, size, data):
+        level = data.draw(st.integers(0, size - 1), label="level")
+        wf = RadialWavefunction.from_solution(
+            solve_sector(TrapParams(nu=nu, b=b), m, size=size), level)
+        inverse, mean, square = (wf.radial_moment(p) for p in (-1, 1, 2))
+        # <rho^2> >= <rho>^2
+        assert square >= mean * mean * (1.0 - MOMENT_ULPS)
+        # <1/rho> >= 1/<rho>, convexity of 1/rho
+        assert inverse * mean >= 1.0 - MOMENT_ULPS
 
 
 class TestGroundVelocitySweep:

@@ -96,24 +96,23 @@ class TestVariationalStructure:
 
 
 class TestCoefficients:
-    def test_small_basis_gram_is_identity(self):
-        # the raw-basis Gram test only makes sense while the overlap matrix
-        # is itself representable in float64; at K = 8 its condition number
-        # is ~1e9, far beyond that the triple product loses all digits even
-        # though the solver's internal factorization is exact
-        tp = TrapParams(nu=1.0, b=1.0)
-        sol = solve_sector(tp, 0, size=8)
-        S, _ = overlap_and_hamiltonian_matrices(RadialBasis(m=0, size=8), tp)
-        gram = sol.coefficients.T @ S @ sol.coefficients
-        np.testing.assert_allclose(gram, np.eye(8), atol=1e-6)
-
-    def test_rayleigh_quotient_reproduces_energy(self):
-        tp = TrapParams(nu=0.5, b=3.0)
-        sol = solve_sector(tp, 1, size=10)
-        S, H = overlap_and_hamiltonian_matrices(RadialBasis(m=1, size=10), tp)
-        c = sol.coefficients[:, 0]
-        rq = (c @ H @ c) / (c @ S @ c)
-        assert rq == pytest.approx(sol.energies[0], rel=1e-9)
+    @pytest.mark.parametrize("size,nu,b,m", [
+        (8, 1.0, 1.0, 0), (10, 0.5, 3.0, 1), (9, 0.0, 0.0, 2),
+        (10, 2.0, 5.0, -1), (8, 1.3, 10.0, 3)])
+    def test_raw_pencil_eigenvalues_match_solver(self, size, nu, b, m):
+        # the raw monomial pencil, solved directly, spans the same space as
+        # the orthonormal basis; the overlap matrix is representable in
+        # float64 only at small K (condition ~1e9 at K = 8), and there its
+        # unit-diagonal (equilibrated) form still yields the low levels
+        from scipy.linalg import eigh
+        tp = TrapParams(nu=nu, b=b)
+        S, H = overlap_and_hamiltonian_matrices(RadialBasis(m=m, size=size),
+                                                tp)
+        d = 1.0 / np.sqrt(np.diag(S))
+        raw = eigh(d[:, None] * H * d, d[:, None] * S * d, eigvals_only=True)
+        sol = solve_sector(tp, m, size=size)
+        np.testing.assert_allclose(raw[:3], sol.energies[:3], rtol=1e-9,
+                                   atol=0)
 
     def test_cached_solutions_are_isolated_copies(self):
         tp = TrapParams(nu=0.25, b=0.5)
@@ -127,7 +126,7 @@ class TestCoefficients:
         sol = solve_sector(tp, 1, size=6)
         assert sol.params.field_sign == -1
         assert sol.m == 1
-        assert sol.coefficients.shape == (6, 6)
+        assert sol.vectors.shape == (6, 6)
 
 
 class TestInvariantProperties:
