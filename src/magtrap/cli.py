@@ -343,6 +343,8 @@ def resolve_config(args) -> RunConfig:
         raise ConfigError("b must be >= 0")
     if cfg.K < 2:
         raise ConfigError("K must be at least 2")
+    if cfg.dtau <= 0:
+        raise ConfigError(f"dtau = {cfg.dtau:g} must be positive")
     if cfg.levels < 1:
         raise ConfigError("levels must be at least 1")
     if cfg.format not in ("", "csv", "json", "grid-dump"):

@@ -265,14 +265,13 @@ class _Stepper:
     """
 
     def __init__(self, spec: GridSpec, b: float, z: complex,
-                 coulomb: str, workers):
+                 coulomb: str):
         # imported here: the radial commands never step a grid, and
         # scipy.fft would cost each of them scipy's shared base
         from scipy import fft
         self.fft = fft
         self.spec = spec
         self.z = z
-        self.workers = workers
         self.ax = spec.axis()
         self.xi = self.ax[:, None]
         self.eta = self.ax[None, :]
@@ -320,9 +319,9 @@ class _Stepper:
     def step(self, psi: np.ndarray, nu: float) -> np.ndarray:
         half = self._half_kick(nu)
         out = half * psi
-        out = self.fft.fft2(out, workers=self.workers)
+        out = self.fft.fft2(out)
         out *= self.kinetic
-        out = self.fft.ifft2(out, workers=self.workers)
+        out = self.fft.ifft2(out)
         out *= half
         return out
 
@@ -335,11 +334,9 @@ class _Stepper:
         p_xi psi and p_eta psi are one-axis spectral derivatives, and the
         kinetic energy is half their squared norms (Parseval).
         """
-        w, fft = self.workers, self.fft
-        px = fft.ifft(self.kx * fft.fft(psi, axis=0, workers=w),
-                      axis=0, workers=w)
-        py = fft.ifft(self.ky * fft.fft(psi, axis=1, workers=w),
-                      axis=1, workers=w)
+        fft = self.fft
+        px = fft.ifft(self.kx * fft.fft(psi, axis=0), axis=0)
+        py = fft.ifft(self.ky * fft.fft(psi, axis=1), axis=1)
         dens = np.abs(psi) ** 2
         dens_xi, dens_eta = dens.sum(axis=1), dens.sum(axis=0)
         total = float(np.vdot(psi, psi).real)  # h^2 cancels in every mean
@@ -373,8 +370,8 @@ class _Stepper:
 
 @lru_cache(maxsize=16)
 def _stepper_for(spec: GridSpec, b: float, z: complex,
-                 coulomb: str, workers) -> _Stepper:
-    return _Stepper(spec, b, z, coulomb, workers)
+                 coulomb: str) -> _Stepper:
+    return _Stepper(spec, b, z, coulomb)
 
 
 def gaussian_packet(spec: GridSpec, center: float = 4.0,
@@ -408,7 +405,7 @@ def sector_seed(spec: GridSpec, m: int) -> GridState:
 
 
 def strang_step(state: GridState, tp: TrapParams, dtau: float,
-                mode: str = "real", workers=None) -> GridState:
+                mode: str = "real") -> GridState:
     """One symmetric split step of the co-rotating Hamiltonian part.
 
     Advances tau by dtau; the frame angle is untouched (that bookkeeping
@@ -420,22 +417,21 @@ def strang_step(state: GridState, tp: TrapParams, dtau: float,
     if mode not in ("real", "imaginary"):
         raise ValueError(f"mode must be 'real' or 'imaginary', got {mode!r}")
     z = -1j * dtau if mode == "real" else complex(-dtau)
-    stepper = _stepper_for(state.spec, tp.b, z, "softcore", workers)
+    stepper = _stepper_for(state.spec, tp.b, z, "softcore")
     psi = stepper.step(state.amplitudes, tp.nu)
     if mode == "imaginary":
         psi = psi / math.sqrt(stepper.norm_sq(psi))
     return replace(state, amplitudes=psi, tau=state.tau + dtau)
 
 
-def _shear(psi: np.ndarray, axis: int, table: np.ndarray,
-           workers) -> np.ndarray:
+def _shear(psi: np.ndarray, axis: int, table: np.ndarray) -> np.ndarray:
     # translate each line along `axis` by its own offset, exactly, in
     # k-space; table[i, j] is the phase of wavenumber i on line j (axis 0)
     # or of line i at wavenumber j (axis 1)
     from scipy import fft
-    ft = fft.fft(psi, axis=axis, workers=workers)
+    ft = fft.fft(psi, axis=axis)
     ft *= table
-    return fft.ifft(ft, axis=axis, workers=workers)
+    return fft.ifft(ft, axis=axis)
 
 
 def _quarter_turn(psi: np.ndarray) -> np.ndarray:
@@ -444,8 +440,8 @@ def _quarter_turn(psi: np.ndarray) -> np.ndarray:
     return psi.T[::-1, :]
 
 
-def _rotate_amplitudes(spec: GridSpec, psi: np.ndarray, theta: float,
-                       workers=None) -> np.ndarray:
+def _rotate_amplitudes(spec: GridSpec, psi: np.ndarray,
+                       theta: float) -> np.ndarray:
     quarters = round(theta / _HALF_PI)
     residual = theta - quarters * _HALF_PI
     out = psi
@@ -457,15 +453,15 @@ def _rotate_amplitudes(spec: GridSpec, psi: np.ndarray, theta: float,
         # the first and third shears are the same: one table serves both.
         # exp(-i c k_i x_j) does not factor into 1-D tables in i and j
         outer = np.exp(-1j * np.outer(k, a * ax))
-        out = _shear(out, 0, outer, workers)
-        out = _shear(out, 1, np.exp(-1j * np.outer(k, s * ax)).T, workers)
-        out = _shear(out, 0, outer, workers)
+        out = _shear(out, 0, outer)
+        out = _shear(out, 1, np.exp(-1j * np.outer(k, s * ax)).T)
+        out = _shear(out, 0, outer)
     for _ in range(quarters % 4):
         out = _quarter_turn(out)
     return np.ascontiguousarray(out)
 
 
-def rotate_frame(state: GridState, theta: float, workers=None) -> GridState:
+def rotate_frame(state: GridState, theta: float) -> GridState:
     """Rotate the sampled field counterclockwise by theta.
 
     The new field at (xi', eta') equals the old one at
@@ -474,17 +470,17 @@ def rotate_frame(state: GridState, theta: float, workers=None) -> GridState:
     shears (residual angle); unitary, so the norm is preserved to machine
     precision.  Frame metadata is untouched: this is a resampling utility.
     """
-    rotated = _rotate_amplitudes(state.spec, state.amplitudes, theta, workers)
+    rotated = _rotate_amplitudes(state.spec, state.amplitudes, theta)
     return replace(state, amplitudes=rotated)
 
 
-def to_lab_frame(state: GridState, workers=None) -> GridState:
+def to_lab_frame(state: GridState) -> GridState:
     """Undo the accumulated frame angle; lab pattern = rotation by -theta."""
     if state.frame == "lab":
         return state
     psi = state.amplitudes
     if state.theta != 0.0:
-        psi = _rotate_amplitudes(state.spec, psi, -state.theta, workers)
+        psi = _rotate_amplitudes(state.spec, psi, -state.theta)
     return GridState(spec=state.spec, amplitudes=psi, frame="lab",
                      tau=state.tau, theta=0.0)
 
@@ -537,8 +533,8 @@ class EvolutionResult:
         cols.update(self.extra)
         return cols
 
-    def final_lab(self, workers=None) -> GridState:
-        return to_lab_frame(self.final_state, workers)
+    def final_lab(self) -> GridState:
+        return to_lab_frame(self.final_state)
 
 
 def evolve(state: GridState, tp: TrapParams, dtau: float, tau_end: float,
@@ -557,7 +553,9 @@ def evolve(state: GridState, tp: TrapParams, dtau: float, tau_end: float,
     record times.  Aborts with NormDriftError when the norm leaves
     1 +- norm_tol (checked every step) and with BoundaryLeakError when more
     than edge_tol probability sits within edge_cells of the box edge
-    (checked on every record step and at least every 10th step).
+    (checked on every record step and at least every 10th step).  workers
+    is accepted for compatibility and ignored: every transform runs on one
+    thread.
     """
     if dtau <= 0:
         raise ValueError("dtau must be positive")
@@ -573,7 +571,7 @@ def evolve(state: GridState, tp: TrapParams, dtau: float, tau_end: float,
     # the times actually reached
     n_steps = max(1, round(span / dtau))
 
-    stepper = _stepper_for(spec, tp.b, -1j * dtau, "softcore", workers)
+    stepper = _stepper_for(spec, tp.b, -1j * dtau, "softcore")
     psi = np.array(state.amplitudes, dtype=complex, copy=True)
     norm0 = math.sqrt(stepper.norm_sq(psi))
     if abs(norm0 - 1.0) > norm_tol:
@@ -591,7 +589,7 @@ def evolve(state: GridState, tp: TrapParams, dtau: float, tau_end: float,
 
     # physical reference for the autocorrelation is the initial lab pattern
     if theta0 != 0.0:
-        psi_ref = _rotate_amplitudes(spec, psi, -theta0, workers)
+        psi_ref = _rotate_amplitudes(spec, psi, -theta0)
     else:
         psi_ref = psi.copy()
 
@@ -620,7 +618,7 @@ def evolve(state: GridState, tp: TrapParams, dtau: float, tau_end: float,
                 f"cells of the edge at tau = {tau_i:.6g}; enlarge the box")
         if record:
             if th != 0.0:
-                psi_lab = _rotate_amplitudes(spec, psi_now, -th, workers)
+                psi_lab = _rotate_amplitudes(spec, psi_now, -th)
             else:
                 psi_lab = psi_now
             columns["tau"].append(tau_i)
@@ -638,7 +636,7 @@ def evolve(state: GridState, tp: TrapParams, dtau: float, tau_end: float,
             snap_state = GridState(spec=spec, amplitudes=psi_now.copy(),
                                    frame="rotating", tau=tau_i, theta=th)
             if snapshot_frame == "lab":
-                snap_state = to_lab_frame(snap_state, workers)
+                snap_state = to_lab_frame(snap_state)
             for t_req in snap_idx[i_step]:
                 snapshots.append(Snapshot(requested_tau=t_req,
                                           state=snap_state))
@@ -703,7 +701,8 @@ def imaginary_time_ground(spec: GridSpec, tp: TrapParams, m_seed: int,
     has the better energy constant; relax with "softcore" when the state is
     the product and will be fed to evolve, which steps the softcore form --
     a state relaxed under one flavor is not stationary under the other and
-    radiates from the origin cells.
+    radiates from the origin cells.  workers is accepted for compatibility
+    and ignored, as in evolve.
     """
     if dtau <= 0 or tol <= 0:
         raise ValueError("dtau and tol must be positive")
@@ -714,8 +713,7 @@ def imaginary_time_ground(spec: GridSpec, tp: TrapParams, m_seed: int,
     total = 0
     stage_energy = []
     for stage_dtau, stage_tol in stages:
-        stepper = _stepper_for(spec, tp.b, complex(-stage_dtau), coulomb,
-                               workers)
+        stepper = _stepper_for(spec, tp.b, complex(-stage_dtau), coulomb)
         e_prev = None
         while True:
             for _ in range(check_every):
@@ -746,15 +744,14 @@ def imaginary_time_ground(spec: GridSpec, tp: TrapParams, m_seed: int,
 
 
 def state_observables(state: GridState, tp: TrapParams,
-                      nu: float | None = None, workers=None) -> dict:
+                      nu: float | None = None) -> dict:
     """Lab-frame norm, energy, L_z, velocity and center of one state.
 
     Rotating-frame input vectors are rotated back through the state's
     accumulated angle; pass nu to override tp.nu (ramp diagnostics).
     """
     nu_now = tp.nu if nu is None else nu
-    stepper = _stepper_for(state.spec, tp.b, -1j * DEFAULT_DTAU, "softcore",
-                           workers)
+    stepper = _stepper_for(state.spec, tp.b, -1j * DEFAULT_DTAU, "softcore")
     return _lab_vectors(stepper.observables(state.amplitudes, nu_now),
                         state.theta)
 

@@ -29,25 +29,27 @@ fixed by (|m|, K, alpha) alone,
 
 T is the kinetic plus centrifugal term integrated by parts; the (m^2 - 1/4)
 / rho^2 part cancels exactly, so T is regular even at the critical m = 0
-coupling.  P is half the square of the Jacobi matrix of the recurrence, T
-is an exact (K+1)-point Gauss sum of w and C an exact K-point Gauss sum of
-w / rho.  Gauss weights are Christoffel numbers taken from the recurrence.
+coupling.  P is half the square of the Jacobi matrix of the recurrence.
 The K x K truncated Jacobi matrix is the exact block of rho; with C and 2P
 it gives the radial moments <1/rho>, <rho> and <rho^2> of any state as
 quadratic forms (RadialBasis.radial_moments).
 
-The recurrence comes from the discretized Stieltjes procedure (Gautschi,
+Everything rests on one discrete measure: a composite Gauss-Legendre rule
+in sqrt(rho) standing in for w / rho, with rho times its weights standing
+in for w, fine enough to integrate either weight times every polynomial
+the recurrence and the blocks meet (degree up to 2K + 2) to rounding.  The
+recurrence comes from the discretized Stieltjes procedure (Gautschi,
 Orthogonal Polynomials: Computation and Approximation, OUP 2004, sec. 2.2)
-in float64: w and w / rho are replaced by one composite Gauss-Legendre rule
-in sqrt(rho), fine enough that every a_k and b_k is exact to rounding, and
-the recurrence is run on it with inner products that are sums of positive
-terms.  The moments themselves are never formed, so nothing is lost to the
-~1.2 decimal digits per basis function by which the moment matrix grows
+run on it in float64, with inner products that are sums of positive
+terms, and T and C are weighted sums over the same nodes.  The moments
+themselves are never formed, so nothing is lost to the ~1.2 decimal
+digits per basis function by which the moment matrix grows
 ill-conditioned.  This runs once per (|m|, K, alpha), and the float64
 blocks are cached; a solve at any (nu, b) is then one float64 symmetric
-eigendecomposition.  A weight whose mass under- or
-overflows float64, or a block that is not finite, is reported as a basis
-conditioning error naming the offending K.
+eigendecomposition.  A weight whose mass under- or overflows float64, or
+a block that is not finite, is reported as a basis conditioning error
+naming the offending K; a pencil that overflows at the requested (nu, b)
+raises OverflowError.
 
 A state is its eigenvector in the orthonormal basis phi_k, and nothing
 else: no expansion over the raw u_k is formed, since its high terms carry
@@ -258,7 +260,7 @@ def _discretization(m_abs: int, n: int, alpha: float, panels: int):
     even in u need of order n.  R lies far beyond the largest zero of the
     degree-n polynomial,
     rho^2 < (4n + 2|m| + 2) / (2 alpha), so the dropped tail is below
-    rounding for every polynomial the recurrence meets.
+    rounding for every polynomial the recurrence and the blocks meet.
     """
     radius = (math.sqrt(4 * n + 2 * m_abs + 80) + 4) / math.sqrt(2 * alpha)
     t, tw = np.polynomial.legendre.leggauss(_PANEL_ORDER)
@@ -298,9 +300,8 @@ def _stieltjes(x: np.ndarray, weights: np.ndarray, n: int):
     return a, b
 
 
-def _orthonormal_table(x: np.ndarray, a: np.ndarray, sb: np.ndarray, n: int,
-                       derivative: bool = False):
-    """q_k(x) and, on request, q_k'(x) for k < n; each of shape (len(x), n).
+def _orthonormal_table(x: np.ndarray, a: np.ndarray, sb: np.ndarray, n: int):
+    """q_k(x) and q_k'(x) for k < n, each of shape (len(x), n).
 
     q_k are the orthonormal polynomials of the recurrence
     sb[k+1] q_{k+1} = (x - a[k]) q_k - sb[k] q_{k-1}, q_0 = 1/sb[0].
@@ -310,38 +311,25 @@ def _orthonormal_table(x: np.ndarray, a: np.ndarray, sb: np.ndarray, n: int,
     q[:, 0] = 1.0 / sb[0]
     for k in range(n - 1):
         q_prev = q[:, k - 1] if k else 0.0
+        dq_prev = dq[:, k - 1] if k else 0.0
         q[:, k + 1] = ((x - a[k]) * q[:, k] - sb[k] * q_prev) / sb[k + 1]
-        if derivative:
-            dq_prev = dq[:, k - 1] if k else 0.0
-            dq[:, k + 1] = (q[:, k] + (x - a[k]) * dq[:, k]
-                            - sb[k] * dq_prev) / sb[k + 1]
-    return (q, dq) if derivative else q
-
-
-def _gauss_rule(a: np.ndarray, sb: np.ndarray):
-    """Nodes and weights of the len(a)-point Gauss rule of a recurrence.
-
-    The weights are Christoffel numbers 1 / sum_k q_k(x_n)^2.  The
-    Golub-Welsch form (first eigenvector components squared) loses its
-    relative accuracy at the outermost nodes, where the tiny weights still
-    multiply large polynomial values.
-    """
-    n = len(a)
-    nodes = np.linalg.eigvalsh(np.diag(a) + np.diag(sb[1:n], -1))
-    weights = 1.0 / np.sum(_orthonormal_table(nodes, a, sb, n) ** 2, axis=1)
-    return nodes, weights
+        dq[:, k + 1] = (q[:, k] + (x - a[k]) * dq[:, k]
+                        - sb[k] * dq_prev) / sb[k + 1]
+    return q, dq
 
 
 @dataclass(frozen=True)
 class _SectorMatrices:
     """Float64 pencil blocks of one (|m|, K, alpha) basis, orthonormal form.
 
-    H(nu, b) = kinetic + a^2 trap + b coulomb - (m nu / 2) I.  position is
-    the K x K truncated Jacobi matrix, the block of rho itself.  a and sb
-    determine it, but it is kept dense so that <1/rho>, <rho> and <rho^2>
-    are the same BLAS form y^T M y over read-only float64 blocks (at most a
-    few tens of kB per sector) instead of a Python-list recurrence.  a and
-    sb, with sb_k = sqrt(b_k), are the recurrence of the q_k.
+    H(nu, b) = kinetic + a^2 trap + b coulomb - (m nu / 2) I.  kinetic and
+    coulomb are sums over the discrete measure; trap and position come from
+    the Jacobi matrix, position being its K x K truncation, the block of
+    rho itself.  a and sb determine it, but it is kept dense so that
+    <1/rho>, <rho> and <rho^2> are the same BLAS form y^T M y over
+    read-only float64 blocks (at most a few tens of kB per sector) instead
+    of a Python-list recurrence.  a and sb, with sb_k = sqrt(b_k), are the
+    recurrence of the q_k.
     """
 
     kinetic: np.ndarray
@@ -352,60 +340,45 @@ class _SectorMatrices:
     sb: list
 
 
-def _recurrences(m_abs: int, size: int, alpha: float):
-    """(a_k, b_k) of w for k <= K and of w / rho for k < K, or None.
-
-    One discretization serves both weights, w = rho^(2|m| + 1)
-    exp(-2 alpha rho^2) and its partner w / rho.
-    """
-    x, weights = _discretization(m_abs, size + 1, alpha,
-                                 _panel_count(size + 1))
-    weight = _stieltjes(x, x * weights, size + 1)
-    inverse = _stieltjes(x, weights, size)
-    if weight is None or inverse is None:
-        return None
-    return weight, inverse
-
-
 @functools.lru_cache(maxsize=64)
 @np.errstate(all="ignore")
 def _reduce(m_abs: int, size: int, alpha: float) -> _SectorMatrices | None:
     """Reduce the sector pencil to the orthonormal basis, once per basis.
 
-    The recurrence comes from a float64 discretization of the weights; the
-    matrices are then exact Gauss sums.  Returns None (and caches that) when
+    One discrete measure serves every block: the recurrence of w is run on
+    it, and the kinetic and Coulomb blocks are weighted sums over its nodes,
+    exact to rounding because the measure integrates w and w / rho times
+    every polynomial the blocks meet.  Returns None (and caches that) when
     the weight under- or overflows float64 or a block is not finite; both
     outcomes are checked, so the floating-point warnings on the way there
     are silenced.
     """
-    recurrences = _recurrences(m_abs, size, alpha)
-    if recurrences is None:
+    # the nodes' weights are the measure of w / rho; x times them is w's
+    x, weights = _discretization(m_abs, size + 1, alpha,
+                                 _panel_count(size + 1))
+    recurrence = _stieltjes(x, x * weights, size + 1)
+    if recurrence is None:
         return None
-    (a, b), (a_inv, b_inv) = recurrences
-    sb, sb_inv = np.sqrt(b), np.sqrt(b_inv)
+    a, b = recurrence
+    sb = np.sqrt(b)
+    q, dq = _orthonormal_table(x, a, sb, size)
     # kinetic + centrifugal, integrated by parts: T_jk = (1/2) int w g_j g_k
-    # with g_k = q_k' - 2 alpha rho q_k, regular at m = 0; g_j g_k has degree
-    # 2K, exact under the (K+1)-point rule of w
-    nodes, weights = _gauss_rule(a, sb)
-    q, dq = _orthonormal_table(nodes, a, sb, size, derivative=True)
-    g = dq - 2.0 * alpha * nodes[:, None] * q
-    kinetic = 0.5 * (g.T * weights) @ g
+    # with g_k = q_k' - 2 alpha rho q_k, regular at m = 0
+    g = dq - 2.0 * alpha * x[:, None] * q
+    kinetic = 0.5 * (g.T * (x * weights)) @ g
     # rho q_k is the three-term recurrence, so the K x K truncation of the
     # (K+1) Jacobi matrix is the exact rho block; (1/2) rho^2 is half the
     # truncated square of the full one
     J = np.diag(a) + np.diag(sb[1:], 1) + np.diag(sb[1:], -1)
     position = J[:size, :size].copy()
     trap = 0.5 * (J @ J)[:size, :size]
-    # 1/rho: the K-point rule of w/rho is exact for every q_j q_k
-    nodes, weights = _gauss_rule(a_inv, sb_inv)
-    q = _orthonormal_table(nodes, a, sb, size)
     coulomb = (q.T * weights) @ q
 
     blocks = (kinetic, trap, coulomb, position)
-    if not all(np.isfinite(x).all() for x in blocks):
+    if not all(np.isfinite(block).all() for block in blocks):
         return None
-    for x in blocks:
-        x.flags.writeable = False
+    for block in blocks:
+        block.flags.writeable = False
     return _SectorMatrices(*blocks, a.tolist(), sb.tolist())
 
 
@@ -417,19 +390,25 @@ def _sector_blocks(m: int, size: int, alpha: float) -> _SectorMatrices:
 
 
 def _sector_eigh(m: int, size: int, alpha: float, nu: float, b: float):
-    """Ascending energies, orthonormal-basis eigenvectors and the blocks.
+    """Ascending energies and orthonormal-basis eigenvectors.
 
     nu may carry a sign here: the pencil depends on it only through nu^2
-    and m nu, so (nu, m) and (-nu, -m) give bit-identical spectra.
+    and m nu, so (nu, m) and (-nu, -m) give bit-identical spectra.  Raises
+    OverflowError when the pencil at (nu, b) is not finite in float64, as
+    (nu/2)^2 is for |nu| beyond ~2.7e154.
     """
     blocks = _sector_blocks(m, size, alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pencil = (blocks.kinetic + (1.0 + 0.25 * nu * nu) * blocks.trap
+                  + b * blocks.coulomb)
+    if not np.isfinite(pencil).all():
+        raise OverflowError(
+            f"the sector pencil at nu={nu}, b={b} (m={m}) overflows float64")
     try:
-        energies, vectors = np.linalg.eigh(
-            blocks.kinetic + (1.0 + 0.25 * nu * nu) * blocks.trap
-            + b * blocks.coulomb)
+        energies, vectors = np.linalg.eigh(pencil)
     except np.linalg.LinAlgError:
         raise BasisConditioningError(size, m) from None
-    return energies - 0.5 * m * nu, vectors, blocks
+    return energies - 0.5 * m * nu, vectors
 
 
 @dataclass(frozen=True)
@@ -477,7 +456,7 @@ def solve_sector(tp: TrapParams, m: int, size: int = DEFAULT_BASIS_SIZE,
     than 1e-7.
     """
     basis = RadialBasis(m=m, size=size, alpha=alpha)
-    energies, vectors, _ = _sector_eigh(m, size, alpha, tp.nu, tp.b)
+    energies, vectors = _sector_eigh(m, size, alpha, tp.nu, tp.b)
     sol = RadialEigenSolution(m=m, params=tp, basis=basis, energies=energies,
                               vectors=vectors)
 
@@ -599,13 +578,13 @@ def find_crossing(tp: TrapParams, m1: int, m2: int,
 
 
 def spectrum_sweep(b: float, nu_values, m_values, size: int = DEFAULT_BASIS_SIZE,
-                   n_levels: int = 1, workers: int = 1):
+                   n_levels: int = 1):
     """Sector energies on a (nu, m) grid, as rows (nu, m, level, energy).
 
-    Rows come in sorted (nu, m) order.  n_levels may not exceed size, the
-    number of levels a basis of that size has.  workers is accepted for
-    compatibility and ignored: a sector solve takes well under a
-    millisecond, and a thread pool made sweeps several times slower.
+    Rows come in sorted (nu, m) order.  Each (nu, m) pair is one sector
+    solve, which after the first solve of a basis is one float64
+    eigendecomposition.  n_levels may not exceed size, the number of
+    levels a basis of that size has.
     """
     if not 1 <= n_levels <= size:
         raise ValueError(

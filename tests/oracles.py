@@ -11,8 +11,10 @@ extended-precision sector solver here is the package's former per-point
 eigensolver, kept as the reference for the orthonormal-basis solver that
 replaced it; the extended-precision Chebyshev recurrence is the package's
 former basis reduction, kept as the reference for its float64 Stieltjes
-recurrence; and the recursive-descent pi-expression parser is the CLI's
-former parser, kept as the reference for the one built on `ast`.
+recurrence; the extended-precision Cholesky reduction of the pencil is the
+reference for the float64 blocks, entry by entry; and the recursive-descent
+pi-expression parser is the CLI's former parser, kept as the reference for
+the one built on `ast`.
 """
 
 from __future__ import annotations
@@ -195,6 +197,34 @@ def mp_sector_solve(m: int, nu: float, b: float, size: int,
             X[i] = acc / L[i, i]
         coeff = np.array([[float(x) for x in row] for row in X * d[:, None]])
     return 1.0 / lam, coeff
+
+
+def mp_reduced_pencil(m: int, nu: float, b: float, size: int,
+                      alpha: float = 0.5, dps: int | None = None) -> np.ndarray:
+    """The sector Hamiltonian in the orthonormal basis, L^-1 He L^-T.
+
+    Se = L L^T is the Cholesky factorization of the equilibrated overlap at
+    extended precision, so the rows of L^-1 combine the equilibrated
+    monomial Gaussians d_k u_k into their Gram-Schmidt orthonormalization,
+    in order.  Each of these functions has a positive leading coefficient,
+    as the package's Stieltjes basis does, so the two bases are the same
+    functions and the returned float64 matrix is the package's pencil
+    entry by entry.  The working precision defaults to the one of
+    mp_sector_solve.
+    """
+    with mp.workdps(dps or _mp_working_dps(size)):
+        Se, He, _ = _mp_equilibrated_pencil(m, nu, b, size, mp.mpf(alpha))
+        L = _mp_cholesky(Se)
+
+        def solve_lower(B):
+            X = np.empty((size, size), dtype=object)  # X = L^-1 B
+            for i in range(size):
+                acc = B[i] - (L[i, :i] @ X[:i] if i else 0)
+                X[i] = acc / L[i, i]
+            return X
+
+        reduced = solve_lower(solve_lower(He).T)
+        return np.array([[float(x) for x in row] for row in reduced])
 
 
 def mp_recurrence(power: int, n: int, alpha: float, dps: int):

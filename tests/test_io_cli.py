@@ -321,6 +321,8 @@ class TestExitCodes:
         ["spectrum", "--b", "1", "--nu-grid", "0:1:0.5", "--levels", "15",
          "--K", "10"],                                  # more levels than K
         ["evolve", "--tau-end", "1/0"],                 # division by zero
+        ["evolve", "--N", "64", "--dtau", "0"],         # no time step
+        ["ramp-compare", "--N", "64", "--dtau", "0"],
     ])
     def test_config_validation_exits_2(self, argv, capsys):
         assert main(argv) == 2
@@ -410,6 +412,26 @@ class TestModuleEntry:
         proc = _fresh_python(["-c", script], tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == [str(out), "[]"]
+
+    @pytest.mark.parametrize("argv", [
+        ["groundstate", "--nu", "1e200"],
+        ["spectrum", "--b", "1", "--nu-grid", "0:1e200:1e200"],
+        ["current", "--nu", "1e200", "--m", "1"],
+        ["velocity-sweep", "--b", "1", "--nu-grid", "0:1e200:1e200"],
+        ["crossings", "--b", "1", "--nu-bracket", "0:1e200"],
+    ])
+    def test_field_ratio_whose_square_overflows_exits_3(self, argv, tmp_path):
+        # (nu/2)^2 is inf in float64: no artifact of infs, no traceback and
+        # no false bracketing verdict, only the one JSON line
+        out = tmp_path / "artifact"
+        proc = _fresh_python(["-m", "magtrap.cli", *argv, "--out", str(out)],
+                             tmp_path)
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        err = json.loads(lines[0])
+        assert err["error"] == "OverflowError" and err["exit_code"] == 3
+        assert not out.exists()
 
     def test_evolve_above_the_record_ceiling_exits_2(self, tmp_path):
         # 10^10 steps: the run is refused before any record index exists

@@ -17,7 +17,7 @@ from magtrap.radial import (
     RadialBasis,
     _discretization,
     _panel_count,
-    _recurrences,
+    _sector_blocks,
     _sector_eigh,
     _stieltjes,
     crude_variational_energy,
@@ -134,8 +134,8 @@ class TestInvariantProperties:
            m=st.integers(-4, 4), size=st.integers(4, 40))
     def test_field_reversal_mirrors_sector_bit_for_bit(self, nu, b, m, size):
         # the pencil sees nu only through nu^2 and m nu
-        plus, _, _ = _sector_eigh(m, size, 0.5, nu, b)
-        minus, _, _ = _sector_eigh(-m, size, 0.5, -nu, b)
+        plus, _ = _sector_eigh(m, size, 0.5, nu, b)
+        minus, _ = _sector_eigh(-m, size, 0.5, -nu, b)
         np.testing.assert_array_equal(minus, plus)
 
     @given(nu=st.floats(0.0, 3.0), b=st.floats(0.0, 10.0),
@@ -211,12 +211,28 @@ _mp_recurrence = functools.lru_cache(maxsize=None)(
                                                   int(1.3 * n) + 40))
 
 
+def _shared_measure(m_abs, size, alpha):
+    # the one discrete measure a basis of this size is reduced on; its
+    # weights are the measure of w / rho, x times them that of w
+    return _discretization(m_abs, size + 1, alpha, _panel_count(size + 1))
+
+
+def _weight_recurrence(m_abs, size, alpha):
+    x, weights = _shared_measure(m_abs, size, alpha)
+    return _stieltjes(x, x * weights, size + 1)
+
+
 class TestRecurrence:
     @pytest.mark.parametrize("m_abs", [0, 3, 6])
     @pytest.mark.parametrize("size", [1, 20, 80])
     @pytest.mark.parametrize("alpha", [0.5, 0.8])
     def test_matches_extended_precision_chebyshev(self, m_abs, size, alpha):
-        (a, b), (a_inv, b_inv) = _recurrences(m_abs, size, alpha)
+        # the recurrence of w the blocks are built on, and the one of w / rho
+        # on the same nodes: exact coefficients of the latter mean that the
+        # measure resolves the weight the Coulomb block sums over
+        x, weights = _shared_measure(m_abs, size, alpha)
+        a, b = _stieltjes(x, x * weights, size + 1)
+        a_inv, b_inv = _stieltjes(x, weights, size)
         ref = _mp_recurrence(2 * m_abs + 1, size + 1, alpha)
         ref_inv = _mp_recurrence(2 * m_abs, size, alpha)
         assert _relative_error(a, ref[0]) < RECURRENCE_RTOL
@@ -241,13 +257,36 @@ class TestRecurrence:
         # rho -> rho / sqrt(2 alpha) maps the alpha = 1/2 weight onto this
         # one: a_k scales as (2 alpha)^(-1/2), b_k as (2 alpha)^(-1) for
         # k >= 1 and the mass b_0 as (2 alpha)^(-(|m| + 1))
-        (a, b), _ = _recurrences(m_abs, size, alpha)
-        (a_ref, b_ref), _ = _recurrences(m_abs, size, 0.5)
+        a, b = _weight_recurrence(m_abs, size, alpha)
+        a_ref, b_ref = _weight_recurrence(m_abs, size, 0.5)
         beta = 2.0 * alpha
         assert _relative_error(a * math.sqrt(beta), a_ref) < RECURRENCE_RTOL
         assert _relative_error(b[1:] * beta, b_ref[1:]) < RECURRENCE_RTOL
         assert _relative_error(b[0] * beta ** (m_abs + 1),
                                b_ref[0]) < RECURRENCE_RTOL
+
+
+# relative tolerance of a pencil entry against sqrt(H_jj H_kk), set from
+# float64 before any comparison: the blocks are sums over the measure of
+# polynomials built from the recurrence coefficients, so an entry inherits
+# their RECURRENCE_RTOL and no more
+PENCIL_RTOL = RECURRENCE_RTOL
+
+
+class TestPencilBlocks:
+    @pytest.mark.parametrize("size", [10, 20, 30])
+    @pytest.mark.parametrize("nu,b,m", [
+        (0.0, 0.0, 0), (1.3, 0.0, -1), (1.0, 1.0, 0), (1.3, 4.0, 2),
+        (2.0, 10.0, 1)])
+    def test_match_extended_precision_cholesky(self, size, nu, b, m):
+        # both bases orthonormalize the monomial Gaussians in order with
+        # positive leading coefficients, so the pencils agree entry by entry
+        blocks = _sector_blocks(m, size, 0.5)
+        pencil = (blocks.kinetic + (1.0 + 0.25 * nu * nu) * blocks.trap
+                  + b * blocks.coulomb - 0.5 * m * nu * np.eye(size))
+        ref = oracles.mp_reduced_pencil(m, nu, b, size)
+        scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
+        assert np.max(np.abs(pencil - ref) / scale) < PENCIL_RTOL
 
 
 class TestGroundStateScan:
@@ -308,13 +347,6 @@ class TestSpectrumSweep:
         assert len(rows) == 2 * 2 * 2
         keys = [(r[0], r[1], r[2]) for r in rows]
         assert keys == sorted(keys)
-
-    def test_threaded_sweep_matches_serial(self):
-        serial = spectrum_sweep(2.0, [0.3, 0.9, 1.7], [-1, 0, 2], size=12,
-                                n_levels=2, workers=1)
-        threaded = spectrum_sweep(2.0, [0.3, 0.9, 1.7], [-1, 0, 2], size=12,
-                                  n_levels=2, workers=3)
-        assert serial == threaded
 
     @pytest.mark.parametrize("n_levels", [0, 11])
     def test_rejects_levels_the_basis_does_not_have(self, n_levels):
