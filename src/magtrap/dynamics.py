@@ -42,7 +42,16 @@ itself), and the residual angle t in [-pi/4, pi/4] is the shear product
 
 each factor a row- or column-wise translation applied as FFT phase
 factors.  Every factor is unitary, so rotation preserves the norm to
-machine precision rather than to an interpolation tolerance.
+machine precision rather than to an interpolation tolerance.  A shear's
+phase table exp(-i c k_q x_p) is built from the chirp identity
+q p = (q^2 + p^2 - (q - p)^2)/2 (Bluestein 1970): two 1-D chirps and a
+Toeplitz chirp in q - p, 4n - 1 exponentials instead of n^2.
+
+The autocorrelation evolve records is an overlap with the initial lab
+pattern, so it never builds the lab field: the quarter turns move onto the
+reference, and by Parseval along axis 0 the last shear becomes a weighted
+sum of one-axis transforms, five per record instead of six.  Snapshots,
+to_lab_frame and rotate_frame still rotate the field.
 """
 
 from __future__ import annotations
@@ -297,6 +306,10 @@ class _Stepper:
 
     def _half_kick(self, nu: float) -> np.ndarray:
         if nu != self._kick_nu:
+            quad = 0.125 * nu * nu
+            if not math.isfinite(quad):
+                raise OverflowError(
+                    f"nu = {nu!r}: the field term nu^2/8 overflows float64")
             field = np.exp(0.0625 * self.z * nu * nu * self.ax2)
             self._kick = self.kick0 * field[:, None] * field[None, :]
             self._kick_nu = nu
@@ -305,7 +318,6 @@ class _Stepper:
             # maximum of V2 is taken only when its bound
             # max V0 + (nu^2/8) max rho^2 wraps
             dtau = -self.z.imag
-            quad = 0.125 * nu * nu
             if (self.v0_max + quad * self.rho2_max) * dtau > np.pi:
                 rho2 = self.xi ** 2 + self.eta ** 2
                 vmax = float((self.v0 + quad * rho2).max())
@@ -317,11 +329,13 @@ class _Stepper:
         return self._kick
 
     def step(self, psi: np.ndarray, nu: float) -> np.ndarray:
+        # every operation after the first product works in its buffer, so
+        # a step holds one N x N array besides psi
         half = self._half_kick(nu)
         out = half * psi
-        out = self.fft.fft2(out)
+        out = self.fft.fft2(out, overwrite_x=True)
         out *= self.kinetic
-        out = self.fft.ifft2(out)
+        out = self.fft.ifft2(out, overwrite_x=True)
         out *= half
         return out
 
@@ -335,8 +349,12 @@ class _Stepper:
         kinetic energy is half their squared norms (Parseval).
         """
         fft = self.fft
-        px = fft.ifft(self.kx * fft.fft(psi, axis=0), axis=0)
-        py = fft.ifft(self.ky * fft.fft(psi, axis=1), axis=1)
+        px = fft.fft(psi, axis=0)
+        px *= self.kx
+        px = fft.ifft(px, axis=0, overwrite_x=True)
+        py = fft.fft(psi, axis=1)
+        py *= self.ky
+        py = fft.ifft(py, axis=1, overwrite_x=True)
         dens = np.abs(psi) ** 2
         dens_xi, dens_eta = dens.sum(axis=1), dens.sum(axis=0)
         total = float(np.vdot(psi, psi).real)  # h^2 cancels in every mean
@@ -431,34 +449,54 @@ def _shear(psi: np.ndarray, axis: int, table: np.ndarray) -> np.ndarray:
     from scipy import fft
     ft = fft.fft(psi, axis=axis)
     ft *= table
-    return fft.ifft(ft, axis=axis)
+    return fft.ifft(ft, axis=axis, overwrite_x=True)
 
 
-def _quarter_turn(psi: np.ndarray) -> np.ndarray:
-    # psi'(xi, eta) = psi(eta, -xi), an exact permutation: the offset axis
-    # negates under i -> n-1-i
-    return psi.T[::-1, :]
+def _shear_table(spec: GridSpec, c: float) -> np.ndarray:
+    """exp(-i c k_q x_p): wavenumber q down the rows, sample p across.
+
+    With k_q = 2 pi q / (n h) for the signed FFT index q and x_p = (p + 1/2) h
+    for p = j - n/2, the phase is (pi c / n)(q^2 + q + p^2 - (q - p)^2), so
+    the table is two 1-D chirps times a Toeplitz chirp in q - p: 4n - 1
+    exponentials and one row gather instead of n^2 exponentials.
+    """
+    n = spec.n
+    w = math.pi * c / n
+    p = np.arange(n) - n // 2
+    q = np.fft.ifftshift(p)
+    d = np.arange(1 - n, n)
+    # row r of the window view is exp(i w d^2) at d = r + j - n + 1, which
+    # is -(q - p) for r = n/2 - 1 - q; the chirp is even in d
+    toeplitz = np.lib.stride_tricks.sliding_window_view(
+        np.exp(1j * (w * (d * d))), n)
+    table = toeplitz[n // 2 - 1 - q]
+    table *= np.exp(-1j * (w * (q * q + q)))[:, None]
+    table *= np.exp(-1j * (w * (p * p)))
+    return table
+
+
+def _rotation_parts(spec: GridSpec, theta: float):
+    """(q, a, s) with Rot(theta) = P^q Sa Sb Sa, P the quarter turn.
+
+    a and s are the shear tables of the residual angle, None when it
+    vanishes; Sa is applied along axis 0 and Sb along axis 1 (transposed).
+    """
+    quarters = round(theta / _HALF_PI)
+    residual = theta - quarters * _HALF_PI
+    if abs(residual) <= 1e-15:
+        return quarters % 4, None, None
+    return (quarters % 4, _shear_table(spec, -math.tan(0.5 * residual)),
+            _shear_table(spec, math.sin(residual)))
 
 
 def _rotate_amplitudes(spec: GridSpec, psi: np.ndarray,
                        theta: float) -> np.ndarray:
-    quarters = round(theta / _HALF_PI)
-    residual = theta - quarters * _HALF_PI
-    out = psi
-    if abs(residual) > 1e-15:
-        a = -math.tan(0.5 * residual)
-        s = math.sin(residual)
-        ax = spec.axis()
-        k = spec.wavenumbers()
-        # the first and third shears are the same: one table serves both.
-        # exp(-i c k_i x_j) does not factor into 1-D tables in i and j
-        outer = np.exp(-1j * np.outer(k, a * ax))
-        out = _shear(out, 0, outer)
-        out = _shear(out, 1, np.exp(-1j * np.outer(k, s * ax)).T)
-        out = _shear(out, 0, outer)
-    for _ in range(quarters % 4):
-        out = _quarter_turn(out)
-    return np.ascontiguousarray(out)
+    quarters, outer, inner = _rotation_parts(spec, theta)
+    if outer is not None:
+        psi = _shear(_shear(_shear(psi, 0, outer), 1, inner.T), 0, outer)
+    # psi'(xi, eta) = psi(eta, -xi) per quarter turn, an exact permutation:
+    # the offset axis negates under i -> n-1-i
+    return np.ascontiguousarray(np.rot90(psi, quarters))
 
 
 def rotate_frame(state: GridState, theta: float) -> GridState:
@@ -548,14 +586,17 @@ def evolve(state: GridState, tp: TrapParams, dtau: float, tau_end: float,
     sampled at step midpoints, which keeps the splitting second order; the
     frame angle uses the protocol's closed-form integral.  The span is
     integrated as the nearest whole number of dtau steps, so the final time
-    can differ from tau_end by up to dtau/2.  observers is a sequence of
-    (name, callable) pairs evaluated on the current rotating frame state at
-    record times.  Aborts with NormDriftError when the norm leaves
-    1 +- norm_tol (checked every step) and with BoundaryLeakError when more
-    than edge_tol probability sits within edge_cells of the box edge
-    (checked on every record step and at least every 10th step).  workers
-    is accepted for compatibility and ignored: every transform runs on one
-    thread.
+    can differ from tau_end by up to dtau/2.  The autocorrelation of each
+    record is the overlap with the initial lab pattern, taken without
+    building the lab field (see the module docstring).  observers is a
+    sequence of (name, callable) pairs evaluated on the current rotating
+    frame state at record times.  Aborts with NormDriftError when the norm
+    leaves 1 +- norm_tol or stops being finite (checked every step), with
+    BoundaryLeakError when more than edge_tol probability sits within
+    edge_cells of the box edge (checked on every record step and at least
+    every 10th step), and with OverflowError when nu^2 overflows float64.
+    workers is accepted for compatibility and ignored: every transform runs
+    on one thread.
     """
     if dtau <= 0:
         raise ValueError("dtau must be positive")
@@ -574,7 +615,7 @@ def evolve(state: GridState, tp: TrapParams, dtau: float, tau_end: float,
     stepper = _stepper_for(spec, tp.b, -1j * dtau, "softcore")
     psi = np.array(state.amplitudes, dtype=complex, copy=True)
     norm0 = math.sqrt(stepper.norm_sq(psi))
-    if abs(norm0 - 1.0) > norm_tol:
+    if not abs(norm0 - 1.0) <= norm_tol:
         raise ValueError(
             f"input state norm is {norm0:.6g}, not 1 within norm_tol = "
             f"{norm_tol:g}; normalize the state before evolving it")
@@ -592,6 +633,23 @@ def evolve(state: GridState, tp: TrapParams, dtau: float, tau_end: float,
         psi_ref = _rotate_amplitudes(spec, psi, -theta0)
     else:
         psi_ref = psi.copy()
+    fft, h2, ref_ft = stepper.fft, spec.h ** 2, {}
+
+    def autocorr(psi_now: np.ndarray, th: float) -> float:
+        # |<psi_ref|R psi>| with R = Rot(-th) = P^q Sa Sb Sa, without the lab
+        # field: <psi_ref|P^q f> = <P^-q psi_ref|f>, and by Parseval along
+        # axis 0 the last shear is a weighted sum of F0 transforms, that of
+        # the reference taken once per quarter-turn count
+        quarters, outer, inner = _rotation_parts(spec, -th)
+        ref = np.rot90(psi_ref, -quarters)
+        if outer is None:
+            return abs(h2 * np.vdot(ref, psi_now))
+        if quarters not in ref_ft:
+            ref_ft[quarters] = fft.fft(ref, axis=0)
+        ft = fft.fft(_shear(_shear(psi_now, 0, outer), 1, inner.T), axis=0,
+                     overwrite_x=True)
+        ft *= outer
+        return abs(h2 * np.vdot(ref_ft[quarters], ft)) / spec.n
 
     record_every = max(1, record_every)
     snap_idx: dict[int, list[float]] = {}
@@ -608,23 +666,19 @@ def evolve(state: GridState, tp: TrapParams, dtau: float, tau_end: float,
 
     def take_records(i_step: int, psi_now: np.ndarray):
         tau_i = tau0 + i_step * dtau
-        th = theta_at(tau_i)
-        nu_i = nu_at(tau_i)
         record = i_step % record_every == 0 or i_step == n_steps
         if ((record or i_step % _EDGE_CHECK_EVERY == 0)
-                and stepper.edge_mass(psi_now, edge_cells) > edge_tol):
+                and not stepper.edge_mass(psi_now, edge_cells) <= edge_tol):
             raise BoundaryLeakError(
                 f"more than {edge_tol:g} probability within {edge_cells} "
                 f"cells of the edge at tau = {tau_i:.6g}; enlarge the box")
+        if not (record or i_step in snap_idx):
+            return
+        th = theta_at(tau_i)
         if record:
-            if th != 0.0:
-                psi_lab = _rotate_amplitudes(spec, psi_now, -th)
-            else:
-                psi_lab = psi_now
             columns["tau"].append(tau_i)
-            columns["autocorr"].append(
-                abs(spec.h ** 2 * np.vdot(psi_ref, psi_lab)))
-            obs = _lab_vectors(stepper.observables(psi_now, nu_i), th)
+            columns["autocorr"].append(autocorr(psi_now, th))
+            obs = _lab_vectors(stepper.observables(psi_now, nu_at(tau_i)), th)
             for name, value in obs.items():
                 columns[name].append(value)
             if observers:
@@ -647,7 +701,7 @@ def evolve(state: GridState, tp: TrapParams, dtau: float, tau_end: float,
         psi = stepper.step(psi, nu_mid)
         drift = abs(math.sqrt(stepper.norm_sq(psi)) - 1.0)
         worst_drift = max(worst_drift, drift)
-        if drift > norm_tol:
+        if not drift <= norm_tol:
             raise NormDriftError(
                 f"norm drifted by {drift:.3e} after {i + 1} steps "
                 f"(tau = {tau0 + (i + 1) * dtau:.6g}, dtau = {dtau}); "
@@ -695,7 +749,9 @@ def imaginary_time_ground(spec: GridSpec, tp: TrapParams, m_seed: int,
     splitting bias, which otherwise dominates for states with weight on the
     near-origin Coulomb cells; the returned state is the half-step one.
     A drift of <L_z> away from m_seed by more than 1e-6 aborts: it would
-    mean the grid broke the rotational symmetry protecting the sector.
+    mean the grid broke the rotational symmetry protecting the sector.  A
+    norm or energy that is not finite aborts with FloatingPointError, for
+    example when the field is so strong that the kick underflows to 0.
 
     coulomb picks the interaction discretization.  The default cell average
     has the better energy constant; relax with "softcore" when the state is
@@ -718,10 +774,20 @@ def imaginary_time_ground(spec: GridSpec, tp: TrapParams, m_seed: int,
         while True:
             for _ in range(check_every):
                 psi = stepper.step(psi, tp.nu)
-                psi /= math.sqrt(stepper.norm_sq(psi))
+                norm = math.sqrt(stepper.norm_sq(psi))
+                if not 0.0 < norm < math.inf:
+                    raise FloatingPointError(
+                        f"imaginary time lost the state: norm {norm!r} "
+                        f"(m_seed = {m_seed}, nu = {tp.nu!r}, dtau = "
+                        f"{stage_dtau:g}); the kick under- or overflows")
+                psi /= norm
             total += check_every
             obs = stepper.observables(psi, tp.nu)
             energy2 = obs["energy"] + 0.5 * tp.nu * obs["Lz"]  # <h2> alone
+            if not math.isfinite(energy2):
+                raise FloatingPointError(
+                    f"imaginary-time energy is {energy2!r} (m_seed = "
+                    f"{m_seed}, nu = {tp.nu!r}); the state is not finite")
             if total > max_steps:
                 last = abs(energy2 - e_prev) if e_prev is not None else math.inf
                 raise RuntimeError(
@@ -795,7 +861,7 @@ def angular_maxima_count(state: GridState, n_harmonics: int = 48,
     k = np.arange(1, n_harmonics + 1)
     sigma = np.sinc(k / (n_harmonics + 1.0))
     phi = np.linspace(0.0, 2.0 * np.pi, resolution, endpoint=False)
-    waves = np.exp(1j * np.outer(k, phi))
+    waves = np.exp(1j * k[:, None] * phi)
     marginal = (1.0 + 2.0 * (sigma[:, None] * coeffs[1:, None].conj()
                              * waves).real.sum(axis=0)) / (2.0 * np.pi)
     peak = marginal.max()

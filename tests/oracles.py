@@ -12,9 +12,11 @@ eigensolver, kept as the reference for the orthonormal-basis solver that
 replaced it; the extended-precision Chebyshev recurrence is the package's
 former basis reduction, kept as the reference for its float64 Stieltjes
 recurrence; the extended-precision Cholesky reduction of the pencil is the
-reference for the float64 blocks, entry by entry; and the recursive-descent
-pi-expression parser is the CLI's former parser, kept as the reference for
-the one built on `ast`.
+reference for the float64 blocks, entry by entry; the grid rotation with
+direct N^2 shear tables is the package's former frame rotation, kept as the
+reference for the chirp-built tables and for the autocorrelation taken
+without the lab field; and the recursive-descent pi-expression parser is
+the CLI's former parser, kept as the reference for the one built on `ast`.
 """
 
 from __future__ import annotations
@@ -368,6 +370,31 @@ def reference_observables(psi, half_extent: float, nu: float, b: float,
         "cx": c * cx + s * cy,
         "cy": -s * cx + c * cy,
     }
+
+
+def reference_rotation(psi, half_extent: float, theta: float) -> np.ndarray:
+    """psi rotated counterclockwise by theta on the offset grid.
+
+    The new field at (xi, eta) is the old one at
+    (xi cos theta + eta sin theta, -xi sin theta + eta cos theta).  The
+    residual angle t = theta - q pi/2 is the shear product
+    Sx(-tan(t/2)) Sy(sin t) Sx(-tan(t/2)), each shear applied as the full
+    N^2 phase table exp(-i c k x) on a one-axis transform; the q quarter
+    turns follow as the index permutation psi'(xi, eta) = psi(eta, -xi),
+    exact because the offset axis negates under i -> n-1-i.
+    """
+    _, xi, eta, kx, ky = _offset_grid(psi.shape[0], half_extent)
+    quarters = round(theta / (0.5 * math.pi))
+    t = theta - quarters * 0.5 * math.pi
+    a, s = -math.tan(0.5 * t), math.sin(t)
+    along_xi = np.exp(-1j * a * kx * eta)   # line at eta moves by a eta
+    along_eta = np.exp(-1j * s * ky * xi)   # line at xi moves by s xi
+    out = np.fft.ifft(along_xi * np.fft.fft(psi, axis=0), axis=0)
+    out = np.fft.ifft(along_eta * np.fft.fft(out, axis=1), axis=1)
+    out = np.fft.ifft(along_xi * np.fft.fft(out, axis=0), axis=0)
+    for _ in range(quarters % 4):
+        out = out.T[::-1, :]
+    return out
 
 
 def classical_trajectory(nu: float, xi0: float, taus,

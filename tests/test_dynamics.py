@@ -1,6 +1,7 @@
 """Grid propagation: packets, ramps, frames, guards, imaginary time."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from magtrap.dynamics import (
     state_observables,
     strang_step,
     to_lab_frame,
+    _stepper_for,
 )
 
 SPEC128 = GridSpec(n=128, half_extent=8.0)
@@ -265,6 +267,53 @@ class TestKernelAgainstReference:
         assert_observables_match(last_row, expected)
 
 
+class TestRotationAgainstReference:
+    """rotate_frame and the autocorrelation column against the oracles'
+    rotation, which applies every shear as a direct N^2 exponential table
+    and builds the lab field."""
+
+    ATOL = 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=st.sampled_from([SPEC64, SPEC128]),
+           theta=st.floats(-2.0 * math.pi, 2.0 * math.pi),
+           x0=st.floats(-3.0, 3.0), y0=st.floats(-3.0, 3.0),
+           kx0=st.floats(-2.0, 2.0), ky0=st.floats(-2.0, 2.0))
+    @example(spec=SPEC128, theta=0.3, x0=2.0, y0=-1.0, kx0=1.5, ky0=-0.5)
+    @example(spec=SPEC64, theta=-0.5 * math.pi, x0=2.0, y0=1.0, kx0=0.0,
+             ky0=1.0)
+    def test_rotate_frame(self, spec, theta, x0, y0, kx0, ky0):
+        psi = moving_packet(spec, x0, y0, kx0, ky0)
+        got = rotate_frame(GridState(spec=spec, amplitudes=psi), theta)
+        ref = oracles.reference_rotation(psi, spec.half_extent, theta)
+        np.testing.assert_allclose(got.amplitudes, ref, rtol=0,
+                                   atol=self.ATOL)
+
+    def test_autocorr_is_the_lab_overlap(self):
+        # the frame angle sweeps past 3 pi/4 on the ramp, so the records
+        # meet three quarter-turn counts, theta = 0 among them
+        seen = []
+
+        def keep(state):
+            seen.append((state.theta, state.amplitudes))
+            return 0.0
+
+        # a weak coupling: at b = 1 the soft core scatters this packet to
+        # the edge of the 8-unit box
+        tp = TrapParams(nu=2.5, b=0.3)
+        ramp = RampProtocol("smooth", 2.5, tau_ramp=1.0)
+        psi0 = moving_packet(SPEC64, 2.0, -1.0, 0.5, 1.0)
+        res = evolve(GridState(spec=SPEC64, amplitudes=psi0), tp, 1e-2, 3.0,
+                     ramp, observers=(("keep", keep),))
+        assert len(seen) == len(res.autocorr) == 31
+        assert seen[-1][0] > 0.75 * math.pi
+        h2 = SPEC64.h ** 2
+        for (theta, psi), got in zip(seen, res.autocorr):
+            lab = oracles.reference_rotation(psi, SPEC64.half_extent, -theta)
+            assert got == pytest.approx(abs(h2 * np.vdot(psi0, lab)),
+                                        rel=0, abs=self.ATOL)
+
+
 class TestClassicalMotion:
     def test_zero_field_packet_oscillates_as_cosine(self):
         res = evolve(gaussian_packet(SPEC128, 2.0, 0.5), FREE,
@@ -375,6 +424,21 @@ class TestGuards:
         res = evolve(st, tp, 2e-3, 1.0)
         assert res.autocorr.min() > 1.0 - 1e-6
         assert np.ptp(res.energy) < 1e-6
+
+    def test_step_holds_one_field_besides_its_input(self):
+        # the kernel transforms and multiplies in its own buffer; a second
+        # N x N temporary would double the peak
+        spec = GridSpec(n=256, half_extent=12.0)
+        stepper = _stepper_for(spec, 1.0, -1e-3j, "softcore")
+        psi = gaussian_packet(spec, 4.0).amplitudes
+        stepper.step(psi, 1.0)  # builds the kick at this nu
+        tracemalloc.start()
+        try:
+            stepper.step(psi, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * psi.nbytes
 
     def test_strang_step_validation(self):
         st = gaussian_packet(SPEC128, 2.0)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -432,6 +433,31 @@ class TestModuleEntry:
         err = json.loads(lines[0])
         assert err["error"] == "OverflowError" and err["exit_code"] == 3
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, error", [
+        (["evolve", "--N", "64", "--L", "12", "--nu", "1e200",
+          "--tau-end", "0.05"], "OverflowError"),
+        (["ramp-compare", "--N", "64", "--nu", "1e200", "--tau-ramp", "0.01",
+          "--tau-end", "0.02"], "OverflowError"),
+        (["imag-time", "--N", "64", "--nu", "1e100", "--m", "0"],
+         "FloatingPointError"),
+    ])
+    def test_grid_state_that_stops_being_finite_exits_3(self, argv, error,
+                                                         tmp_path):
+        # nu^2 overflows in the first two, so the kick would be NaN; in the
+        # third nu^2 is finite but the kick underflows to 0. None may write
+        # a table of NaNs or step a dead state to the step ceiling
+        out = tmp_path / "artifact"
+        start = time.monotonic()
+        proc = _fresh_python(["-m", "magtrap.cli", *argv, "--out", str(out)],
+                             tmp_path)
+        assert time.monotonic() - start < 10.0
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        err = json.loads(lines[0])
+        assert err["error"] == error and err["exit_code"] == 3
+        assert list(tmp_path.iterdir()) == []
 
     def test_evolve_above_the_record_ceiling_exits_2(self, tmp_path):
         # 10^10 steps: the run is refused before any record index exists
