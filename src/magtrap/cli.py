@@ -35,6 +35,7 @@ import operator
 import re
 import sys
 import typing
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -605,9 +606,12 @@ _NUMERICAL_ERRORS = (BasisConditioningError, BracketingError,
                      ArithmeticError)
 
 
-def _fail(exc: BaseException, code: int) -> int:
+def _fail(exc: BaseException, code: int, caught: list) -> int:
     payload = {"error": type(exc).__name__, "message": str(exc),
                "exit_code": code}
+    if caught:
+        payload["warnings"] = list(dict.fromkeys(str(w.message)
+                                                 for w in caught))
     sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
     return code
 
@@ -616,23 +620,28 @@ def main(argv=None) -> int:
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    try:
-        args = parser.parse_args(_merge_negative_values(list(argv)))
-        cfg = resolve_config(args)
-        handler, _ = _COMMANDS[cfg.command]
-        for path in handler(cfg):
-            print(path)
-        return EXIT_OK
-    except _NUMERICAL_ERRORS as exc:
-        return _fail(exc, EXIT_NUMERICAL)
-    except ConfigError as exc:
-        return _fail(exc, EXIT_CONFIG)
-    except ValueError as exc:
-        return _fail(exc, EXIT_CONFIG)
-    except RuntimeError as exc:
-        return _fail(exc, EXIT_NUMERICAL)
-    except OSError as exc:
-        return _fail(exc, EXIT_IO)
+    # a failure carries its warnings inside its one JSON line, where they
+    # cannot bury the cause; a success shows them as they would have shown
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            args = parser.parse_args(_merge_negative_values(list(argv)))
+            cfg = resolve_config(args)
+            handler, _ = _COMMANDS[cfg.command]
+            for path in handler(cfg):
+                print(path)
+        except _NUMERICAL_ERRORS as exc:
+            return _fail(exc, EXIT_NUMERICAL, caught)
+        except ConfigError as exc:
+            return _fail(exc, EXIT_CONFIG, caught)
+        except ValueError as exc:
+            return _fail(exc, EXIT_CONFIG, caught)
+        except RuntimeError as exc:
+            return _fail(exc, EXIT_NUMERICAL, caught)
+        except OSError as exc:
+            return _fail(exc, EXIT_IO, caught)
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    return EXIT_OK
 
 
 def console_entry() -> None:

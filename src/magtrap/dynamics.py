@@ -34,6 +34,10 @@ with eps = h/2; imaginary time uses the exact cell average of 1/rho
 below the soft core's and small enough for 1e-4 cross-checks against the
 radial eigensolver.
 
+Every transform is numpy.fft along one axis, in place where the input is
+the step's own buffer.  The 2-D transforms of the kernel run axis 0 and
+then axis 1, the order that reproduces fft2 and ifft2 bit for bit.
+
 Frame rotations by arbitrary angles need no interpolation: multiples of
 90 degrees are index permutations (the half-cell offset grid maps onto
 itself), and the residual angle t in [-pi/4, pi/4] is the shear product
@@ -93,6 +97,9 @@ DEFAULT_DTAU = 1e-3
 DEFAULT_PACKET_WIDTH = 0.5
 
 _HALF_PI = 0.5 * math.pi
+
+# fft2 and ifft2 are these one-axis transforms in this order, bit for bit
+_AXES = (0, 1)
 
 # evolve checks the edge guard at least this often, in steps, whatever the
 # record cadence: a packet must not wrap around unseen between records
@@ -275,10 +282,6 @@ class _Stepper:
 
     def __init__(self, spec: GridSpec, b: float, z: complex,
                  coulomb: str):
-        # imported here: the radial commands never step a grid, and
-        # scipy.fft would cost each of them scipy's shared base
-        from scipy import fft
-        self.fft = fft
         self.spec = spec
         self.z = z
         self.ax = spec.axis()
@@ -333,9 +336,11 @@ class _Stepper:
         # a step holds one N x N array besides psi
         half = self._half_kick(nu)
         out = half * psi
-        out = self.fft.fft2(out, overwrite_x=True)
+        for a in _AXES:
+            np.fft.fft(out, axis=a, out=out)
         out *= self.kinetic
-        out = self.fft.ifft2(out, overwrite_x=True)
+        for a in _AXES:
+            np.fft.ifft(out, axis=a, out=out)
         out *= half
         return out
 
@@ -348,13 +353,12 @@ class _Stepper:
         p_xi psi and p_eta psi are one-axis spectral derivatives, and the
         kinetic energy is half their squared norms (Parseval).
         """
-        fft = self.fft
-        px = fft.fft(psi, axis=0)
+        px = np.fft.fft(psi, axis=0)
         px *= self.kx
-        px = fft.ifft(px, axis=0, overwrite_x=True)
-        py = fft.fft(psi, axis=1)
+        np.fft.ifft(px, axis=0, out=px)
+        py = np.fft.fft(psi, axis=1)
         py *= self.ky
-        py = fft.ifft(py, axis=1, overwrite_x=True)
+        np.fft.ifft(py, axis=1, out=py)
         dens = np.abs(psi) ** 2
         dens_xi, dens_eta = dens.sum(axis=1), dens.sum(axis=0)
         total = float(np.vdot(psi, psi).real)  # h^2 cancels in every mean
@@ -446,10 +450,9 @@ def _shear(psi: np.ndarray, axis: int, table: np.ndarray) -> np.ndarray:
     # translate each line along `axis` by its own offset, exactly, in
     # k-space; table[i, j] is the phase of wavenumber i on line j (axis 0)
     # or of line i at wavenumber j (axis 1)
-    from scipy import fft
-    ft = fft.fft(psi, axis=axis)
+    ft = np.fft.fft(psi, axis=axis)
     ft *= table
-    return fft.ifft(ft, axis=axis, overwrite_x=True)
+    return np.fft.ifft(ft, axis=axis, out=ft)
 
 
 def _shear_table(spec: GridSpec, c: float) -> np.ndarray:
@@ -633,7 +636,7 @@ def evolve(state: GridState, tp: TrapParams, dtau: float, tau_end: float,
         psi_ref = _rotate_amplitudes(spec, psi, -theta0)
     else:
         psi_ref = psi.copy()
-    fft, h2, ref_ft = stepper.fft, spec.h ** 2, {}
+    h2, ref_ft = spec.h ** 2, {}
 
     def autocorr(psi_now: np.ndarray, th: float) -> float:
         # |<psi_ref|R psi>| with R = Rot(-th) = P^q Sa Sb Sa, without the lab
@@ -645,9 +648,9 @@ def evolve(state: GridState, tp: TrapParams, dtau: float, tau_end: float,
         if outer is None:
             return abs(h2 * np.vdot(ref, psi_now))
         if quarters not in ref_ft:
-            ref_ft[quarters] = fft.fft(ref, axis=0)
-        ft = fft.fft(_shear(_shear(psi_now, 0, outer), 1, inner.T), axis=0,
-                     overwrite_x=True)
+            ref_ft[quarters] = np.fft.fft(ref, axis=0)
+        ft = _shear(_shear(psi_now, 0, outer), 1, inner.T)
+        np.fft.fft(ft, axis=0, out=ft)
         ft *= outer
         return abs(h2 * np.vdot(ref_ft[quarters], ft)) / spec.n
 

@@ -16,7 +16,9 @@ reference for the float64 blocks, entry by entry; the grid rotation with
 direct N^2 shear tables is the package's former frame rotation, kept as the
 reference for the chirp-built tables and for the autocorrelation taken
 without the lab field; and the recursive-descent pi-expression parser is
-the CLI's former parser, kept as the reference for the one built on `ast`.
+the CLI's former parser, kept as the reference for the one built on `ast`;
+and the kernel step on scipy's 2-D transforms is the package's former
+transform path, kept as the reference for the one-axis numpy transforms.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import math
 import re
 
 import numpy as np
+import scipy.fft
 from mpmath import mp
 from scipy.linalg import eigh_tridiagonal
 
@@ -335,6 +338,18 @@ def reference_strang_step(psi, half_extent: float, nu: float, b: float,
     if imaginary:
         out = out / np.sqrt(h * h * np.sum(np.abs(out) ** 2))
     return out
+
+
+def reference_transform_step(psi, half, kinetic) -> np.ndarray:
+    """half * IFFT2(kinetic * FFT2(half * psi)) with scipy's 2-D transforms.
+
+    The kick and kinetic factors are given, so this checks the transform
+    path alone: scipy.fft.fft2 and ifft2, the package's former transforms.
+    Each product keeps the operand order of the package's in-place
+    products; with fused multiply-adds a complex product need not commute
+    to the last bit.
+    """
+    return scipy.fft.ifft2(scipy.fft.fft2(half * psi) * kinetic) * half
 
 
 def reference_observables(psi, half_extent: float, nu: float, b: float,

@@ -267,6 +267,33 @@ class TestKernelAgainstReference:
         assert_observables_match(last_row, expected)
 
 
+class TestTransformAgainstReference:
+    """The stepper's one-axis transforms against the oracles' kernel step on
+    scipy's 2-D transforms, with the same kick and kinetic factors."""
+
+    # of max|psi|, fixed before the step; the two are bit-equal under the
+    # pinned numpy and scipy, and this leaves room for other pocketfft builds
+    RTOL = 1e-13
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.sampled_from([16, 64, 128]), imaginary=st.booleans(),
+           nu=st.floats(0.0, 3.0), b=st.floats(0.0, 2.0),
+           dtau=st.floats(1e-4, 1e-2), seed=st.integers(0, 2 ** 32 - 1))
+    @example(n=16, imaginary=False, nu=1.0, b=1.0, dtau=1e-3, seed=0)
+    @example(n=128, imaginary=True, nu=2.5, b=0.5, dtau=5e-3, seed=1)
+    def test_step(self, n, imaginary, nu, b, dtau, seed):
+        spec = GridSpec(n=n, half_extent=8.0)
+        z = complex(-dtau) if imaginary else -1j * dtau
+        stepper = _stepper_for(spec, b, z, "softcore")
+        rng = np.random.default_rng(seed)
+        psi = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        atol = self.RTOL * float(np.abs(psi).max())
+        ref = oracles.reference_transform_step(
+            psi, stepper._half_kick(nu), stepper.kinetic)
+        got = stepper.step(psi, nu)
+        np.testing.assert_allclose(got, ref, rtol=0, atol=atol)
+
+
 class TestRotationAgainstReference:
     """rotate_frame and the autocorrelation column against the oracles'
     rotation, which applies every shear as a direct N^2 exponential table

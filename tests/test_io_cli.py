@@ -306,6 +306,13 @@ class TestExitCodes:
         assert capsys.readouterr().out.strip() == str(out)
         assert out.exists()
 
+    def test_success_still_shows_its_warnings(self, tmp_path):
+        # only a failure folds its warnings into the JSON line
+        with pytest.warns(UserWarning, match="phase wraps"):
+            assert main(["evolve", "--N", "64", "--L", "12", "--xi0", "2",
+                         "--dtau", "0.1", "--tau-end", "0.3",
+                         "--out", str(tmp_path / "e.csv")]) == 0
+
     def test_parser_errors_exit_2(self, capsys):
         assert main(["no-such-command"]) == 2
         err = json.loads(capsys.readouterr().err)
@@ -388,9 +395,8 @@ class TestModuleEntry:
         assert result["m_star"] == 1
 
     def test_import_loads_no_quadrature_or_optimizer(self, tmp_path):
-        # scipy serves only the grid's FFTs and the density peak search,
-        # mpmath only the test oracles; loading either would cost every
-        # cold command
+        # scipy serves only the density peak search, mpmath only the test
+        # oracles; loading either would cost every cold command
         proc = _fresh_python(["-c", "import magtrap.cli\n" + _HEAVY_MODULES],
                              tmp_path)
         assert proc.returncode == 0, proc.stderr
@@ -404,15 +410,23 @@ class TestModuleEntry:
         ["current", "--nu", "1", "--b", "1", "--m", "1", "--K", "20"],
         ["velocity-sweep", "--b", "1", "--nu-grid", "0.5:1:0.5",
          "--K", "20"],
+        ["potential"],
+        ["evolve", "--N", "64", "--L", "12", "--tau-end", "0.05"],
+        ["imag-time", "--N", "64", "--m", "0"],
+        ["ramp-compare", "--N", "64", "--tau-ramp", "0.05",
+         "--tau-end", "0.1"],
     ])
-    def test_radial_commands_load_no_scipy_or_mpmath(self, argv, tmp_path):
+    def test_commands_load_no_scipy_or_mpmath(self, argv, tmp_path):
         out = tmp_path / "artifact"
         script = ("import magtrap.cli\n"
                   f"code = magtrap.cli.main({argv + ['--out', str(out)]!r})\n"
                   "assert code == 0, code\n" + _HEAVY_MODULES)
         proc = _fresh_python(["-c", script], tmp_path)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == [str(out), "[]"]
+        suffixes = (("_step", "_smooth") if argv[0] == "ramp-compare"
+                    else ("",))
+        assert proc.stdout.splitlines() == [
+            str(out) + s for s in suffixes] + ["[]"]
 
     @pytest.mark.parametrize("argv", [
         ["groundstate", "--nu", "1e200"],
@@ -458,6 +472,22 @@ class TestModuleEntry:
         err = json.loads(lines[0])
         assert err["error"] == error and err["exit_code"] == 3
         assert list(tmp_path.iterdir()) == []
+
+    def test_failure_carries_its_warnings_in_the_one_json_line(self,
+                                                                 tmp_path):
+        # nu^2 is finite but the potential phase wraps long before the
+        # packet reaches the edge guard: the warning must not bury the cause
+        out = tmp_path / "artifact"
+        proc = _fresh_python(
+            ["-m", "magtrap.cli", "evolve", "--N", "64", "--L", "12",
+             "--nu", "1e100", "--tau-end", "0.05", "--out", str(out)],
+            tmp_path)
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        err = json.loads(lines[0])
+        assert err["exit_code"] == 3
+        assert any("phase wraps" in w for w in err["warnings"])
 
     def test_evolve_above_the_record_ceiling_exits_2(self, tmp_path):
         # 10^10 steps: the run is refused before any record index exists
