@@ -319,11 +319,17 @@ class _Stepper:
             # phase wrapping aliases the corner potential in real time only,
             # where -z.imag = dtau (it is 0 in imaginary time); the grid
             # maximum of V2 is taken only when its bound
-            # max V0 + (nu^2/8) max rho^2 wraps
+            # max V0 + (nu^2/8) max rho^2 wraps.  Beyond 1e3 pi the step
+            # no longer resolves the potential at all
             dtau = -self.z.imag
             if (self.v0_max + quad * self.rho2_max) * dtau > np.pi:
                 rho2 = self.xi ** 2 + self.eta ** 2
                 vmax = float((self.v0 + quad * rho2).max())
+                if vmax * dtau > 1e3 * np.pi:
+                    raise FloatingPointError(
+                        f"max|V2| dtau = {vmax * dtau:.3g} exceeds 1e3 pi "
+                        f"at dtau = {dtau!r}; the potential phase wraps, "
+                        "reduce dtau or the box")
                 if vmax * dtau > np.pi:
                     warnings.warn(
                         f"max|V2| dtau = {vmax * dtau:.3g} exceeds pi; "

@@ -25,8 +25,10 @@ matrix of the basis recurrence and M_2 twice the trap block, all cached
 with the basis.  These are the only moments on offer, and they are all the
 observables need: velocity_expectation, CurrentField.plane_integral and the
 mean radius of density_profile are built from them, so no observable
-runs quadrature.  rho_max, the outer end of the default sampling grids, is
-where chi^2 falls below 1e-16 of its peak.
+runs quadrature.  The density peak is the root of chi', summed by the
+derivative recurrence of the basis (RadialBasis._density_slope), so none
+runs an optimizer either.  rho_max, the outer end of the default sampling
+grids, is where chi^2 falls below 1e-16 of its peak.
 """
 
 from __future__ import annotations
@@ -67,8 +69,10 @@ class RadialWavefunction:
         self.m = int(m)
         self._chi = chi
         self.rho_max = float(rho_max)
-        # <rho^p> known exactly, by power; filled only by from_solution
+        # <rho^p> known exactly, by power, and a callable with the sign of
+        # d(chi^2)/drho; both filled only by from_solution
         self._moments: dict[int, float] = {}
+        self._slope = None
 
     @classmethod
     def from_solution(cls, solution: RadialEigenSolution,
@@ -90,6 +94,7 @@ class RadialWavefunction:
         rho_max = grid[above[-1]] + 1.0
         wf = cls(solution.m, chi, rho_max)
         wf._moments = solution.basis.radial_moments(y)
+        wf._slope = solution.basis._density_slope(y)
         return wf
 
     def chi(self, rho):
@@ -205,12 +210,12 @@ def density_profile(wf: RadialWavefunction,
                     rho_grid: np.ndarray | None = None) -> DensityProfile:
     """Sample 2 pi chi^2 and report <rho> and the density peak position.
 
-    The peak is refined by bounded minimization around the best grid sample;
-    in the strong-coupling ring regime it approaches the classical minimum
-    of the effective potential.
+    The peak is where d(chi^2)/drho turns from rising to falling within two
+    samples of the best grid sample, found to 1e-10 by an Illinois search;
+    where it does not turn, as when the grid misses the peak, it is the
+    higher end of that bracket.  In the strong-coupling ring regime the
+    peak approaches the classical minimum of the effective potential.
     """
-    from scipy.optimize import minimize_scalar
-
     if rho_grid is None:
         rho_grid = np.linspace(1e-3, wf.rho_max, 4000)
     rho = np.asarray(rho_grid, dtype=float)
@@ -218,13 +223,47 @@ def density_profile(wf: RadialWavefunction,
     mean_rho = wf.radial_moment(1)
 
     i_best = int(np.argmax(dens))
-    lo = rho[max(i_best - 2, 0)]
-    hi = rho[min(i_best + 2, len(rho) - 1)]
-    res = minimize_scalar(lambda r: -wf.density(r), bounds=(lo, hi),
-                          method="bounded",
-                          options={"xatol": 1e-10})
+    i_lo, i_hi = max(i_best - 2, 0), min(i_best + 2, len(rho) - 1)
+    lo, hi = float(rho[i_lo]), float(rho[i_hi])
+    f_lo, f_hi = wf._slope(lo), wf._slope(hi)
+    if f_lo > 0.0 > f_hi:
+        peak = _illinois_root(wf._slope, lo, hi, f_lo, f_hi, 1e-10)
+    else:
+        peak = lo if dens[i_lo] >= dens[i_hi] else hi
     return DensityProfile(rho=rho, density=dens, mean_rho=mean_rho,
-                          rho_peak=float(res.x))
+                          rho_peak=peak)
+
+
+def _illinois_root(f, lo: float, hi: float, f_lo: float, f_hi: float,
+                   xtol: float) -> float:
+    """A root of f in [lo, hi], where f_lo > 0 > f_hi, to within xtol.
+
+    Regula falsi with the Illinois modification (Dowell and Jarratt, BIT
+    11, 168, 1971): an end kept in two successive steps has its value
+    halved, so both ends close in and the order is about 1.44.  Stops when
+    the bracket is narrower than xtol, or when rounding leaves the secant
+    no interior point to try.
+    """
+    moved = 0  # +1 when the last step moved lo, -1 when it moved hi
+    while True:
+        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if not lo < x < hi:
+            return x
+        fx = f(x)
+        if fx > 0.0:
+            lo, f_lo = x, fx
+            if moved == 1:
+                f_hi *= 0.5
+            moved = 1
+        elif fx < 0.0:
+            hi, f_hi = x, fx
+            if moved == -1:
+                f_lo *= 0.5
+            moved = -1
+        else:
+            return x
+        if hi - lo <= xtol:
+            return x
 
 
 def ground_velocity_sweep(b: float, nu_values,

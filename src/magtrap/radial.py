@@ -143,15 +143,13 @@ class RadialBasis:
         return 0.5 + abs(self.m) + np.arange(self.size, dtype=float)
 
     def expansion(self, weights):
-        """Callable rho -> sum_k weights[k] phi_k(rho), a float or an array.
+        """Callable rho -> sum_k weights[k] phi_k(rho) on an array of rho.
 
         phi_k = rho^(1/2 + |m|) exp(-alpha rho^2) q_k(rho) is the orthonormal
         basis that RadialEigenSolution.vectors refers to.  The sum runs the
         three-term recurrence of the q_k with the Gaussian factor carried
         from the start, so it neither cancels like a sum over the raw u_k
-        nor overflows far out.  A float argument stays in plain Python
-        arithmetic: the bounded scalar search for the density peak
-        (observables.density_profile) calls it one point at a time.
+        nor overflows far out.  A scalar rho is a 0-d array here.
         """
         blocks = _sector_blocks(self.m, self.size, self.alpha)
         a, sb = blocks.a, blocks.sb
@@ -160,16 +158,10 @@ class RadialBasis:
         alpha = self.alpha
 
         def series(rho):
-            if np.ndim(rho):
-                rho = np.asarray(rho, dtype=float)
-                if np.any(rho <= 0):
-                    raise ValueError("rho must be strictly positive")
-                q = np.exp(s * np.log(rho) - alpha * rho * rho) / sb[0]
-            else:
-                rho = float(rho)
-                if rho <= 0:
-                    raise ValueError("rho must be strictly positive")
-                q = math.exp(s * math.log(rho) - alpha * rho * rho) / sb[0]
+            rho = np.asarray(rho, dtype=float)
+            if np.any(rho <= 0):
+                raise ValueError("rho must be strictly positive")
+            q = np.exp(s * np.log(rho) - alpha * rho * rho) / sb[0]
             q_prev, total = 0.0, w[0] * q
             for k in range(len(w) - 1):
                 q, q_prev = ((rho - a[k]) * q - sb[k] * q_prev) / sb[k + 1], q
@@ -177,6 +169,37 @@ class RadialBasis:
             return total
 
         return series
+
+    def _density_slope(self, weights):
+        """Callable rho -> g^2 P (rho P' + (s - 2 alpha rho^2) P), rho > 0.
+
+        With chi = expansion(weights) = g P, g = rho^s exp(-alpha rho^2),
+        s = 1/2 + |m| and P = sum_k weights[k] q_k, this is rho/2 times
+        d(chi^2)/drho.  g P and g P' run the recurrence of _orthonormal_table
+        with g carried from the start, in plain float arithmetic: a root
+        search calls it one point at a time, where numpy would pay its
+        per-operation overhead at every step of the recurrence.
+        """
+        blocks = _sector_blocks(self.m, self.size, self.alpha)
+        a, sb = blocks.a, blocks.sb
+        w = [float(x) for x in weights]
+        s = 0.5 + abs(self.m)
+        alpha = self.alpha
+
+        def slope(rho):
+            q = math.exp(s * math.log(rho) - alpha * rho * rho) / sb[0]
+            q_prev = dq = dq_prev = dp = 0.0
+            p = w[0] * q
+            for k in range(len(w) - 1):
+                x = rho - a[k]
+                q, q_prev, dq, dq_prev = (
+                    (x * q - sb[k] * q_prev) / sb[k + 1], q,
+                    (q + x * dq - sb[k] * dq_prev) / sb[k + 1], dq)
+                p += w[k + 1] * q
+                dp += w[k + 1] * dq
+            return p * (rho * dp + (s - 2.0 * alpha * rho * rho) * p)
+
+        return slope
 
     def radial_moments(self, weights) -> dict[int, float]:
         """<rho^p> for p = -1, 1, 2 of the state sum_k weights[k] phi_k.

@@ -19,10 +19,14 @@ without the lab field; and the recursive-descent pi-expression parser is
 the CLI's former parser, kept as the reference for the one built on `ast`;
 and the kernel step on scipy's 2-D transforms is the package's former
 transform path, kept as the reference for the one-axis numpy transforms.
+The root of chi', summed over raw coefficients at 120 digits, is the
+reference for the density peak, which the package finds on the orthonormal
+basis recurrence.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 
@@ -71,15 +75,37 @@ def quadrature_matrices(m: int, nu: float, b: float, size: int,
     """Overlap and Hamiltonian matrices by adaptive quadrature.
 
     Basis u_k = rho^(1/2 + |m| + k) exp(-rho^2/2); the Hamiltonian entry is
-    the one-sided form int u_j (h u_k) with the second derivative taken in
-    closed form.  The integrand changes character at the origin and in the
-    Gaussian tail, so the integration interval is split at 1 and 4.  Returns
-    (S, H) as float arrays.
+    the one-sided form int u_j (h u_k),
+
+        H_jk = (1/2) [T_jk + a^2 int rho^2 u_j u_k + 2b int u_j u_k / rho
+                      - m nu S_jk],
+
+    where T_jk = int u_j (-u_k'' + (m^2 - 1/4) rho^-2 u_k) takes the second
+    derivative in closed form.  Each term alone diverges like rho^-1 at
+    m = 0, j = k = 0, so they share one integrand.  None of the four
+    integrals depends on (nu, b); they are integrated once per (m, size,
+    dps) and combined at the working precision.  Returns (S, H) as float
+    arrays.
+    """
+    S, R2, R1, T = _quadrature_parts(m, size, dps)
+    with mp.workdps(dps):
+        a2 = 1 + mp.mpf(nu) ** 2 / 4
+        H = (T + R2 * a2 + R1 * (2 * mp.mpf(b)) - S * (m * nu)) / 2
+        return (np.array([[float(x) for x in row] for row in S]),
+                np.array([[float(x) for x in row] for row in H]))
+
+
+@functools.lru_cache(maxsize=None)
+def _quadrature_parts(m: int, size: int, dps: int):
+    """S, int rho^2 uu, int uu / rho and T of quadrature_matrices, as mpf.
+
+    The integrand changes character at the origin and in the Gaussian
+    tail, so the integration interval is split at 1 and 4.  Returns four
+    symmetric, read-only (size, size) object arrays.
     """
     with mp.workdps(dps):
         alpha = mp.mpf(1) / 2
-        a2 = 1 + mp.mpf(nu) ** 2 / 4
-        mb = mp.mpf(b)
+        c_cent = m * m - mp.mpf(1) / 4
 
         def u(k, r):
             return r ** (mp.mpf(1) / 2 + abs(m) + k) * mp.e ** (-alpha * r * r)
@@ -90,22 +116,22 @@ def quadrature_matrices(m: int, nu: float, b: float, size: int,
                     - 2 * alpha * (2 * s + 1) * r ** s
                     + 4 * alpha ** 2 * r ** (s + 2)) * mp.e ** (-alpha * r * r)
 
-        def V(r):
-            return (-m * nu + a2 * r * r
-                    + (m * m - mp.mpf(1) / 4) / (r * r) + 2 * mb / r)
-
+        integrands = (
+            lambda j, k, r: u(j, r) * u(k, r),
+            lambda j, k, r: r * r * u(j, r) * u(k, r),
+            lambda j, k, r: u(j, r) * u(k, r) / r,
+            lambda j, k, r: u(j, r) * (-upp(k, r) + c_cent * u(k, r) / r ** 2),
+        )
         pts = [0, 1, 4, mp.inf]
-        S = np.empty((size, size))
-        H = np.empty((size, size))
+        parts = [np.empty((size, size), dtype=object) for _ in integrands]
         for j in range(size):
             for k in range(j, size):
-                sjk = mp.quad(lambda r: u(j, r) * u(k, r), pts)
-                hjk = mp.quad(
-                    lambda r: u(j, r) * (-upp(k, r) + V(r) * u(k, r)) / 2,
-                    pts)
-                S[j, k] = S[k, j] = float(sjk)
-                H[j, k] = H[k, j] = float(hjk)
-    return S, H
+                for part, f in zip(parts, integrands):
+                    part[j, k] = part[k, j] = mp.quad(
+                        lambda r: f(j, k, r), pts)
+    for part in parts:
+        part.flags.writeable = False  # shared by every caller of the cache
+    return parts
 
 
 def _mp_working_dps(size: int) -> int:
@@ -296,6 +322,35 @@ def mp_velocity(m: int, nu: float, coeff, alpha: float = 0.5) -> float:
     """<v_phi> = m <1/rho> - (nu/2) <rho> of one raw coefficient vector."""
     return (m * mp_radial_moment(m, coeff, -1, alpha)
             - nu / 2 * mp_radial_moment(m, coeff, 1, alpha))
+
+
+def mp_density_peak(m: int, coeff, rho_grid, alpha: float = 0.5) -> float:
+    """Radius of the density peak of one raw coefficient vector.
+
+    chi = sum_k c_k rho^(s_k) exp(-alpha rho^2), s_k = 1/2 + |m| + k, and
+
+        chi' = sum_k c_k (s_k / rho - 2 alpha rho) rho^(s_k) exp(-alpha rho^2)
+
+    are summed at 120 digits, so that the alternating raw coefficients
+    cancel without loss.  The peak is the root of chi' that mp.findroot
+    reaches from the sample of rho_grid where chi^2 is largest.
+    """
+    with mp.workdps(120):
+        c = [mp.mpf(float(x)) for x in coeff]
+        s = [mp.mpf(1) / 2 + abs(m) + k for k in range(len(c))]
+        alpha = mp.mpf(alpha)
+
+        def chi(r):
+            return (mp.fsum(ck * r ** sk for ck, sk in zip(c, s))
+                    * mp.e ** (-alpha * r * r))
+
+        def chi_prime(r):
+            return mp.fsum(ck * (sk / r - 2 * alpha * r) * r ** sk
+                           for ck, sk in zip(c, s)) * mp.e ** (-alpha * r * r)
+
+        start = max((mp.mpf(float(r)) for r in rho_grid),
+                    key=lambda r: chi(r) ** 2)
+        return float(mp.findroot(chi_prime, start))
 
 
 def _offset_grid(n: int, half_extent: float):

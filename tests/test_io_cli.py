@@ -395,10 +395,19 @@ class TestModuleEntry:
         assert result["m_star"] == 1
 
     def test_import_loads_no_quadrature_or_optimizer(self, tmp_path):
-        # scipy serves only the density peak search, mpmath only the test
-        # oracles; loading either would cost every cold command
+        # mpmath serves only the test oracles and scipy only the tests;
+        # loading either would cost every cold command
         proc = _fresh_python(["-c", "import magtrap.cli\n" + _HEAVY_MODULES],
                              tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_density_profile_loads_no_scipy_or_mpmath(self, tmp_path):
+        script = ("import magtrap as mt\n"
+                  "sol = mt.solve_sector(mt.TrapParams(nu=0, b=20), 0)\n"
+                  "mt.density_profile(mt.RadialWavefunction.from_solution(sol))"
+                  "\n" + _HEAVY_MODULES)
+        proc = _fresh_python(["-c", script], tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
@@ -475,8 +484,24 @@ class TestModuleEntry:
 
     def test_failure_carries_its_warnings_in_the_one_json_line(self,
                                                                  tmp_path):
-        # nu^2 is finite but the potential phase wraps long before the
-        # packet reaches the edge guard: the warning must not bury the cause
+        # max|V2| dtau = 87 lies between pi and 1e3 pi, so the phase wrap
+        # only warns, and the aliased packet then reaches the edge guard:
+        # the warning must not bury the cause
+        out = tmp_path / "artifact"
+        proc = _fresh_python(
+            ["-m", "magtrap.cli", "evolve", "--N", "64", "--L", "12",
+             "--nu", "50", "--tau-end", "0.05", "--out", str(out)],
+            tmp_path)
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        err = json.loads(lines[0])
+        assert err["exit_code"] == 3
+        assert any("phase wraps" in w for w in err["warnings"])
+
+    def test_phase_wrap_beyond_1e3_pi_exits_3(self, tmp_path):
+        # nu^2 is finite but max|V2| dtau is ~1e198: the step, not the box,
+        # is at fault, and the error says so before the first step
         out = tmp_path / "artifact"
         proc = _fresh_python(
             ["-m", "magtrap.cli", "evolve", "--N", "64", "--L", "12",
@@ -486,8 +511,9 @@ class TestModuleEntry:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1, proc.stderr
         err = json.loads(lines[0])
-        assert err["exit_code"] == 3
-        assert any("phase wraps" in w for w in err["warnings"])
+        assert err["error"] == "FloatingPointError" and err["exit_code"] == 3
+        assert "dtau = 0.001" in err["message"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_evolve_above_the_record_ceiling_exits_2(self, tmp_path):
         # 10^10 steps: the run is refused before any record index exists

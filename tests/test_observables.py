@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from magtrap import TrapParams
 from magtrap.observables import (
     RadialWavefunction,
@@ -50,6 +51,8 @@ class TestRadialWavefunction:
         bare = RadialWavefunction(1, wf.chi, wf.rho_max)
         with pytest.raises(ValueError):
             bare.radial_moment(1)
+        with pytest.raises(ValueError):
+            density_profile(bare)
 
     def test_origin_behavior(self, wf_m1):
         # chi ~ rho^(|m| + 1/2), so |psi|^2 = chi^2/rho stays finite
@@ -225,8 +228,27 @@ class TestDensityProfile:
 
     def test_peak_refinement_beats_grid_resolution(self, wf_m1):
         wf, _ = wf_m1
-        coarse = np.linspace(0.1, 8.0, 60)
-        prof = density_profile(wf, coarse)
-        # refined peak must sit inside the best coarse cell
-        i = np.argmax(prof.density)
-        assert abs(prof.rho_peak - coarse[i]) < 2 * (coarse[1] - coarse[0])
+        for coarse in (np.linspace(0.1, 8.0, 60),
+                       np.linspace(0.2, 1.0, 9),    # best sample last
+                       np.linspace(1.6, 8.0, 60)):  # best sample first
+            prof = density_profile(wf, coarse)
+            # refined peak must sit inside the search bracket, two samples
+            # either side of the best one
+            i = int(np.argmax(prof.density))
+            lo = coarse[max(i - 2, 0)]
+            hi = coarse[min(i + 2, len(coarse) - 1)]
+            assert lo <= prof.rho_peak <= hi
+
+    @pytest.mark.parametrize("nu, b, m, size", [
+        (1.0, 1.0, 1, 20), (0.5, 3.0, 0, 20), (2.0, 5.0, 2, 30),
+        (0.0, 20.0, 0, 30),    # the strong-coupling ring
+    ])
+    def test_peak_is_the_root_of_chi_prime(self, nu, b, m, size):
+        # differential: the root of chi' of the extended-precision solver's
+        # raw coefficients, summed at 120 digits
+        _, coeff = oracles.mp_sector_solve(m, nu, b, size)
+        root = oracles.mp_density_peak(m, coeff[:, 0],
+                                       np.linspace(0.05, 6.0, 120))
+        sol = solve_sector(TrapParams(nu=nu, b=b), m, size=size)
+        prof = density_profile(RadialWavefunction.from_solution(sol))
+        assert abs(prof.rho_peak - root) <= 1e-10
