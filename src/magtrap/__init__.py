@@ -11,7 +11,7 @@ Modules
 params       unit conventions, dimensionless parameters, effective potential
 radial       variational eigensolver for the angular-momentum sectors
 observables  densities, azimuthal currents, velocity expectations
-dynamics     split-operator real- and imaginary-time propagation
+dynamics     split-operator propagation and grid sector ground states
 io_utils     headered CSV / JSON / grid-dump artifact files
 cli          the `magtrap` command line front end
 

@@ -18,7 +18,8 @@ type.
 as a configuration error, a run that would take more than MAX_RECORDS
 (100 000) records, snapshots included.  The same ceiling holds for the rows
 of a sweep table, counted before any grid is built: n_nu x (distinct m) x
-levels for `spectrum`, n_nu for `velocity-sweep`.
+levels for `spectrum`, n_nu for `velocity-sweep`.  Grids are capped at
+MAX_GRID_N (4096) points per axis, checked before any array is built.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
 (conditioning, bracketing, norm drift, sector leakage, overflow), 4 I/O
@@ -79,9 +80,10 @@ EXIT_IO = 4
 # observables pass, tens of milliseconds on a 256^2 grid
 _RECORD_EVERY = 10
 MAX_RECORDS = 100_000
+MAX_GRID_N = 4096  # points per axis; one 4096^2 complex field is 256 MiB
 
-__all__ = ["RunConfig", "ConfigError", "MAX_RECORDS", "parse_pi_expression",
-           "main", "console_entry"]
+__all__ = ["RunConfig", "ConfigError", "MAX_RECORDS", "MAX_GRID_N",
+           "parse_pi_expression", "main", "console_entry"]
 
 
 class ConfigError(ValueError):
@@ -241,7 +243,7 @@ _FLAG_HELP = {
     "xi0": "initial packet center on the xi axis",
     "packet_width": "Gaussian exponent coefficient a_pkt",
     "snapshots": "snapshot stride in tau (pi-expressions allowed)",
-    "tol": "relaxation convergence: |dE/dtau| threshold",
+    "tol": "relaxation convergence: Rayleigh-quotient change per iteration",
     "seed": "seed echoed into headers for randomized studies",
     "out": "output path (default: derived from the command name)",
     "format": "output format override (csv | json | grid-dump)",
@@ -332,8 +334,6 @@ def resolve_config(args) -> RunConfig:
             raw = file_vals.get(name)
         if raw is not None:
             kwargs[name] = _coerce(name, raw)
-    if "dtau" not in kwargs and args.command == "imag-time":
-        kwargs["dtau"] = 5e-3  # relaxation tolerates far coarser steps
     cfg = RunConfig(**kwargs)
 
     if cfg.nu < 0:
@@ -379,6 +379,9 @@ def resolve_config(args) -> RunConfig:
                           f"K = {cfg.K}")
     if cfg.snapshots is not None and cfg.snapshots <= 0:
         raise ConfigError("snapshot stride must be positive")
+    if "N" in _COMMANDS[cfg.command][1] and cfg.N > MAX_GRID_N:
+        raise ConfigError(f"N = {cfg.N} points per axis is above the ceiling "
+                          f"of {MAX_GRID_N}")
     return cfg
 
 
@@ -546,11 +549,8 @@ def _cmd_evolve(cfg: RunConfig):
 def _cmd_imag_time(cfg: RunConfig):
     spec = GridSpec(n=cfg.N, half_extent=cfg.L)
     tp = TrapParams(nu=cfg.nu, b=cfg.b)
-    energies = []
-    for m in cfg.m:
-        energy, _ = imaginary_time_ground(spec, tp, m, dtau=cfg.dtau,
-                                          tol=cfg.tol)
-        energies.append([m, energy])
+    energies = [[m, imaginary_time_ground(spec, tp, m, tol=cfg.tol)[0]]
+                for m in cfg.m]
     best = min(energies, key=lambda pair: pair[1])
     result = {"energies": energies, "m_star": best[0], "energy": best[1]}
     path = _out_path(cfg, ".json")
@@ -595,8 +595,7 @@ _COMMANDS = {
     "evolve": (_cmd_evolve,
                ("nu", "b", "xi0", "packet_width", "N", "L", "dtau",
                 "tau_end", "snapshots", "ramp", "tau_ramp")),
-    "imag-time": (_cmd_imag_time,
-                  ("nu", "b", "m", "N", "L", "dtau", "tol")),
+    "imag-time": (_cmd_imag_time, ("nu", "b", "m", "N", "L", "tol")),
     "ramp-compare": (_cmd_ramp_compare,
                      ("nu", "b", "tau_ramp", "tau_end", "dtau", "N", "L")),
 }

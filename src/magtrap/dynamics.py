@@ -18,25 +18,22 @@ here live in that rotating frame.  Lab-frame patterns follow by rotating
 the field clockwise by theta (for nu > 0); lab-frame vector observables by
 rotating the 2-vectors, which costs nothing.
 
-h2 is advanced with one symmetric second-order kernel, the same for real
-and imaginary time,
+h2 is advanced with one unitary symmetric second-order kernel,
 
     K . IFFT exp(z k^2/2) FFT . K,    K = exp(z V0/2) e(xi) e(eta),
 
-with the complex step z = -i dtau (real time, unitary) or z = -dtau
-(imaginary time, renormalized every step) and e(x) = exp(z nu^2 x^2/16).
-The field enters only through that separable factor, so a change of nu
-costs 2n exponentials and a broadcast product.  Samples sit half a cell
-off the origin, at -L + (i + 1/2) h, so none lies on the Coulomb
-singularity.  Real time uses the bounded soft core b/sqrt(rho^2 + eps^2)
-with eps = h/2; imaginary time uses the exact cell average of 1/rho
-(closed-form antiderivative), whose energy bias is orders of magnitude
-below the soft core's and small enough for 1e-4 cross-checks against the
-radial eigensolver.
+with z = -i dtau and e(x) = exp(z nu^2 x^2/16).  The field enters only
+through that separable factor, so a change of nu costs 2n exponentials and
+a broadcast product.  Samples sit half a cell off the origin, at
+-L + (i + 1/2) h, so none lies on the Coulomb singularity.  Real time uses
+the bounded soft core b/sqrt(rho^2 + eps^2) with eps = h/2.  A sector's
+lowest state is solved for, not relaxed: LOBPCG on the unsplit h2 = T + V2,
+by default with the exact cell average of 1/rho, whose energy bias is
+small enough for 1e-4 cross-checks against the radial eigensolver.
 
-Every transform is numpy.fft along one axis, in place where the input is
-the step's own buffer.  The 2-D transforms of the kernel run axis 0 and
-then axis 1, the order that reproduces fft2 and ifft2 bit for bit.
+The kinetic factor, T and the eigensolve's preconditioner are one filter
+IFFT(table FFT f), numpy.fft along axis 0 and then axis 1 in the filter's
+own buffer: the order that reproduces fft2 and ifft2 bit for bit.
 
 Frame rotations by arbitrary angles need no interpolation: multiples of
 90 degrees are index permutations (the half-cell offset grid maps onto
@@ -115,7 +112,7 @@ class BoundaryLeakError(RuntimeError):
 
 
 class SectorLeakageError(RuntimeError):
-    """Imaginary-time iteration drifted out of its angular-momentum sector."""
+    """A relaxed grid state left its angular-momentum sector."""
 
 
 @dataclass(frozen=True)
@@ -265,19 +262,29 @@ def _cell_averaged_inverse_radius(spec: GridSpec) -> np.ndarray:
 
     Inclusion-exclusion of the corner primitive over the cell faces; finite
     for the cells touching the origin and equal to 1/rho + O(h^2) away from
-    it.  This is the Coulomb discretization used in imaginary time, where
-    the soft core's O(h) energy bias would dominate the error budget.
+    it.  The sector eigensolve uses it by default, where the soft core's
+    O(h) energy bias would dominate the error budget.
     """
     faces = -spec.half_extent + spec.h * np.arange(spec.n + 1)
     s = _signed_corner_primitive(faces[:, None], faces[None, :])
     return (s[1:, 1:] - s[:-1, 1:] - s[1:, :-1] + s[:-1, :-1]) / spec.h ** 2
 
 
+def _filter(f: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """f <- IFFT(table FFT f) in f's own buffer, in the fft2 axis order."""
+    for a in _AXES:
+        np.fft.fft(f, axis=a, out=f)
+    f *= table
+    for a in _AXES:
+        np.fft.ifft(f, axis=a, out=f)
+    return f
+
+
 class _Stepper:
     """Cached kernels for one (grid, b, z, Coulomb flavor) combination.
 
-    z is the complex time step of the module docstring, -1j * dtau or
-    complex(-dtau).  The half kick at nu is kept until nu changes.
+    z = -1j * dtau is the step of the module docstring (the eigensolve uses
+    only the tables of V0 and k).  The half kick is kept until nu changes.
     """
 
     def __init__(self, spec: GridSpec, b: float, z: complex,
@@ -307,6 +314,9 @@ class _Stepper:
         self._kick_nu = None
         self._kick = None
 
+    def v2(self, nu: float) -> np.ndarray:  # V0 + (nu^2/8) rho^2
+        return self.v0 + 0.125 * nu * nu * (self.xi ** 2 + self.eta ** 2)
+
     def _half_kick(self, nu: float) -> np.ndarray:
         if nu != self._kick_nu:
             quad = 0.125 * nu * nu
@@ -316,15 +326,12 @@ class _Stepper:
             field = np.exp(0.0625 * self.z * nu * nu * self.ax2)
             self._kick = self.kick0 * field[:, None] * field[None, :]
             self._kick_nu = nu
-            # phase wrapping aliases the corner potential in real time only,
-            # where -z.imag = dtau (it is 0 in imaginary time); the grid
-            # maximum of V2 is taken only when its bound
-            # max V0 + (nu^2/8) max rho^2 wraps.  Beyond 1e3 pi the step
-            # no longer resolves the potential at all
+            # a kick phase above pi aliases the corner potential; max V2 is
+            # taken only when its bound max V0 + (nu^2/8) max rho^2 wraps,
+            # and beyond 1e3 pi the step no longer resolves the potential
             dtau = -self.z.imag
             if (self.v0_max + quad * self.rho2_max) * dtau > np.pi:
-                rho2 = self.xi ** 2 + self.eta ** 2
-                vmax = float((self.v0 + quad * rho2).max())
+                vmax = float(self.v2(nu).max())
                 if vmax * dtau > 1e3 * np.pi:
                     raise FloatingPointError(
                         f"max|V2| dtau = {vmax * dtau:.3g} exceeds 1e3 pi "
@@ -341,12 +348,7 @@ class _Stepper:
         # every operation after the first product works in its buffer, so
         # a step holds one N x N array besides psi
         half = self._half_kick(nu)
-        out = half * psi
-        for a in _AXES:
-            np.fft.fft(out, axis=a, out=out)
-        out *= self.kinetic
-        for a in _AXES:
-            np.fft.ifft(out, axis=a, out=out)
+        out = _filter(half * psi, self.kinetic)
         out *= half
         return out
 
@@ -432,23 +434,16 @@ def sector_seed(spec: GridSpec, m: int) -> GridState:
     return GridState(spec=spec, amplitudes=psi)
 
 
-def strang_step(state: GridState, tp: TrapParams, dtau: float,
-                mode: str = "real") -> GridState:
-    """One symmetric split step of the co-rotating Hamiltonian part.
+def strang_step(state: GridState, tp: TrapParams, dtau: float) -> GridState:
+    """One symmetric real-time split step of the co-rotating Hamiltonian part.
 
     Advances tau by dtau; the frame angle is untouched (that bookkeeping
-    belongs to evolve, which applies it in closed form).  In imaginary mode
-    the step damps instead of dephasing and the result is renormalized.
+    belongs to evolve, which applies it in closed form).
     """
     if dtau <= 0:
         raise ValueError("dtau must be positive")
-    if mode not in ("real", "imaginary"):
-        raise ValueError(f"mode must be 'real' or 'imaginary', got {mode!r}")
-    z = -1j * dtau if mode == "real" else complex(-dtau)
-    stepper = _stepper_for(state.spec, tp.b, z, "softcore")
+    stepper = _stepper_for(state.spec, tp.b, -1j * dtau, "softcore")
     psi = stepper.step(state.amplitudes, tp.nu)
-    if mode == "imaginary":
-        psi = psi / math.sqrt(stepper.norm_sq(psi))
     return replace(state, amplitudes=psi, tau=state.tau + dtau)
 
 
@@ -678,9 +673,14 @@ def evolve(state: GridState, tp: TrapParams, dtau: float, tau_end: float,
         record = i_step % record_every == 0 or i_step == n_steps
         if ((record or i_step % _EDGE_CHECK_EVERY == 0)
                 and not stepper.edge_mass(psi_now, edge_cells) <= edge_tol):
+            # a wrapped kick aliases the packet outward: the step is at fault
+            wrap = float(stepper.v2(nu_at(tau_i)).max()) * dtau
+            advice = ("enlarge the box" if not wrap > np.pi else
+                      f"max|V2| dtau = {wrap:.3g} exceeds pi, the "
+                      "potential phase wraps: reduce dtau or the box")
             raise BoundaryLeakError(
                 f"more than {edge_tol:g} probability within {edge_cells} "
-                f"cells of the edge at tau = {tau_i:.6g}; enlarge the box")
+                f"cells of the edge at tau = {tau_i:.6g}; {advice}")
         if not (record or i_step in snap_idx):
             return
         th = theta_at(tau_i)
@@ -737,85 +737,85 @@ def evolve(state: GridState, tp: TrapParams, dtau: float, tau_end: float,
     )
 
 
-# imaginary-time annealing: coarse steps kill the high modes cheaply, the
-# final stage sets the accuracy (Rayleigh-quotient bias is O(dtau^4))
-_ANNEAL_STAGES = ((0.05, 1e-5), (0.015, 1e-7))
+_SHIFT = 8.0  # preconditioner (T + _SHIFT)^-1; fewest passes over 0.25..32
+_GRAM_FLOOR = 1e-14  # a direction below this Gram eigenvalue share is dropped
 
 
-def imaginary_time_ground(spec: GridSpec, tp: TrapParams, m_seed: int,
-                          dtau: float = 5e-3, tol: float = 1e-9, *,
-                          max_steps: int = 200_000, check_every: int = 10,
+def imaginary_time_ground(spec: GridSpec, tp: TrapParams, m_seed: int, *,
+                          tol: float = 1e-9, max_steps: int = 200_000,
                           coulomb: str = "cell", workers=None):
-    """Relax to the lowest state of the m_seed sector; return (energy, state).
+    """Lowest state of the m_seed sector on the grid; return (energy, state).
 
-    Evolves the rotationally symmetric Hamiltonian part in imaginary time
-    with per-step renormalization.  Angular momentum is conserved by that
-    part, so the iteration stays in the seeded sector; the returned energy
-    is the sector Rayleigh quotient minus (nu/2) m_seed.  Convergence means
-    the energy estimate changes by less than tol per unit imaginary time.
-    After the dtau stage converges, one more stage runs at dtau/2 and the
-    two energies are Richardson-combined, cancelling the leading O(dtau^2)
-    splitting bias, which otherwise dominates for states with weight on the
-    near-origin Coulomb cells; the returned state is the half-step one.
-    A drift of <L_z> away from m_seed by more than 1e-6 aborts: it would
-    mean the grid broke the rotational symmetry protecting the sector.  A
-    norm or energy that is not finite aborts with FloatingPointError, for
-    example when the field is so strong that the kick underflows to 0.
-
-    coulomb picks the interaction discretization.  The default cell average
-    has the better energy constant; relax with "softcore" when the state is
-    the product and will be fed to evolve, which steps the softcore form --
-    a state relaxed under one flavor is not stationary under the other and
-    radiates from the origin cells.  workers is accepted for compatibility
-    and ignored, as in evolve.
+    Single-vector LOBPCG (Knyazev 2001) on the unsplit h2 = T + V2 from
+    sector_seed, over the state, its residual preconditioned by
+    (T + _SHIFT)^-1 and its last update; both operators commute with
+    quarter turns, so the seed's C4 class is kept.  It stops when the
+    Rayleigh quotient, an upper bound of the grid eigenvalue, moves by less
+    than tol (within max_steps iterations).  That does not bound its error,
+    which was below tol on 16^2 and 32^2 grids and up to 2 tol on 128^2 and
+    512^2.  Returns the quotient minus (nu/2) m_seed.  An <L_z> more than
+    1e-6 from m_seed raises SectorLeakageError; a quotient that is not
+    finite, or a max V2 that rounds T away in float64, FloatingPointError.
+    The default cell-average interaction has the better energy constant;
+    "softcore" prepares a state for evolve, which steps that form and would
+    see the other radiate.  workers is ignored, as in evolve.
     """
-    if dtau <= 0 or tol <= 0:
-        raise ValueError("dtau and tol must be positive")
-    stages = [(sd, max(st, tol)) for sd, st in _ANNEAL_STAGES if sd > dtau]
-    stages.append((dtau, tol))
-    stages.append((0.5 * dtau, tol))
-    psi = sector_seed(spec, m_seed).amplitudes
-    total = 0
-    stage_energy = []
-    for stage_dtau, stage_tol in stages:
-        stepper = _stepper_for(spec, tp.b, complex(-stage_dtau), coulomb)
-        e_prev = None
-        while True:
-            for _ in range(check_every):
-                psi = stepper.step(psi, tp.nu)
-                norm = math.sqrt(stepper.norm_sq(psi))
-                if not 0.0 < norm < math.inf:
-                    raise FloatingPointError(
-                        f"imaginary time lost the state: norm {norm!r} "
-                        f"(m_seed = {m_seed}, nu = {tp.nu!r}, dtau = "
-                        f"{stage_dtau:g}); the kick under- or overflows")
-                psi /= norm
-            total += check_every
-            obs = stepper.observables(psi, tp.nu)
-            energy2 = obs["energy"] + 0.5 * tp.nu * obs["Lz"]  # <h2> alone
-            if not math.isfinite(energy2):
-                raise FloatingPointError(
-                    f"imaginary-time energy is {energy2!r} (m_seed = "
-                    f"{m_seed}, nu = {tp.nu!r}); the state is not finite")
-            if total > max_steps:
-                last = abs(energy2 - e_prev) if e_prev is not None else math.inf
-                raise RuntimeError(
-                    f"imaginary time did not converge within {max_steps} "
-                    f"steps (m_seed = {m_seed}, last dE = {last:.3e})")
-            if abs(obs["Lz"] - m_seed) > 1e-6:
-                raise SectorLeakageError(
-                    f"<L_z> = {obs['Lz']:.8f} drifted from the seeded sector "
-                    f"m = {m_seed}; the grid is breaking the symmetry")
-            if e_prev is not None and (
-                    abs(energy2 - e_prev) < stage_tol * check_every * stage_dtau):
-                break
-            e_prev = energy2
-        stage_energy.append(energy2)
-    e_full, e_half = stage_energy[-2], stage_energy[-1]
-    energy = (4.0 * e_half - e_full) / 3.0 - 0.5 * tp.nu * m_seed
-    state = GridState(spec=spec, amplitudes=psi, frame="rotating",
-                      tau=0.0, theta=0.0)
-    return energy, state
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    stepper = _stepper_for(spec, tp.b, -1j * DEFAULT_DTAU, coulomb)
+    v2 = stepper.v2(tp.nu)
+    kinetic = 0.5 * (stepper.kx ** 2 + stepper.ky ** 2)
+    if not v2.max() * np.finfo(float).eps < kinetic.max():
+        raise FloatingPointError(
+            f"max V2 = {v2.max():.3g} at nu = {tp.nu!r} rounds the kinetic "
+            "energy away in float64; the grid cannot resolve the state")
+    precondition = 1.0 / (kinetic + _SHIFT)
+    # rows x, w, p (0 at first: the Gram floor drops it) and their h2 images
+    rows = np.zeros((2, 3, spec.n, spec.n), dtype=complex)
+    basis, image = rows
+
+    def apply_h2(i):  # image of row i, both scaled to a unit row i
+        basis[i] /= np.linalg.norm(basis[i])
+        np.add(_filter(basis[i].copy(), kinetic), v2 * basis[i], out=image[i])
+
+    def gram(kets):  # <basis[i]|kets[j]>, without a conjugated copy
+        return np.array([[np.vdot(bi, kj) for kj in kets] for bi in basis])
+
+    basis[0] = sector_seed(spec, m_seed).amplitudes
+    apply_h2(0)
+    energy, moved = float(np.vdot(basis[0], image[0]).real), math.inf
+    for _ in range(max_steps):
+        np.subtract(image[0], energy * basis[0], out=basis[1])
+        _filter(basis[1], precondition)
+        apply_h2(1)
+        s, u = np.linalg.eigh(gram(basis))
+        keep = s > _GRAM_FLOOR * s[-1]
+        t = u[:, keep] / np.sqrt(s[keep])
+        ritz, vec = np.linalg.eigh(t.conj().T @ gram(image) @ t)
+        c = t @ vec[:, 0]
+        c *= abs(c[0]) / c[0]  # the seed's phase
+        moved, energy = abs(ritz[0] - energy), float(ritz[0])
+        if not math.isfinite(energy):
+            raise FloatingPointError(
+                f"the Rayleigh quotient is {energy!r} (m_seed = {m_seed}, "
+                f"nu = {tp.nu!r}); the state is not finite")
+        for a in (basis, image):
+            a[2] = np.tensordot(c[1:], a[1:], 1)
+            np.add(c[0] * a[0], a[2], out=a[0])
+        rows[:, 2] /= np.linalg.norm(basis[2])
+        if moved < tol:
+            break
+    else:
+        raise RuntimeError(
+            f"imaginary_time_ground did not converge within {max_steps} "
+            f"iterations (m_seed = {m_seed}, last dE = {moved:.3e})")
+    psi = basis[0] / (spec.h * np.linalg.norm(basis[0]))
+    lz = stepper.observables(psi, tp.nu)["Lz"]
+    if abs(lz - m_seed) > 1e-6:
+        raise SectorLeakageError(
+            f"<L_z> = {lz:.8f} drifted from the seeded sector m = {m_seed}; "
+            "the grid is breaking the symmetry")
+    return energy - 0.5 * tp.nu * m_seed, GridState(spec=spec, amplitudes=psi)
 
 
 def state_observables(state: GridState, tp: TrapParams,

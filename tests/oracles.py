@@ -3,8 +3,9 @@
 Everything here is deliberately written from scratch against the model
 definitions, not by calling into the package: closed-form Landau-level
 energies, a brute-force radial grid diagonalization, adaptive-quadrature
-matrix elements, a classical trajectory integrator, and a grid split step
-and grid observables that rebuild the full potential on every call.
+matrix elements, a classical trajectory integrator, a grid split step
+and grid observables that rebuild the full potential on every call, and a
+dense diagonalization of the grid h2 in one C4 class.
 Agreement between these and the package is what the cross-checks in the
 tests mean.  The
 extended-precision sector solver here is the package's former per-point
@@ -21,7 +22,10 @@ and the kernel step on scipy's 2-D transforms is the package's former
 transform path, kept as the reference for the one-axis numpy transforms.
 The root of chi', summed over raw coefficients at 120 digits, is the
 reference for the density peak, which the package finds on the orthonormal
-basis recurrence.
+basis recurrence.  The dense h2, with its own soft core and its own cell
+mean of 1/rho, is the reference for the package's LOBPCG sector solve; the
+imaginary-time relaxation that solve replaced is no oracle, since its
+splitting bias reached 1.4e-4.
 """
 
 from __future__ import annotations
@@ -374,25 +378,77 @@ def _softcore_v2(h, xi, eta, nu: float, b: float) -> np.ndarray:
 
 
 def reference_strang_step(psi, half_extent: float, nu: float, b: float,
-                          dtau: float, imaginary: bool = False) -> np.ndarray:
-    """One symmetric split step of the co-rotating Hamiltonian h2.
+                          dtau: float) -> np.ndarray:
+    """One symmetric real-time split step of the co-rotating Hamiltonian h2.
 
     The whole potential V2 is rebuilt on every call and the kinetic factor
-    weights the 2-D transform by k^2 = kx^2 + ky^2.  Real time multiplies by
-    exp(-i V2 dtau/2) and exp(-i k^2 dtau/2); imaginary time by the decaying
-    exp(-V2 dtau/2) and exp(-k^2 dtau/2), then renormalizes.
+    weights the 2-D transform by k^2 = kx^2 + ky^2: the step multiplies by
+    exp(-i V2 dtau/2) and exp(-i k^2 dtau/2).
     """
     h, xi, eta, kx, ky = _offset_grid(psi.shape[0], half_extent)
-    v2 = _softcore_v2(h, xi, eta, nu, b)
-    k2 = kx ** 2 + ky ** 2
-    if imaginary:
-        half, kin = np.exp(-0.5 * dtau * v2), np.exp(-0.5 * dtau * k2)
+    half = np.exp(-0.5j * dtau * _softcore_v2(h, xi, eta, nu, b))
+    kin = np.exp(-0.5j * dtau * (kx ** 2 + ky ** 2))
+    return half * np.fft.ifft2(kin * np.fft.fft2(half * psi))
+
+
+def _cell_mean_inverse_radius(n: int, half_extent: float) -> np.ndarray:
+    """Mean of 1/rho over each cell of the n x n grid, in closed form.
+
+    F(x, y) = x log(y + r) + y log(x + r), r = sqrt(x^2 + y^2), has
+    d^2 F / dx dy = 1/r for x, y >= 0, so a cell's integral is the mixed
+    difference of F over its corners.  The cells of the quadrant x, y > 0
+    are integrated that way and mirrored onto the other three.
+    """
+    h = 2.0 * half_extent / n
+    x = h * np.arange(n // 2 + 1)           # faces from the origin outward
+    X, Y = np.meshgrid(x, x, indexing="ij")
+    R = np.hypot(X, Y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        F = (np.where(X > 0, X * np.log(Y + R), 0.0)
+             + np.where(Y > 0, Y * np.log(X + R), 0.0))
+    quadrant = (F[1:, 1:] - F[:-1, 1:] - F[1:, :-1] + F[:-1, :-1]) / h ** 2
+    upper = np.concatenate([quadrant[::-1], quadrant])  # rows: xi ascending
+    return np.concatenate([upper[:, ::-1], upper], axis=1)
+
+
+def dense_h2_ground(n: int, half_extent: float, nu: float, b: float,
+                    m: int, coulomb: str) -> float:
+    """Lowest level of the grid h2 in the C4 class of m, minus (nu/2) m.
+
+    h2 = T + V2 is assembled as a dense n^2 x n^2 matrix: T is the Kronecker
+    sum of the 1-D spectral kinetic matrix
+    (1/n) sum_q (k_q^2 / 2) cos(k_q (i - j) h) over the n wavenumbers
+    k_q = 2 pi q / (n h), q = -n/2 .. n/2 - 1, and V2 is diagonal, with the
+    soft core b/sqrt(rho^2 + (h/2)^2) or the cell mean of b/rho.  The C4
+    class of m is the range of P = (1/4) sum_r exp(i m r pi/2) R^r, R the
+    quarter turn psi(xi, eta) -> psi(eta, -xi); the columns of 2P at one
+    point per rotation orbit are an orthonormal basis of it, and the
+    lowest eigenvalue of h2 there comes from a dense eigvalsh.
+    """
+    h = 2.0 * half_extent / n
+    ax = -half_extent + h * (np.arange(n) + 0.5)
+    k = 2.0 * np.pi / (n * h) * np.arange(-(n // 2), n // 2)
+    d = np.subtract.outer(np.arange(n), np.arange(n))
+    t1 = (0.5 * k ** 2 * np.cos(k * h * d[..., None])).sum(axis=-1) / n
+    eye = np.eye(n)
+    xi, eta = np.meshgrid(ax, ax, indexing="ij")
+    rho2 = xi ** 2 + eta ** 2
+    if coulomb == "softcore":
+        inv_rho = 1.0 / np.sqrt(rho2 + 0.25 * h * h)
     else:
-        half, kin = np.exp(-0.5j * dtau * v2), np.exp(-0.5j * dtau * k2)
-    out = half * np.fft.ifft2(kin * np.fft.fft2(half * psi))
-    if imaginary:
-        out = out / np.sqrt(h * h * np.sum(np.abs(out) ** 2))
-    return out
+        inv_rho = _cell_mean_inverse_radius(n, half_extent)
+    v2 = 0.5 * (1.0 + 0.25 * nu * nu) * rho2 + b * inv_rho
+    H = np.kron(t1, eye) + np.kron(eye, t1) + np.diag(v2.ravel())
+    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    turn = (j * n + (n - 1 - i)).ravel()   # (R psi)[i, j] = psi[j, n-1-i]
+    P = np.zeros((n * n, n * n), dtype=complex)
+    index = np.arange(n * n)
+    for r in range(4):
+        P[np.arange(n * n), index] += 0.25 * np.exp(0.5j * math.pi * m * r)
+        index = index[turn]
+    reps = ((i < n // 2) & (j < n // 2)).ravel()
+    Q = 2.0 * P[:, reps]
+    return float(np.linalg.eigvalsh(Q.conj().T @ H @ Q)[0]) - 0.5 * nu * m
 
 
 def reference_transform_step(psi, half, kinetic) -> np.ndarray:

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 import magtrap
 import oracles
 from magtrap.cli import (
+    MAX_GRID_N,
     MAX_RECORDS,
     ConfigError,
     RunConfig,
@@ -369,13 +371,27 @@ class TestExitCodes:
         assert json.loads(capsys.readouterr().err)["exit_code"] == 4
 
 
-def _fresh_python(args, cwd):
-    """Run a fresh interpreter that imports this checkout of magtrap."""
+def _fresh_python(args, cwd, address_space=None):
+    """Run a fresh interpreter that imports this checkout of magtrap.
+
+    With address_space (bytes) the child runs under that RLIMIT_AS, on one
+    BLAS/OpenMP thread: per-thread buffers and stacks would otherwise grow
+    numpy's import footprint with the host's core count.
+    """
     package_root = str(Path(magtrap.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    limit = None
+    if address_space is not None:
+        env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1")
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS,
+                               (address_space, address_space))
     return subprocess.run([sys.executable, *args], env=env, cwd=cwd,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120,
+                          preexec_fn=limit)
 
 
 # prints the scipy and mpmath modules the interpreter has loaded
@@ -515,6 +531,51 @@ class TestModuleEntry:
         assert "dtau = 0.001" in err["message"]
         assert list(tmp_path.iterdir()) == []
 
+    def test_edge_leak_after_a_phase_wrap_names_the_wrap(self, tmp_path):
+        # max|V2| dtau = 14.1 wraps; the aliased packet reaches the edge,
+        # and a larger box would wrap it further, so the advice is the step
+        out = tmp_path / "artifact"
+        proc = _fresh_python(
+            ["-m", "magtrap.cli", "evolve", "--N", "64", "--L", "12",
+             "--nu", "20", "--tau-end", "0.5", "--out", str(out)], tmp_path)
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        err = json.loads(lines[0])
+        assert err["error"] == "BoundaryLeakError"
+        assert "max|V2| dtau = 14.1 exceeds pi" in err["message"]
+        assert "reduce dtau or the box" in err["message"]
+        assert "enlarge the box" not in err["message"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_phase_wrap_that_stays_inside_the_box_only_warns(self, tmp_path):
+        out = tmp_path / "e.csv"
+        proc = _fresh_python(
+            ["-m", "magtrap.cli", "evolve", "--N", "64", "--L", "12",
+             "--nu", "10", "--tau-end", "0.5", "--out", str(out)], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert "phase wraps" in proc.stderr
+        assert out.exists()
+
+    @pytest.mark.parametrize("command", ["evolve", "imag-time",
+                                         "ramp-compare"])
+    def test_grid_above_the_point_ceiling_exits_2(self, command, tmp_path):
+        # a 1048576^2 field is 16 TiB: the run is refused before any array
+        # is built, not ended by a MemoryError traceback.  The 1 GiB limit
+        # makes a grid that is built after all fail at once instead of
+        # taking the machine's memory
+        out = tmp_path / "artifact"
+        proc = _fresh_python(["-m", "magtrap.cli", command, "--N", "1048576",
+                              "--out", str(out)], tmp_path,
+                             address_space=1 << 30)
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        err = json.loads(lines[0])
+        assert err["error"] == "ConfigError"
+        assert f"ceiling of {MAX_GRID_N}" in err["message"]
+        assert list(tmp_path.iterdir()) == []
+
     def test_evolve_above_the_record_ceiling_exits_2(self, tmp_path):
         # 10^10 steps: the run is refused before any record index exists
         proc = _fresh_python(
@@ -543,6 +604,16 @@ class TestModuleEntry:
         assert err["error"] == "ConfigError"
         assert f"ceiling of {MAX_RECORDS}" in err["message"]
         assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("command", ["evolve", "imag-time",
+                                         "ramp-compare"])
+    def test_grid_point_ceiling_is_exact(self, command):
+        ok = build_parser().parse_args([command, "--N", str(MAX_GRID_N)])
+        assert resolve_config(ok).N == MAX_GRID_N
+        args = build_parser().parse_args([command, "--N",
+                                          str(2 * MAX_GRID_N)])
+        with pytest.raises(ConfigError, match="points per axis"):
+            resolve_config(args)
 
     @pytest.mark.parametrize("command,grid,extra,refused", [
         ("velocity-sweep", "0:99999:1", [], False),
