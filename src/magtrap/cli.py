@@ -19,11 +19,14 @@ as a configuration error, a run that would take more than MAX_RECORDS
 (100 000) records, snapshots included.  The same ceiling holds for the rows
 of a sweep table, counted before any grid is built: n_nu x (distinct m) x
 levels for `spectrum`, n_nu for `velocity-sweep`.  Grids are capped at
-MAX_GRID_N (4096) points per axis, checked before any array is built.
+MAX_GRID_N (4096) points per axis, checked before any array is built, and
+the radial basis at MAX_BASIS_K (240) functions, the range over which its
+recurrence is tested, checked before any reduction.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
-(conditioning, bracketing, norm drift, sector leakage, overflow), 4 I/O
-failure.  Failures print a single machine-readable JSON line to stderr.
+(conditioning, bracketing, norm drift, sector leakage, overflow, running out
+of memory), 4 I/O failure.  Failures print a single machine-readable JSON
+line to stderr.
 """
 
 from __future__ import annotations
@@ -81,9 +84,10 @@ EXIT_IO = 4
 _RECORD_EVERY = 10
 MAX_RECORDS = 100_000
 MAX_GRID_N = 4096  # points per axis; one 4096^2 complex field is 256 MiB
+MAX_BASIS_K = 240  # tests/test_radial.py checks the recurrence to n = 241
 
 __all__ = ["RunConfig", "ConfigError", "MAX_RECORDS", "MAX_GRID_N",
-           "parse_pi_expression", "main", "console_entry"]
+           "MAX_BASIS_K", "parse_pi_expression", "main", "console_entry"]
 
 
 class ConfigError(ValueError):
@@ -344,6 +348,9 @@ def resolve_config(args) -> RunConfig:
         raise ConfigError("b must be >= 0")
     if cfg.K < 2:
         raise ConfigError("K must be at least 2")
+    if cfg.K > MAX_BASIS_K:
+        raise ConfigError(f"K = {cfg.K} is above the ceiling of {MAX_BASIS_K}"
+                          ", the largest basis whose recurrence is tested")
     if cfg.dtau <= 0:
         raise ConfigError(f"dtau = {cfg.dtau:g} must be positive")
     if cfg.levels < 1:
@@ -602,7 +609,7 @@ _COMMANDS = {
 
 _NUMERICAL_ERRORS = (BasisConditioningError, BracketingError,
                      NormDriftError, BoundaryLeakError, SectorLeakageError,
-                     ArithmeticError)
+                     ArithmeticError, MemoryError)
 
 
 def _fail(exc: BaseException, code: int, caught: list) -> int:

@@ -48,11 +48,13 @@ phase table exp(-i c k_q x_p) is built from the chirp identity
 q p = (q^2 + p^2 - (q - p)^2)/2 (Bluestein 1970): two 1-D chirps and a
 Toeplitz chirp in q - p, 4n - 1 exponentials instead of n^2.
 
-The autocorrelation evolve records is an overlap with the initial lab
-pattern, so it never builds the lab field: the quarter turns move onto the
-reference, and by Parseval along axis 0 the last shear becomes a weighted
-sum of one-axis transforms, five per record instead of six.  Snapshots,
-to_lab_frame and rotate_frame still rotate the field.
+A record is one density, two power spectra and five autocorrelation
+passes, where it used to be nine passes.  By Parseval along one axis every
+momentum moment is a weighted sum of |F_a psi|^2, F_a the transform along
+axis a.  The autocorrelation is an overlap with the initial lab pattern
+that never builds the lab field: the quarter turns move onto the
+reference, and the last shear becomes a weighted sum of axis-0 transforms.
+Snapshots, to_lab_frame and rotate_frame still rotate the field.
 """
 
 from __future__ import annotations
@@ -281,21 +283,17 @@ def _filter(f: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 
 class _Stepper:
-    """Cached kernels for one (grid, b, z, Coulomb flavor) combination.
+    """The tables of h2 for one (grid, b, Coulomb flavor) combination.
 
-    z = -1j * dtau is the step of the module docstring (the eigensolve uses
-    only the tables of V0 and k).  The half kick is kept until nu changes.
+    It holds V0 and the wavenumbers k, which every consumer reads; the step
+    keeps exp(z T), exp(z V0/2) and the half kick for the last dtau and nu.
     """
 
-    def __init__(self, spec: GridSpec, b: float, z: complex,
-                 coulomb: str):
+    def __init__(self, spec: GridSpec, b: float, coulomb: str):
         self.spec = spec
-        self.z = z
         self.ax = spec.axis()
-        self.xi = self.ax[:, None]
-        self.eta = self.ax[None, :]
         self.ax2 = self.ax ** 2
-        rho2 = self.xi ** 2 + self.eta ** 2
+        rho2 = np.add.outer(self.ax2, self.ax2)
         if coulomb == "softcore":
             eps = spec.coulomb_epsilon
             inv_rho = 1.0 / np.sqrt(rho2 + eps * eps)
@@ -306,16 +304,22 @@ class _Stepper:
         self.v0 = 0.5 * rho2 + b * inv_rho
         self.v0_max = float(self.v0.max())
         self.rho2_max = float(rho2.max())
-        k = spec.wavenumbers()
-        self.kx = k[:, None]
-        self.ky = k[None, :]
-        self.kinetic = np.exp(0.5 * z * (self.kx ** 2 + self.ky ** 2))
-        self.kick0 = np.exp(0.5 * z * self.v0)
-        self._kick_nu = None
-        self._kick = None
+        self.k = spec.wavenumbers()
+        self._dtau = self._kick_nu = None
+        self.kinetic = self.kick0 = self._kick = None
 
     def v2(self, nu: float) -> np.ndarray:  # V0 + (nu^2/8) rho^2
-        return self.v0 + 0.125 * nu * nu * (self.xi ** 2 + self.eta ** 2)
+        return self.v0 + 0.125 * nu * nu * np.add.outer(self.ax2, self.ax2)
+
+    def t(self) -> np.ndarray:  # T = k^2/2, built per use: not kept
+        return 0.5 * np.add.outer(self.k ** 2, self.k ** 2)
+
+    def set_dtau(self, dtau: float) -> None:
+        if dtau != self._dtau:  # the old tables go first: one set at a time
+            self.kinetic = self.kick0 = self._kick = None
+            self.kinetic = np.exp(-1j * dtau * self.t())
+            self.kick0 = np.exp(0.5 * (-1j * dtau) * self.v0)
+            self._dtau, self._kick_nu = dtau, None
 
     def _half_kick(self, nu: float) -> np.ndarray:
         if nu != self._kick_nu:
@@ -323,13 +327,13 @@ class _Stepper:
             if not math.isfinite(quad):
                 raise OverflowError(
                     f"nu = {nu!r}: the field term nu^2/8 overflows float64")
-            field = np.exp(0.0625 * self.z * nu * nu * self.ax2)
+            dtau = self._dtau
+            field = np.exp(0.0625 * (-1j * dtau) * nu * nu * self.ax2)
             self._kick = self.kick0 * field[:, None] * field[None, :]
             self._kick_nu = nu
             # a kick phase above pi aliases the corner potential; max V2 is
             # taken only when its bound max V0 + (nu^2/8) max rho^2 wraps,
             # and beyond 1e3 pi the step no longer resolves the potential
-            dtau = -self.z.imag
             if (self.v0_max + quad * self.rho2_max) * dtau > np.pi:
                 vmax = float(self.v2(nu).max())
                 if vmax * dtau > 1e3 * np.pi:
@@ -344,9 +348,10 @@ class _Stepper:
                         stacklevel=4)
         return self._kick
 
-    def step(self, psi: np.ndarray, nu: float) -> np.ndarray:
+    def step(self, psi: np.ndarray, nu: float, dtau: float) -> np.ndarray:
         # every operation after the first product works in its buffer, so
         # a step holds one N x N array besides psi
+        self.set_dtau(dtau)
         half = self._half_kick(nu)
         out = _filter(half * psi, self.kinetic)
         out *= half
@@ -358,50 +363,49 @@ class _Stepper:
     def observables(self, psi: np.ndarray, nu: float) -> dict:
         """Rotating-frame expectation values of the state, normalized.
 
-        p_xi psi and p_eta psi are one-axis spectral derivatives, and the
-        kinetic energy is half their squared norms (Parseval).
+        Parseval along axis a gives <p_a^j> = sum k^j |F_a psi|^2 / n, F_a
+        the transform along a; as xi commutes with p_eta, <xi p_eta> is
+        sum_xi xi sum_k k |F_1 psi|^2 / n, and <eta p_xi> likewise.
         """
-        px = np.fft.fft(psi, axis=0)
-        px *= self.kx
-        np.fft.ifft(px, axis=0, out=px)
-        py = np.fft.fft(psi, axis=1)
-        py *= self.ky
-        np.fft.ifft(py, axis=1, out=py)
+        k, ax = self.k, self.ax
         dens = np.abs(psi) ** 2
         dens_xi, dens_eta = dens.sum(axis=1), dens.sum(axis=0)
         total = float(np.vdot(psi, psi).real)  # h^2 cancels in every mean
-
-        def mean(bra, ket):
-            return float(np.vdot(bra, ket).real) / total
-
-        kin = 0.5 * (mean(px, px) + mean(py, py))
+        pot = float(np.sum(self.v0 * dens))
+        del dens
+        per_k, on_line = [], []  # sums over lines; <p_a> on each line
+        for a in _AXES:
+            power = np.abs(np.fft.fft(psi, axis=a)) ** 2
+            power = power.T if a else power  # wavenumber down the rows
+            per_k.append(power.sum(axis=1))
+            on_line.append(k @ power)
+        scale = self.spec.n * total
+        kin = 0.5 * float((k * k) @ (per_k[0] + per_k[1])) / scale
         rho2 = float(dens_xi @ self.ax2 + dens_eta @ self.ax2)
-        pot = (float(np.sum(self.v0 * dens)) + 0.125 * nu * nu * rho2) / total
-        lz = mean(self.xi * psi, py) - mean(self.eta * psi, px)
-        cx = float(dens_xi @ self.ax) / total
-        cy = float(dens_eta @ self.ax) / total
+        pot = (pot + 0.125 * nu * nu * rho2) / total
+        lz = float(ax @ on_line[1] - ax @ on_line[0]) / scale
+        cx = float(dens_xi @ ax) / total
+        cy = float(dens_eta @ ax) / total
         return {
             "norm": math.sqrt(self.spec.h ** 2 * total),
             "energy": kin + pot - 0.5 * nu * lz,
             "Lz": lz,
-            "vx": mean(psi, px) + 0.5 * nu * cy,
-            "vy": mean(psi, py) - 0.5 * nu * cx,
+            "vx": float(k @ per_k[0]) / scale + 0.5 * nu * cy,
+            "vy": float(k @ per_k[1]) / scale - 0.5 * nu * cx,
             "cx": cx,
             "cy": cy,
         }
 
     def edge_mass(self, psi: np.ndarray, cells: int) -> float:
-        dens = np.abs(psi) ** 2
         c = cells
-        total = (dens[:c, :].sum() + dens[-c:, :].sum()
-                 + dens[c:-c, :c].sum() + dens[c:-c, -c:].sum())
-        return self.spec.h ** 2 * float(total)
+        total = sum(float(np.vdot(strip, strip).real) for strip in (
+            psi[:c, :], psi[-c:, :], psi[c:-c, :c], psi[c:-c, -c:]))
+        return self.spec.h ** 2 * total
 
 
 @lru_cache(maxsize=16)
-def _stepper_for(spec: GridSpec, b: float, z: complex,
-                 coulomb: str) -> _Stepper:
-    return _Stepper(spec, b, z, coulomb)
+def _stepper_for(spec: GridSpec, b: float, coulomb: str) -> _Stepper:
+    return _Stepper(spec, b, coulomb)
 
 
 def gaussian_packet(spec: GridSpec, center: float = 4.0,
@@ -442,8 +446,8 @@ def strang_step(state: GridState, tp: TrapParams, dtau: float) -> GridState:
     """
     if dtau <= 0:
         raise ValueError("dtau must be positive")
-    stepper = _stepper_for(state.spec, tp.b, -1j * dtau, "softcore")
-    psi = stepper.step(state.amplitudes, tp.nu)
+    stepper = _stepper_for(state.spec, tp.b, "softcore")
+    psi = stepper.step(state.amplitudes, tp.nu, dtau)
     return replace(state, amplitudes=psi, tau=state.tau + dtau)
 
 
@@ -616,7 +620,9 @@ def evolve(state: GridState, tp: TrapParams, dtau: float, tau_end: float,
     # the times actually reached
     n_steps = max(1, round(span / dtau))
 
-    stepper = _stepper_for(spec, tp.b, -1j * dtau, "softcore")
+    # the step's tables before the copy: built later, they raise the peak
+    stepper = _stepper_for(spec, tp.b, "softcore")
+    stepper.set_dtau(dtau)
     psi = np.array(state.amplitudes, dtype=complex, copy=True)
     norm0 = math.sqrt(stepper.norm_sq(psi))
     if not abs(norm0 - 1.0) <= norm_tol:
@@ -707,7 +713,7 @@ def evolve(state: GridState, tp: TrapParams, dtau: float, tau_end: float,
     take_records(0, psi)
     for i in range(n_steps):
         nu_mid = nu_at(tau0 + (i + 0.5) * dtau)
-        psi = stepper.step(psi, nu_mid)
+        psi = stepper.step(psi, nu_mid, dtau)
         drift = abs(math.sqrt(stepper.norm_sq(psi)) - 1.0)
         worst_drift = max(worst_drift, drift)
         if not drift <= norm_tol:
@@ -762,9 +768,8 @@ def imaginary_time_ground(spec: GridSpec, tp: TrapParams, m_seed: int, *,
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    stepper = _stepper_for(spec, tp.b, -1j * DEFAULT_DTAU, coulomb)
-    v2 = stepper.v2(tp.nu)
-    kinetic = 0.5 * (stepper.kx ** 2 + stepper.ky ** 2)
+    stepper = _stepper_for(spec, tp.b, coulomb)
+    v2, kinetic = stepper.v2(tp.nu), stepper.t()
     if not v2.max() * np.finfo(float).eps < kinetic.max():
         raise FloatingPointError(
             f"max V2 = {v2.max():.3g} at nu = {tp.nu!r} rounds the kinetic "
@@ -826,7 +831,7 @@ def state_observables(state: GridState, tp: TrapParams,
     accumulated angle; pass nu to override tp.nu (ramp diagnostics).
     """
     nu_now = tp.nu if nu is None else nu
-    stepper = _stepper_for(state.spec, tp.b, -1j * DEFAULT_DTAU, "softcore")
+    stepper = _stepper_for(state.spec, tp.b, "softcore")
     return _lab_vectors(stepper.observables(state.amplitudes, nu_now),
                         state.theta)
 

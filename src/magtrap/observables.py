@@ -38,7 +38,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .params import TrapParams
-from .radial import DEFAULT_BASIS_SIZE, DEFAULT_M_RANGE, RadialEigenSolution
+from .radial import (
+    DEFAULT_BASIS_SIZE,
+    DEFAULT_M_RANGE,
+    RadialEigenSolution,
+    _illinois_root,
+    ground_state_scan,
+)
 
 __all__ = [
     "RadialWavefunction",
@@ -227,43 +233,11 @@ def density_profile(wf: RadialWavefunction,
     lo, hi = float(rho[i_lo]), float(rho[i_hi])
     f_lo, f_hi = wf._slope(lo), wf._slope(hi)
     if f_lo > 0.0 > f_hi:
-        peak = _illinois_root(wf._slope, lo, hi, f_lo, f_hi, 1e-10)
+        peak, _ = _illinois_root(wf._slope, lo, hi, f_lo, f_hi, xtol=1e-10)
     else:
         peak = lo if dens[i_lo] >= dens[i_hi] else hi
     return DensityProfile(rho=rho, density=dens, mean_rho=mean_rho,
                           rho_peak=peak)
-
-
-def _illinois_root(f, lo: float, hi: float, f_lo: float, f_hi: float,
-                   xtol: float) -> float:
-    """A root of f in [lo, hi], where f_lo > 0 > f_hi, to within xtol.
-
-    Regula falsi with the Illinois modification (Dowell and Jarratt, BIT
-    11, 168, 1971): an end kept in two successive steps has its value
-    halved, so both ends close in and the order is about 1.44.  Stops when
-    the bracket is narrower than xtol, or when rounding leaves the secant
-    no interior point to try.
-    """
-    moved = 0  # +1 when the last step moved lo, -1 when it moved hi
-    while True:
-        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-        if not lo < x < hi:
-            return x
-        fx = f(x)
-        if fx > 0.0:
-            lo, f_lo = x, fx
-            if moved == 1:
-                f_hi *= 0.5
-            moved = 1
-        elif fx < 0.0:
-            hi, f_hi = x, fx
-            if moved == -1:
-                f_lo *= 0.5
-            moved = -1
-        else:
-            return x
-        if hi - lo <= xtol:
-            return x
 
 
 def ground_velocity_sweep(b: float, nu_values,
@@ -277,8 +251,6 @@ def ground_velocity_sweep(b: float, nu_values,
     accepted for compatibility and ignored: a sector scan takes a few
     milliseconds, and a thread pool made sweeps several times slower.
     """
-    from .radial import ground_state_scan
-
     rows = []
     for nu in sorted({float(nu) for nu in nu_values}):
         tp = TrapParams(nu=nu, b=b)

@@ -175,9 +175,9 @@ class RadialBasis:
 
         With chi = expansion(weights) = g P, g = rho^s exp(-alpha rho^2),
         s = 1/2 + |m| and P = sum_k weights[k] q_k, this is rho/2 times
-        d(chi^2)/drho.  g P and g P' run the recurrence of _orthonormal_table
-        with g carried from the start, in plain float arithmetic: a root
-        search calls it one point at a time, where numpy would pay its
+        d(chi^2)/drho.  g P and g P' run the recurrences of _stieltjes with
+        g carried from the start, in plain float arithmetic: a root search
+        calls it one point at a time, where numpy would pay its
         per-operation overhead at every step of the recurrence.
         """
         blocks = _sector_blocks(self.m, self.size, self.alpha)
@@ -296,49 +296,37 @@ def _discretization(m_abs: int, n: int, alpha: float, panels: int):
 
 
 def _stieltjes(x: np.ndarray, weights: np.ndarray, n: int):
-    """Recurrence terms (a_k, b_k), k < n, of a discrete measure.
+    """Recurrence terms (a_k, b_k) of a discrete measure, and its q_k, q_k'.
 
     Discretized Stieltjes procedure (Gautschi, Orthogonal Polynomials:
     Computation and Approximation, OUP 2004, sec. 2.2) in the orthonormal
     form sqrt(b_{k+1}) q_{k+1} = (x - a_k) q_k - sqrt(b_k) q_{k-1}, with
     b_0 the total mass.  a_k and b_{k+1} are sums of positive terms over
     the nodes, so forming them loses nothing to cancellation, as the
-    moment-based Chebyshev algorithm does.  A norm that is not positive and
-    finite (the weights under- or overflow float64) returns None.
+    moment-based Chebyshev algorithm does.  Returns (a, b, q, dq), k < n,
+    q[k] and dq[k] the values of q_k and q_k' at the nodes; a norm that is
+    not positive and finite (the weights under- or overflow float64) None.
     """
     a, b = np.empty(n), np.empty(n)
+    q, dq = np.empty((n, len(x))), np.zeros((n, len(x)))
     b[0] = weights.sum()
     if not 0.0 < b[0] < math.inf:
         return None
-    q_prev, q = np.zeros_like(x), np.full_like(x, 1.0 / math.sqrt(b[0]))
+    q[0] = 1.0 / math.sqrt(b[0])
     for k in range(n):
-        a[k] = (weights * q) @ (x * q)
+        a[k] = (weights * q[k]) @ (x * q[k])
         if k + 1 == n:
             break
-        r = (x - a[k]) * q - math.sqrt(b[k]) * q_prev
+        sb = math.sqrt(b[k])
+        q_prev, dq_prev = (q[k - 1], dq[k - 1]) if k else (0.0, 0.0)
+        r = (x - a[k]) * q[k] - sb * q_prev
         b[k + 1] = (weights * r) @ r
         if not 0.0 < b[k + 1] < math.inf:
             return None
-        q_prev, q = q, r / math.sqrt(b[k + 1])
-    return a, b
-
-
-def _orthonormal_table(x: np.ndarray, a: np.ndarray, sb: np.ndarray, n: int):
-    """q_k(x) and q_k'(x) for k < n, each of shape (len(x), n).
-
-    q_k are the orthonormal polynomials of the recurrence
-    sb[k+1] q_{k+1} = (x - a[k]) q_k - sb[k] q_{k-1}, q_0 = 1/sb[0].
-    """
-    q = np.empty((len(x), n))
-    dq = np.zeros((len(x), n))
-    q[:, 0] = 1.0 / sb[0]
-    for k in range(n - 1):
-        q_prev = q[:, k - 1] if k else 0.0
-        dq_prev = dq[:, k - 1] if k else 0.0
-        q[:, k + 1] = ((x - a[k]) * q[:, k] - sb[k] * q_prev) / sb[k + 1]
-        dq[:, k + 1] = (q[:, k] + (x - a[k]) * dq[:, k]
-                        - sb[k] * dq_prev) / sb[k + 1]
-    return q, dq
+        sb_next = math.sqrt(b[k + 1])
+        q[k + 1] = r / sb_next
+        dq[k + 1] = (q[k] + (x - a[k]) * dq[k] - sb * dq_prev) / sb_next
+    return a, b, q, dq
 
 
 @dataclass(frozen=True)
@@ -382,9 +370,10 @@ def _reduce(m_abs: int, size: int, alpha: float) -> _SectorMatrices | None:
     recurrence = _stieltjes(x, x * weights, size + 1)
     if recurrence is None:
         return None
-    a, b = recurrence
+    a, b, q, dq = recurrence
     sb = np.sqrt(b)
-    q, dq = _orthonormal_table(x, a, sb, size)
+    # node by basis function, the layout the block products were built on
+    q, dq = (np.ascontiguousarray(t[:size].T) for t in (q, dq))
     # kinetic + centrifugal, integrated by parts: T_jk = (1/2) int w g_j g_k
     # with g_k = q_k' - 2 alpha rho q_k, regular at m = 0
     g = dq - 2.0 * alpha * x[:, None] * q
@@ -552,17 +541,49 @@ def _ground_energy(b: float, m: int, nu: float, size: int) -> float:
     return float(solve_sector(TrapParams(nu=nu, b=b), m, size=size).energies[0])
 
 
+def _illinois_root(f, lo: float, hi: float, f_lo: float, f_hi: float, *,
+                   xtol: float = 0.0, ftol: float = 0.0):
+    """A root x of f in [lo, hi], where f_lo > 0 > f_hi, as (x, fx).
+
+    Regula falsi with the Illinois modification (Dowell and Jarratt, BIT
+    11, 168, 1971): an end kept in two successive steps has its value
+    halved, so both ends close in and the order is about 1.44.  Stops at a
+    point where |f| < ftol or f vanishes, fx being f there; when the bracket
+    is narrower than xtol; or when rounding leaves the secant no interior
+    point to try.  In the last two cases fx is f at the last point tried.
+    """
+    moved, fx = 0, f_hi  # moved: +1 when the last step moved lo, -1 hi
+    while True:
+        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if not lo < x < hi:
+            return x, fx
+        fx = f(x)
+        if fx == 0.0 or abs(fx) < ftol:
+            return x, fx
+        if fx > 0.0:
+            if moved == 1:
+                f_hi *= 0.5
+            lo, f_lo, moved = x, fx, 1
+        else:
+            if moved == -1:
+                f_lo *= 0.5
+            hi, f_hi, moved = x, fx, -1
+        if hi - lo <= xtol:
+            return x, fx
+
+
 def find_crossing(tp: TrapParams, m1: int, m2: int,
                   nu_bracket: tuple[float, float],
                   size: int = DEFAULT_BASIS_SIZE,
                   tol: float = 1e-10) -> float:
     """Field ratio nu* where the sector ground energies of m1 and m2 cross.
 
-    Bisects E(m1; nu) - E(m2; nu) on nu_bracket until the gap is below tol
-    (default 1e-10).  Raises BracketingError when the difference does not
-    change sign over the bracket, e.g. for b = 0 where the m = 0 / m = 1
-    gap a(nu) - nu/2 stays positive at every finite nu.  m1 and m2 must
-    differ: a sector has zero gap to itself everywhere.
+    An Illinois search on E(m1; nu) - E(m2; nu) over nu_bracket, until the
+    gap is below tol (default 1e-10).  Raises BracketingError when the
+    difference does not change sign over the bracket, e.g. for b = 0 where
+    the m = 0 / m = 1 gap a(nu) - nu/2 stays positive at every finite nu,
+    or when rounding stalls the search first.  m1 and m2 must differ: a
+    sector has zero gap to itself everywhere.
     """
     lo, hi = nu_bracket
     if not (0 <= lo < hi):
@@ -580,24 +601,17 @@ def find_crossing(tp: TrapParams, m1: int, m2: int,
         return lo
     if f_hi == 0.0:
         return hi
-    if math.copysign(1.0, f_lo) == math.copysign(1.0, f_hi):
+    sign = math.copysign(1.0, f_lo)
+    if sign == math.copysign(1.0, f_hi):
         raise BracketingError(
             f"ground energies of m={m1} and m={m2} do not cross for "
             f"nu in [{lo}, {hi}] at b={tp.b}")
-
-    while True:
-        mid = 0.5 * (lo + hi)
-        f_mid = gap(mid)
-        if abs(f_mid) < tol:
-            return mid
-        if hi - lo < 4.0 * np.finfo(float).eps * max(1.0, abs(mid)):
-            # interval exhausted without closing the gap below tol
-            raise BracketingError(
-                f"bisection stalled at nu={mid} with residual gap {f_mid:.3e}")
-        if math.copysign(1.0, f_mid) == math.copysign(1.0, f_lo):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
+    nu, f_nu = _illinois_root(lambda nu: sign * gap(nu), lo, hi,
+                              sign * f_lo, sign * f_hi, ftol=tol)
+    if not abs(f_nu) < tol:
+        raise BracketingError(
+            f"root search stalled at nu={nu} with residual gap {f_nu:.3e}")
+    return nu
 
 
 def spectrum_sweep(b: float, nu_values, m_values, size: int = DEFAULT_BASIS_SIZE,

@@ -22,8 +22,10 @@ and the kernel step on scipy's 2-D transforms is the package's former
 transform path, kept as the reference for the one-axis numpy transforms.
 The root of chi', summed over raw coefficients at 120 digits, is the
 reference for the density peak, which the package finds on the orthonormal
-basis recurrence.  The dense h2, with its own soft core and its own cell
-mean of 1/rho, is the reference for the package's LOBPCG sector solve; the
+basis recurrence.  The full density summed under a border mask is the
+reference for the edge guard's strip sums.  The dense h2, with its own soft
+core and its own cell mean of 1/rho, is the reference for the package's
+LOBPCG sector solve; the
 imaginary-time relaxation that solve replaced is no oracle, since its
 splitting bias reached 1.4e-4.
 """
@@ -496,6 +498,14 @@ def reference_observables(psi, half_extent: float, nu: float, b: float,
         "cx": c * cx + s * cy,
         "cy": -s * cx + c * cy,
     }
+
+
+def reference_edge_mass(psi, h: float, cells: int) -> float:
+    """Probability within `cells` of the box edge: h^2 times the sum of the
+    full density under a mask of the four border strips."""
+    border = np.ones(psi.shape, dtype=bool)
+    border[cells:-cells, cells:-cells] = False
+    return h * h * float(np.sum((np.abs(psi) ** 2)[border]))
 
 
 def reference_rotation(psi, half_extent: float, theta: float) -> np.ndarray:

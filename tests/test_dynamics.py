@@ -265,6 +265,54 @@ class TestKernelAgainstReference:
         assert_observables_match(last_row, expected)
 
 
+class TestRecordSymmetries:
+    """The record of a field and of its image under the square's symmetries.
+
+    A quarter turn psi'(xi, eta) = psi(eta, -xi) is an exact permutation of
+    the offset grid and commutes with h2; the reflection xi <-> eta maps
+    the problem at nu onto the one at -nu."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(nu=st.floats(0.0, 3.0), b=st.floats(0.0, 2.0),
+           x0=st.floats(-3.0, 3.0), y0=st.floats(-3.0, 3.0),
+           kx0=st.floats(-2.0, 2.0), ky0=st.floats(-2.0, 2.0),
+           quarters=st.integers(1, 3))
+    def test_quarter_turns_and_reflection(self, nu, b, x0, y0, kx0, ky0,
+                                          quarters):
+        tp = TrapParams(nu=nu, b=b)
+        psi = moving_packet(SPEC64, x0, y0, kx0, ky0)
+        obs = state_observables(GridState(spec=SPEC64, amplitudes=psi), tp)
+        turned = dict(obs)
+        for _ in range(quarters):
+            turned.update(cx=-turned["cy"], cy=turned["cx"],
+                          vx=-turned["vy"], vy=turned["vx"])
+        rotated = np.rot90(psi, quarters)
+        assert_observables_match(
+            state_observables(GridState(spec=SPEC64, amplitudes=rotated), tp),
+            turned)
+        mirrored = state_observables(
+            GridState(spec=SPEC64, amplitudes=psi.T.copy()), tp, nu=-nu)
+        assert_observables_match(mirrored, dict(
+            obs, Lz=-obs["Lz"], cx=obs["cy"], cy=obs["cx"], vx=obs["vy"],
+            vy=obs["vx"]))
+
+
+class TestEdgeMassAgainstReference:
+    """The border-strip sum of the edge guard against the oracles' sum of
+    the full density under a border mask."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.sampled_from([8, 16, 64]), cells=st.integers(1, 3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_edge_mass(self, n, cells, seed):
+        spec = GridSpec(n=n, half_extent=8.0)
+        rng = np.random.default_rng(seed)
+        psi = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        got = _stepper_for(spec, 0.0, "softcore").edge_mass(psi, cells)
+        ref = oracles.reference_edge_mass(psi, spec.h, cells)
+        assert got == pytest.approx(ref, rel=1e-13)
+
+
 class TestTransformAgainstReference:
     """The stepper's one-axis transforms against the oracles' kernel step on
     scipy's 2-D transforms, with the same kick and kinetic factors."""
@@ -274,21 +322,21 @@ class TestTransformAgainstReference:
     RTOL = 1e-13
 
     @settings(max_examples=30, deadline=None)
-    @given(n=st.sampled_from([16, 64, 128]), imaginary=st.booleans(),
+    @given(n=st.sampled_from([16, 64, 128]),
            nu=st.floats(0.0, 3.0), b=st.floats(0.0, 2.0),
            dtau=st.floats(1e-4, 1e-2), seed=st.integers(0, 2 ** 32 - 1))
-    @example(n=16, imaginary=False, nu=1.0, b=1.0, dtau=1e-3, seed=0)
-    @example(n=128, imaginary=True, nu=2.5, b=0.5, dtau=5e-3, seed=1)
-    def test_step(self, n, imaginary, nu, b, dtau, seed):
+    @example(n=16, nu=1.0, b=1.0, dtau=1e-3, seed=0)
+    @example(n=128, nu=2.5, b=0.5, dtau=5e-3, seed=1)
+    def test_step(self, n, nu, b, dtau, seed):
         spec = GridSpec(n=n, half_extent=8.0)
-        z = complex(-dtau) if imaginary else -1j * dtau
-        stepper = _stepper_for(spec, b, z, "softcore")
+        stepper = _stepper_for(spec, b, "softcore")
         rng = np.random.default_rng(seed)
         psi = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         atol = self.RTOL * float(np.abs(psi).max())
+        stepper.set_dtau(dtau)
         ref = oracles.reference_transform_step(
             psi, stepper._half_kick(nu), stepper.kinetic)
-        got = stepper.step(psi, nu)
+        got = stepper.step(psi, nu, dtau)
         np.testing.assert_allclose(got, ref, rtol=0, atol=atol)
 
 
@@ -400,6 +448,27 @@ class TestEvolveBookkeeping:
         assert res.final_state.theta == pytest.approx(0.5 * 1.0 * 0.5)
         assert res.final_lab().frame == "lab"
 
+    def test_changing_dtau_matches_fresh_runs(self):
+        # the stepper keeps its step tables for the last dtau; a run after
+        # one at another dtau must not see them
+        tp = TrapParams(nu=1.0, b=0.5)
+        state = gaussian_packet(SPEC64, 2.0)
+
+        def run(dtau):
+            return evolve(state, tp, dtau, 0.1, record_every=5)
+
+        fresh = {}
+        for dtau in (2e-3, 1e-3):
+            _stepper_for.cache_clear()
+            fresh[dtau] = run(dtau)
+        _stepper_for.cache_clear()
+        for dtau in (2e-3, 1e-3, 2e-3):
+            got = run(dtau)
+            np.testing.assert_array_equal(got.final_state.amplitudes,
+                                          fresh[dtau].final_state.amplitudes)
+            for name, col in fresh[dtau].as_columns().items():
+                np.testing.assert_array_equal(got.as_columns()[name], col)
+
     def test_rejects_bad_arguments(self):
         st = gaussian_packet(SPEC128, 2.0)
         with pytest.raises(ValueError):
@@ -466,12 +535,12 @@ class TestGuards:
         # the kernel transforms and multiplies in its own buffer; a second
         # N x N temporary would double the peak
         spec = GridSpec(n=256, half_extent=12.0)
-        stepper = _stepper_for(spec, 1.0, -1e-3j, "softcore")
+        stepper = _stepper_for(spec, 1.0, "softcore")
         psi = gaussian_packet(spec, 4.0).amplitudes
-        stepper.step(psi, 1.0)  # builds the kick at this nu
+        stepper.step(psi, 1.0, 1e-3)  # builds the tables at this dtau, nu
         tracemalloc.start()
         try:
-            stepper.step(psi, 1.0)
+            stepper.step(psi, 1.0, 1e-3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import magtrap
 import oracles
 from magtrap.cli import (
+    MAX_BASIS_K,
     MAX_GRID_N,
     MAX_RECORDS,
     ConfigError,
@@ -576,6 +577,20 @@ class TestModuleEntry:
         assert f"ceiling of {MAX_GRID_N}" in err["message"]
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["evolve", "imag-time",
+                                         "ramp-compare"])
+    def test_grid_beyond_memory_exits_3(self, command, tmp_path):
+        # a 4096^2 grid is within the ceiling, but its fields do not fit in
+        # 1 GiB of address space: the run ends in one JSON line, no traceback
+        out = tmp_path / "artifact"
+        proc = _fresh_python(["-m", "magtrap.cli", command, "--N",
+                              str(MAX_GRID_N), "--out", str(out)], tmp_path,
+                             address_space=1 << 30)
+        assert proc.returncode == 3, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert json.loads(lines[0])["error"] == "MemoryError"
+
     def test_evolve_above_the_record_ceiling_exits_2(self, tmp_path):
         # 10^10 steps: the run is refused before any record index exists
         proc = _fresh_python(
@@ -613,6 +628,17 @@ class TestModuleEntry:
         args = build_parser().parse_args([command, "--N",
                                           str(2 * MAX_GRID_N)])
         with pytest.raises(ConfigError, match="points per axis"):
+            resolve_config(args)
+
+    @pytest.mark.parametrize("argv", [
+        ["groundstate"], ["spectrum", "--nu-grid", "0:1:0.5"], ["crossings"],
+        ["current"], ["velocity-sweep", "--nu-grid", "0:1:0.5"]])
+    def test_basis_size_ceiling_is_exact(self, argv):
+        ok = build_parser().parse_args([*argv, "--K", str(MAX_BASIS_K)])
+        assert resolve_config(ok).K == MAX_BASIS_K
+        args = build_parser().parse_args([*argv, "--K",
+                                          str(MAX_BASIS_K + 1)])
+        with pytest.raises(ConfigError, match=f"ceiling of {MAX_BASIS_K}"):
             resolve_config(args)
 
     @pytest.mark.parametrize("command,grid,extra,refused", [

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from magtrap import TrapParams
+from magtrap import TrapParams, radial
 from magtrap.radial import (
     BasisConditioningError,
     BracketingError,
@@ -219,7 +219,7 @@ def _shared_measure(m_abs, size, alpha):
 
 def _weight_recurrence(m_abs, size, alpha):
     x, weights = _shared_measure(m_abs, size, alpha)
-    return _stieltjes(x, x * weights, size + 1)
+    return _stieltjes(x, x * weights, size + 1)[:2]
 
 
 class TestRecurrence:
@@ -231,8 +231,8 @@ class TestRecurrence:
         # on the same nodes: exact coefficients of the latter mean that the
         # measure resolves the weight the Coulomb block sums over
         x, weights = _shared_measure(m_abs, size, alpha)
-        a, b = _stieltjes(x, x * weights, size + 1)
-        a_inv, b_inv = _stieltjes(x, weights, size)
+        a, b = _stieltjes(x, x * weights, size + 1)[:2]
+        a_inv, b_inv = _stieltjes(x, weights, size)[:2]
         ref = _mp_recurrence(2 * m_abs + 1, size + 1, alpha)
         ref_inv = _mp_recurrence(2 * m_abs, size, alpha)
         assert _relative_error(a, ref[0]) < RECURRENCE_RTOL
@@ -245,7 +245,7 @@ class TestRecurrence:
         # the rule keeps a factor of two in hand at every size it serves
         for m_abs in (0, 6):
             x, weights = _discretization(m_abs, n, 0.5, _panel_count(n) // 2)
-            a, b = _stieltjes(x, x * weights, n)
+            a, b = _stieltjes(x, x * weights, n)[:2]
             ref = _mp_recurrence(2 * m_abs + 1, n, 0.5)
             assert _relative_error(a, ref[0]) < RECURRENCE_RTOL
             assert _relative_error(b, ref[1]) < RECURRENCE_RTOL
@@ -322,6 +322,24 @@ class TestFindCrossing:
         gap = (solve_sector(at, 0).energies[0]
                - solve_sector(at, 1).energies[0])
         assert abs(gap) < 1e-9
+
+    def test_illinois_search_takes_few_solves(self, monkeypatch):
+        # each gap is two sector solves: 18 here, where bisection took 64
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve_sector(*args, **kwargs)
+
+        monkeypatch.setattr(radial, "solve_sector", counted)
+        find_crossing(TrapParams(nu=0.0, b=1.0), 0, 1, (0.05, 5.0))
+        assert len(calls) <= 24
+
+    def test_stalled_search_is_a_bracketing_error(self):
+        # no float64 gap is below tol = 0, so rounding ends the search
+        with pytest.raises(BracketingError, match="stalled"):
+            find_crossing(TrapParams(nu=0.0, b=1.0), 0, 1, (0.05, 5.0),
+                          tol=0.0)
 
     def test_no_crossing_at_zero_coupling(self):
         with pytest.raises(BracketingError):
