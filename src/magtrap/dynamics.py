@@ -69,7 +69,6 @@ import numpy as np
 from .params import TrapParams
 
 __all__ = [
-    "DEFAULT_DTAU",
     "DEFAULT_PACKET_WIDTH",
     "GridSpec",
     "GridState",
@@ -92,7 +91,6 @@ __all__ = [
     "angular_maxima_count",
 ]
 
-DEFAULT_DTAU = 1e-3
 DEFAULT_PACKET_WIDTH = 0.5
 
 _HALF_PI = 0.5 * math.pi

@@ -19,12 +19,15 @@ w(rho) = rho^(2|m| + 1) exp(-2 alpha rho^2) on the half line,
 
 and the solver works in the basis phi_k = rho^(1/2 + |m|) exp(-alpha rho^2)
 q_k(rho) built from the polynomials q_k orthonormal under w, so that the
-overlap is the identity.  In that basis the pencil splits into three blocks
-fixed by (|m|, K, alpha) alone,
+overlap is the identity.  Only the alpha = 1/2 basis is ever reduced: the
+basis of width alpha is its dilation by c = sqrt(2 alpha),
+phi_k^alpha(rho) = sqrt(c) phi_k(c rho), so alpha enters only as scalars
+where the blocks are used.  At alpha = 1/2 the pencil splits into three
+blocks fixed by (|m|, K) alone, and at any alpha it is
 
-    H(nu, b) = T + a^2 P + b C - (m nu / 2) I,
+    H(nu, b) = c^2 T + (a^2 / c^2) P + b c C - (m nu / 2) I,
 
-    T_jk = (1/2) int w g_j g_k,  g_k = q_k' - 2 alpha rho q_k,
+    T_jk = (1/2) int w g_j g_k,  g_k = q_k' - rho q_k,
     P_jk = (1/2) int w rho^2 q_j q_k,   C_jk = int (w / rho) q_j q_k.
 
 T is the kinetic plus centrifugal term integrated by parts; the (m^2 - 1/4)
@@ -32,7 +35,7 @@ T is the kinetic plus centrifugal term integrated by parts; the (m^2 - 1/4)
 coupling.  P is half the square of the Jacobi matrix of the recurrence.
 The K x K truncated Jacobi matrix is the exact block of rho; with C and 2P
 it gives the radial moments <1/rho>, <rho> and <rho^2> of any state as
-quadratic forms (RadialBasis.radial_moments).
+quadratic forms (RadialBasis.radial_moments), times c, 1/c and 1/c^2.
 
 Everything rests on one discrete measure: a composite Gauss-Legendre rule
 in sqrt(rho) standing in for w / rho, with rho times its weights standing
@@ -44,12 +47,15 @@ run on it in float64, with inner products that are sums of positive
 terms, and T and C are weighted sums over the same nodes.  The moments
 themselves are never formed, so nothing is lost to the ~1.2 decimal
 digits per basis function by which the moment matrix grows
-ill-conditioned.  This runs once per (|m|, K, alpha), and the float64
-blocks are cached; a solve at any (nu, b) is then one float64 symmetric
-eigendecomposition.  A weight whose mass under- or overflows float64, or
-a block that is not finite, is reported as a basis conditioning error
-naming the offending K; a pencil that overflows at the requested (nu, b)
-raises OverflowError.
+ill-conditioned.  This runs once per (|m|, K), and the float64 blocks are
+cached; a solve at any (nu, b, alpha) is then one float64 symmetric
+eigendecomposition.  Its energies are the Rayleigh quotients y^T H y of
+the eigenvectors y, accurate to relative rounding, where the eigenvalues
+themselves carry an absolute error of eps ||H|| (Parlett, The Symmetric
+Eigenvalue Problem, SIAM 1998).  A weight whose mass under- or overflows
+float64 at the requested alpha, or a block that is not finite, is
+reported as a basis conditioning error naming the offending K; a pencil
+that overflows at the requested (nu, b) raises OverflowError.
 
 A state is its eigenvector in the orthonormal basis phi_k, and nothing
 else: no expansion over the raw u_k is formed, since its high terms carry
@@ -125,7 +131,10 @@ class RadialBasis:
     Functions are u_k(rho) = rho^(1/2 + |m| + k) exp(-alpha rho^2) for
     k = 0 .. size-1, unnormalized.  alpha = 1/2 is the exact width of the
     nu = 0, b = 0 ground state; pass alpha = gauss_width/2 to match the
-    b = 0 state at finite nu.
+    b = 0 state at finite nu.  Every width shares the one alpha = 1/2
+    reduction of its (|m|, size): this basis is that one dilated by
+    c = sqrt(2 alpha), which expansion, _density_slope and radial_moments
+    apply as scalars.
     """
 
     m: int
@@ -142,6 +151,17 @@ class RadialBasis:
         """Exponents s_k = 1/2 + |m| + k of the raw functions u_k."""
         return 0.5 + abs(self.m) + np.arange(self.size, dtype=float)
 
+    def _recurrence(self, weights):
+        """(a, sb, sqrt(c) weights, s, c) for summing a state at c rho.
+
+        phi_k^alpha(rho) = sqrt(c) phi_k(c rho), so a state of this basis is
+        the state of the alpha = 1/2 basis with weights sqrt(c) times these,
+        evaluated at c rho; a and sb are that basis's recurrence.
+        """
+        blocks, c = _sector_blocks(self.m, self.size, self.alpha)
+        w = [math.sqrt(c) * float(x) for x in weights]
+        return blocks.a, blocks.sb, w, 0.5 + abs(self.m), c
+
     def expansion(self, weights):
         """Callable rho -> sum_k weights[k] phi_k(rho) on an array of rho.
 
@@ -151,68 +171,63 @@ class RadialBasis:
         from the start, so it neither cancels like a sum over the raw u_k
         nor overflows far out.  A scalar rho is a 0-d array here.
         """
-        blocks = _sector_blocks(self.m, self.size, self.alpha)
-        a, sb = blocks.a, blocks.sb
-        w = [float(x) for x in weights]
-        s = 0.5 + abs(self.m)
-        alpha = self.alpha
+        a, sb, w, s, c = self._recurrence(weights)
 
         def series(rho):
             rho = np.asarray(rho, dtype=float)
             if np.any(rho <= 0):
                 raise ValueError("rho must be strictly positive")
-            q = np.exp(s * np.log(rho) - alpha * rho * rho) / sb[0]
+            r = c * rho
+            q = np.exp(s * np.log(r) - 0.5 * r * r) / sb[0]
             q_prev, total = 0.0, w[0] * q
             for k in range(len(w) - 1):
-                q, q_prev = ((rho - a[k]) * q - sb[k] * q_prev) / sb[k + 1], q
+                q, q_prev = ((r - a[k]) * q - sb[k] * q_prev) / sb[k + 1], q
                 total = total + w[k + 1] * q
             return total
 
         return series
 
     def _density_slope(self, weights):
-        """Callable rho -> g^2 P (rho P' + (s - 2 alpha rho^2) P), rho > 0.
+        """Callable rho -> g^2 P (r P' + (s - r^2) P) at r = c rho, rho > 0.
 
-        With chi = expansion(weights) = g P, g = rho^s exp(-alpha rho^2),
-        s = 1/2 + |m| and P = sum_k weights[k] q_k, this is rho/2 times
-        d(chi^2)/drho.  g P and g P' run the recurrences of _stieltjes with
-        g carried from the start, in plain float arithmetic: a root search
-        calls it one point at a time, where numpy would pay its
+        With chi = expansion(weights) = g P at r, g = r^s exp(-r^2 / 2),
+        s = 1/2 + |m| and P = sqrt(c) sum_k weights[k] q_k, this is rho/2
+        times d(chi^2)/drho.  g P and g P' run the recurrences of _stieltjes
+        with g carried from the start, in plain float arithmetic: a root
+        search calls it one point at a time, where numpy would pay its
         per-operation overhead at every step of the recurrence.
         """
-        blocks = _sector_blocks(self.m, self.size, self.alpha)
-        a, sb = blocks.a, blocks.sb
-        w = [float(x) for x in weights]
-        s = 0.5 + abs(self.m)
-        alpha = self.alpha
+        a, sb, w, s, c = self._recurrence(weights)
 
         def slope(rho):
-            q = math.exp(s * math.log(rho) - alpha * rho * rho) / sb[0]
+            r = c * rho
+            q = math.exp(s * math.log(r) - 0.5 * r * r) / sb[0]
             q_prev = dq = dq_prev = dp = 0.0
             p = w[0] * q
             for k in range(len(w) - 1):
-                x = rho - a[k]
+                x = r - a[k]
                 q, q_prev, dq, dq_prev = (
                     (x * q - sb[k] * q_prev) / sb[k + 1], q,
                     (q + x * dq - sb[k] * dq_prev) / sb[k + 1], dq)
                 p += w[k + 1] * q
                 dp += w[k + 1] * dq
-            return p * (rho * dp + (s - 2.0 * alpha * rho * rho) * p)
+            return p * (r * dp + (s - r * r) * p)
 
         return slope
 
     def radial_moments(self, weights) -> dict[int, float]:
         """<rho^p> for p = -1, 1, 2 of the state sum_k weights[k] phi_k.
 
-        Exact quadratic forms w^T M_p w over the cached blocks: the Coulomb
-        block for 1/rho, the truncated Jacobi matrix for rho and twice the
-        trap block for rho^2.  weights are taken as normalized.
+        Exact quadratic forms w^T M_p w over the cached alpha = 1/2 blocks,
+        times c^-p for the dilation: the Coulomb block for 1/rho, the
+        truncated Jacobi matrix for rho and twice the trap block for rho^2.
+        weights are taken as normalized.
         """
-        blocks = _sector_blocks(self.m, self.size, self.alpha)
+        blocks, c = _sector_blocks(self.m, self.size, self.alpha)
         w = np.asarray(weights, dtype=float)
-        return {-1: float(w @ blocks.coulomb @ w),
-                1: float(w @ blocks.position @ w),
-                2: 2.0 * float(w @ blocks.trap @ w)}
+        return {-1: c * float(w @ blocks.coulomb @ w),
+                1: float(w @ blocks.position @ w) / c,
+                2: 2.0 * float(w @ blocks.trap @ w) / (c * c)}
 
 
 _lgamma = np.vectorize(math.lgamma, otypes=[float])
@@ -233,8 +248,7 @@ def overlap_and_hamiltonian_matrices(basis: RadialBasis, tp: TrapParams):
     one-sided kinetic formula.
     """
     m = basis.m
-    alpha = basis.alpha
-    beta = 2.0 * alpha
+    beta = 2.0 * basis.alpha
     s = basis.powers()
     k_idx = np.arange(basis.size, dtype=float)
     a2 = 1.0 + 0.25 * tp.nu * tp.nu
@@ -252,8 +266,8 @@ def overlap_and_hamiltonian_matrices(basis: RadialBasis, tp: TrapParams):
 
     H = 0.5 * (
         c_sing[None, :] * M_minus2
-        + (2.0 * alpha * (2.0 * s[None, :] + 1.0)) * S
-        + (a2 - 4.0 * alpha * alpha) * M_plus2
+        + (beta * (2.0 * s[None, :] + 1.0)) * S
+        + (a2 - beta * beta) * M_plus2
         - m * tp.nu * S
         + 2.0 * tp.b * M_minus1
     )
@@ -331,16 +345,18 @@ def _stieltjes(x: np.ndarray, weights: np.ndarray, n: int):
 
 @dataclass(frozen=True)
 class _SectorMatrices:
-    """Float64 pencil blocks of one (|m|, K, alpha) basis, orthonormal form.
+    """Float64 pencil blocks of one (|m|, K) basis at alpha = 1/2.
 
-    H(nu, b) = kinetic + a^2 trap + b coulomb - (m nu / 2) I.  kinetic and
-    coulomb are sums over the discrete measure; trap and position come from
-    the Jacobi matrix, position being its K x K truncation, the block of
-    rho itself.  a and sb determine it, but it is kept dense so that
-    <1/rho>, <rho> and <rho^2> are the same BLAS form y^T M y over
-    read-only float64 blocks (at most a few tens of kB per sector) instead
-    of a Python-list recurrence.  a and sb, with sb_k = sqrt(b_k), are the
-    recurrence of the q_k.
+    H(nu, b) = kinetic + a^2 trap + b coulomb - (m nu / 2) I at alpha = 1/2;
+    a basis of width alpha dilates it by c = sqrt(2 alpha), which scales
+    kinetic by c^2, trap by 1/c^2 and coulomb by c (module docstring).
+    kinetic and coulomb are sums over the discrete measure; trap and
+    position come from the Jacobi matrix, position being its K x K
+    truncation, the block of rho itself.  a and sb determine it, but it is
+    kept dense so that <1/rho>, <rho> and <rho^2> are the same BLAS form
+    y^T M y over read-only float64 blocks (under 2 MB per sector at
+    K = 240) instead of a Python-list recurrence.  a and sb, with
+    sb_k = sqrt(b_k), are the recurrence of the q_k.
     """
 
     kinetic: np.ndarray
@@ -353,8 +369,8 @@ class _SectorMatrices:
 
 @functools.lru_cache(maxsize=64)
 @np.errstate(all="ignore")
-def _reduce(m_abs: int, size: int, alpha: float) -> _SectorMatrices | None:
-    """Reduce the sector pencil to the orthonormal basis, once per basis.
+def _reduce(m_abs: int, size: int) -> _SectorMatrices | None:
+    """Reduce the alpha = 1/2 sector pencil to the orthonormal basis, once.
 
     One discrete measure serves every block: the recurrence of w is run on
     it, and the kinetic and Coulomb blocks are weighted sums over its nodes,
@@ -365,7 +381,7 @@ def _reduce(m_abs: int, size: int, alpha: float) -> _SectorMatrices | None:
     are silenced.
     """
     # the nodes' weights are the measure of w / rho; x times them is w's
-    x, weights = _discretization(m_abs, size + 1, alpha,
+    x, weights = _discretization(m_abs, size + 1, 0.5,
                                  _panel_count(size + 1))
     recurrence = _stieltjes(x, x * weights, size + 1)
     if recurrence is None:
@@ -375,8 +391,8 @@ def _reduce(m_abs: int, size: int, alpha: float) -> _SectorMatrices | None:
     # node by basis function, the layout the block products were built on
     q, dq = (np.ascontiguousarray(t[:size].T) for t in (q, dq))
     # kinetic + centrifugal, integrated by parts: T_jk = (1/2) int w g_j g_k
-    # with g_k = q_k' - 2 alpha rho q_k, regular at m = 0
-    g = dq - 2.0 * alpha * x[:, None] * q
+    # with g_k = q_k' - rho q_k, regular at m = 0
+    g = dq - x[:, None] * q
     kinetic = 0.5 * (g.T * (x * weights)) @ g
     # rho q_k is the three-term recurrence, so the K x K truncation of the
     # (K+1) Jacobi matrix is the exact rho block; (1/2) rho^2 is half the
@@ -394,40 +410,56 @@ def _reduce(m_abs: int, size: int, alpha: float) -> _SectorMatrices | None:
     return _SectorMatrices(*blocks, a.tolist(), sb.tolist())
 
 
-def _sector_blocks(m: int, size: int, alpha: float) -> _SectorMatrices:
-    blocks = _reduce(abs(m), size, float(alpha))
+def _sector_blocks(m: int, size: int, alpha: float):
+    """(blocks, c): the alpha = 1/2 blocks of sector m, and c = sqrt(2 alpha).
+
+    c is the dilation that maps the blocks onto the width-alpha basis.
+    Every consumer of a basis comes through here, so this is where an
+    extreme alpha is refused: BasisConditioningError is raised when the
+    mass of the width-alpha weight, (2 alpha)^-(|m|+1) Gamma(|m|+1) / 2,
+    leaves the normal float64 range, or when the alpha = 1/2 reduction
+    fails.
+    """
+    m_abs = abs(m)
+    log2_mass = (math.lgamma(m_abs + 1) / math.log(2.0) - 1.0
+                 - (m_abs + 1) * math.log2(2.0 * alpha))
+    blocks = _reduce(m_abs, size) if -1022 <= log2_mass < 1024 else None
     if blocks is None:
         raise BasisConditioningError(size, m)
-    return blocks
+    return blocks, math.sqrt(2.0 * alpha)
 
 
 def _sector_eigh(m: int, size: int, alpha: float, nu: float, b: float):
     """Ascending energies and orthonormal-basis eigenvectors.
 
-    nu may carry a sign here: the pencil depends on it only through nu^2
-    and m nu, so (nu, m) and (-nu, -m) give bit-identical spectra.  Raises
-    OverflowError when the pencil at (nu, b) is not finite in float64, as
-    (nu/2)^2 is for |nu| beyond ~2.7e154.
+    The energies are the Rayleigh quotients y^T H y of the eigenvectors,
+    not the eigenvalues.  nu may carry a sign here: the pencil depends on
+    it only through nu^2 and m nu, so (nu, m) and (-nu, -m) give
+    bit-identical spectra.  Raises OverflowError when the pencil at (nu, b)
+    is not finite in float64, as (nu/2)^2 is for |nu| beyond ~2.7e154.
     """
-    blocks = _sector_blocks(m, size, alpha)
+    blocks, c = _sector_blocks(m, size, alpha)
     with np.errstate(over="ignore", invalid="ignore"):
-        pencil = (blocks.kinetic + (1.0 + 0.25 * nu * nu) * blocks.trap
-                  + b * blocks.coulomb)
+        pencil = ((c * c) * blocks.kinetic
+                  + ((1.0 + 0.25 * nu * nu) / (c * c)) * blocks.trap
+                  + (b * c) * blocks.coulomb)
     if not np.isfinite(pencil).all():
         raise OverflowError(
             f"the sector pencil at nu={nu}, b={b} (m={m}) overflows float64")
     try:
-        energies, vectors = np.linalg.eigh(pencil)
+        _, vectors = np.linalg.eigh(pencil)
     except np.linalg.LinAlgError:
         raise BasisConditioningError(size, m) from None
-    return energies - 0.5 * m * nu, vectors
+    quotients = (vectors * (pencil @ vectors)).sum(axis=0)
+    return quotients - 0.5 * m * nu, vectors
 
 
 @dataclass(frozen=True)
 class RadialEigenSolution:
     """Eigenpairs of one (nu, b, m) sector.
 
-    energies   ascending, in units of hbar*omega_t
+    energies   ascending, in units of hbar*omega_t; the Rayleigh quotients
+               of the columns of vectors
     vectors    (K, K), orthonormal; column j is state j in the orthonormal
                basis phi_k of basis.expansion, the only form of a state:
                its radial factor is basis.expansion(vectors[:, j]) and its
@@ -457,15 +489,17 @@ def solve_sector(tp: TrapParams, m: int, size: int = DEFAULT_BASIS_SIZE,
                  check_convergence: bool = False) -> RadialEigenSolution:
     """Diagonalize the m sector in a basis of `size` radial Gaussians.
 
-    The first solve of a (|m|, size, alpha) basis orthonormalizes it with
-    the float64 Stieltjes recurrence and caches the pencil blocks (module
-    docstring); every solve, that one included, is then a single float64
-    symmetric eigendecomposition at (nu, b), whose eigenvectors are the
-    states in the orthonormal basis, orthonormal to rounding.  Raises
-    BasisConditioningError when the basis cannot be orthonormalized in
-    float64.  With check_convergence=True the solve is repeated at
-    size + 10 and a warning is emitted if the ground energy moves by more
-    than 1e-7.
+    The first solve of a (|m|, size) basis orthonormalizes it at
+    alpha = 1/2 with the float64 Stieltjes recurrence and caches the pencil
+    blocks; any other alpha is a dilation of that basis, applied as three
+    scalars on the blocks (module docstring).  Every solve, that one
+    included, is then a single float64 symmetric eigendecomposition at
+    (nu, b), whose eigenvectors are the states in the orthonormal basis,
+    orthonormal to rounding, and whose energies are their Rayleigh
+    quotients.  Raises BasisConditioningError when the basis cannot be
+    orthonormalized in float64.  With check_convergence=True the solve is
+    repeated at size + 10 and a warning is emitted if the ground energy
+    moves by more than 1e-7.
     """
     basis = RadialBasis(m=m, size=size, alpha=alpha)
     energies, vectors = _sector_eigh(m, size, alpha, tp.nu, tp.b)

@@ -11,6 +11,11 @@ from hypothesis import strategies as st
 
 import oracles
 from magtrap import TrapParams, radial
+from magtrap.observables import (
+    RadialWavefunction,
+    density_profile,
+    velocity_expectation,
+)
 from magtrap.radial import (
     BasisConditioningError,
     BracketingError,
@@ -44,6 +49,16 @@ class TestZeroCouplingLimit:
         for n in range(3):
             expected = oracles.fock_darwin_energy(2.0, -2, n)
             assert sol.energies[n] == pytest.approx(expected, abs=1e-8)
+
+    def test_largest_basis_matches_closed_form_to_rounding(self):
+        # Rayleigh quotients of the eigenvectors: the eigenvalues themselves
+        # carry eps ||H||, about 1.7e-10 at this size
+        for nu in (0.0, 0.5, 1.0):
+            for m in (0, 1, 3):
+                sol = solve_sector(TrapParams(nu=nu, b=0.0), m, size=240)
+                for n in range(3):
+                    expected = oracles.fock_darwin_energy(nu, m, n)
+                    assert abs(sol.energies[n] - expected) < 1e-12
 
 
 class TestSectorSymmetry:
@@ -171,7 +186,7 @@ class TestConditioningFailure:
         tp = TrapParams(nu=1.0, b=1.0)
         sol = solve_sector(tp, 0, size=100)
         ref, _ = oracles.mp_sector_solve(0, 1.0, 1.0, 100, dps=200)
-        np.testing.assert_allclose(sol.energies[:5], ref[:5], rtol=1e-11,
+        np.testing.assert_allclose(sol.energies[:5], ref[:5], rtol=1e-13,
                                    atol=0)
 
     @pytest.mark.parametrize("alpha", [1e-300, 1e300])
@@ -193,6 +208,30 @@ class TestConditioningFailure:
             warnings.simplefilter("error")
             solve_sector(TrapParams(nu=0.5, b=10.0), 0, size=30,
                          check_convergence=True)
+
+
+class TestDilatedBasis:
+    # a width alpha != 1/2 reuses the alpha = 1/2 blocks, dilated by
+    # sqrt(2 alpha); the oracle reduces the alpha basis itself
+    @pytest.mark.parametrize("alpha", [0.3, 0.8])
+    @pytest.mark.parametrize("size,nu,b,m", [
+        (10, 1.0, 1.0, 0), (16, 0.5, 2.0, -1), (20, 1.3, 4.0, 2)])
+    def test_matches_oracle_of_the_same_width(self, alpha, size, nu, b, m):
+        tp = TrapParams(nu=nu, b=b)
+        sol = solve_sector(tp, m, size=size, alpha=alpha)
+        ref, coeff = oracles.mp_sector_solve(m, nu, b, size, alpha=alpha)
+        np.testing.assert_allclose(sol.energies[:5], ref[:5], rtol=1e-13,
+                                   atol=0)
+
+        wf = RadialWavefunction.from_solution(sol)
+        ground = coeff[:, 0]
+        assert abs(velocity_expectation(wf, tp)
+                   - oracles.mp_velocity(m, nu, ground, alpha)) < 1e-12
+        assert abs(wf.radial_moment(2)
+                   - oracles.mp_radial_moment(m, ground, 2, alpha)) < 1e-12
+        profile = density_profile(wf)
+        assert abs(profile.rho_peak - oracles.mp_density_peak(
+            m, ground, profile.rho, alpha)) < 1e-12
 
 
 def _relative_error(got, want):
@@ -281,7 +320,7 @@ class TestPencilBlocks:
     def test_match_extended_precision_cholesky(self, size, nu, b, m):
         # both bases orthonormalize the monomial Gaussians in order with
         # positive leading coefficients, so the pencils agree entry by entry
-        blocks = _sector_blocks(m, size, 0.5)
+        blocks, _ = _sector_blocks(m, size, 0.5)
         pencil = (blocks.kinetic + (1.0 + 0.25 * nu * nu) * blocks.trap
                   + b * blocks.coulomb - 0.5 * m * nu * np.eye(size))
         ref = oracles.mp_reduced_pencil(m, nu, b, size)
