@@ -14,14 +14,20 @@ separated, and a fixed-length one such as `tuple[int, int]` is colon
 separated and must have that many parts.  A tuple's elements share one
 type.
 
-`evolve` and `ramp-compare` write one record every 10 steps and refuse,
-as a configuration error, a run that would take more than MAX_RECORDS
-(100 000) records, snapshots included.  The same ceiling holds for the rows
-of a sweep table, counted before any grid is built: n_nu x (distinct m) x
-levels for `spectrum`, n_nu for `velocity-sweep`.  Grids are capped at
-MAX_GRID_N (4096) points per axis, checked before any array is built, and
-the radial basis at MAX_BASIS_K (240) functions, the range over which its
-recurrence is tested, checked before any reduction.
+Each rule on an input is stated once, by the layer that owns it, and a
+library ValueError exits 2 like a ConfigError.  TrapParams refuses a
+negative nu or b; RadialBasis a basis size outside 1..MAX_BASIS_K (240),
+before any reduction; GridSpec a grid above MAX_GRID_N (4096) points per
+axis, before any array is built; spectrum_sweep more levels than K, and
+find_crossing a reversed bracket or m1 = m2.  This module checks only what
+it builds itself, and only for the commands that take the field: the nu
+grid of a sweep, a positive dtau and snapshot stride, one m for `current`,
+and the `--format` of `evolve`.  `evolve` and `ramp-compare` write one
+record every 10 steps and refuse, as a configuration error, a run that
+would take more than MAX_RECORDS (100 000) records, snapshots included.
+The same ceiling holds for the rows of a sweep table, counted before the
+nu grid is built: n_nu x (distinct m) x levels for `spectrum`, n_nu for
+`velocity-sweep`.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
 (conditioning, bracketing, norm drift, sector leakage, overflow, running out
@@ -83,11 +89,9 @@ EXIT_IO = 4
 # observables pass, tens of milliseconds on a 256^2 grid
 _RECORD_EVERY = 10
 MAX_RECORDS = 100_000
-MAX_GRID_N = 4096  # points per axis; one 4096^2 complex field is 256 MiB
-MAX_BASIS_K = 240  # tests/test_radial.py checks the recurrence to n = 241
 
-__all__ = ["RunConfig", "ConfigError", "MAX_RECORDS", "MAX_GRID_N",
-           "MAX_BASIS_K", "parse_pi_expression", "main", "console_entry"]
+__all__ = ["RunConfig", "ConfigError", "MAX_RECORDS", "parse_pi_expression",
+           "main", "console_entry"]
 
 
 class ConfigError(ValueError):
@@ -225,7 +229,7 @@ def _coerce(name: str, raw: str):
         raise ConfigError(f"bad value for {name}: {raw!r} ({exc})") from None
 
 
-_COMMON_FLAGS = ("seed", "out", "format")
+_COMMON_FLAGS = ("seed", "out")
 
 _FLAG_HELP = {
     "nu": "cyclotron-to-trap frequency ratio (>= 0)",
@@ -250,7 +254,7 @@ _FLAG_HELP = {
     "tol": "relaxation convergence: Rayleigh-quotient change per iteration",
     "seed": "seed echoed into headers for randomized studies",
     "out": "output path (default: derived from the command name)",
-    "format": "output format override (csv | json | grid-dump)",
+    "format": "grid-dump also writes the final lab-frame field",
 }
 
 
@@ -340,33 +344,24 @@ def resolve_config(args) -> RunConfig:
             kwargs[name] = _coerce(name, raw)
     cfg = RunConfig(**kwargs)
 
-    if cfg.nu < 0:
-        raise ConfigError(
-            "negative nu: energies obey E(-nu, m) = E(nu, -m); rerun with "
-            "nu >= 0 and mirrored m")
-    if cfg.b < 0:
-        raise ConfigError("b must be >= 0")
-    if cfg.K < 2:
-        raise ConfigError("K must be at least 2")
-    if cfg.K > MAX_BASIS_K:
-        raise ConfigError(f"K = {cfg.K} is above the ceiling of {MAX_BASIS_K}"
-                          ", the largest basis whose recurrence is tested")
-    if cfg.dtau <= 0:
+    # the library checks nu, b, K, levels, the bracket, m1 != m2 and N
+    flags = _COMMANDS[cfg.command][1]
+    if "dtau" in flags and cfg.dtau <= 0:
         raise ConfigError(f"dtau = {cfg.dtau:g} must be positive")
-    if cfg.levels < 1:
-        raise ConfigError("levels must be at least 1")
-    if cfg.format not in ("", "csv", "json", "grid-dump"):
+    if "format" in flags and cfg.format not in ("", "grid-dump"):
         raise ConfigError(f"unknown format {cfg.format!r}")
-    if cfg.command in ("spectrum", "velocity-sweep"):
+    if "nu_grid" in flags:
         if cfg.nu_grid is None:
             raise ConfigError(f"{cfg.command} needs --nu-grid lo:hi:step")
         lo, hi, step = cfg.nu_grid
-        if not (step > 0 and hi > lo and lo >= 0):
+        if not (step > 0 and hi > lo):
             raise ConfigError(f"bad nu grid {cfg.nu_grid}")
         n_nu = _nu_count(cfg.nu_grid)
         rows = n_nu
         if cfg.command == "spectrum":
-            rows = n_nu * len(set(cfg.m)) * cfg.levels
+            # levels < 1 is refused by spectrum_sweep, after the nu grid is
+            # built, so n_nu bounds that grid on its own
+            rows = max(n_nu, n_nu * len(set(cfg.m)) * cfg.levels)
         if rows > MAX_RECORDS:
             raise ConfigError(
                 f"{cfg.command} over {n_nu:g} nu values would write {rows:g} "
@@ -374,21 +369,9 @@ def resolve_config(args) -> RunConfig:
                 f"grid")
     if cfg.command == "current" and len(cfg.m) != 1:
         raise ConfigError("current takes exactly one m")
-    if cfg.command == "crossings":
-        lo, hi = cfg.nu_bracket
-        if not (hi > lo >= 0):
-            raise ConfigError(f"bad nu bracket {cfg.nu_bracket}")
-        if cfg.m1 == cfg.m2:
-            raise ConfigError(f"m1 and m2 are both {cfg.m1}; a crossing "
-                              "needs two different sectors")
-    if cfg.command == "spectrum" and cfg.levels > cfg.K:
-        raise ConfigError(f"levels = {cfg.levels} exceeds the basis size "
-                          f"K = {cfg.K}")
-    if cfg.snapshots is not None and cfg.snapshots <= 0:
+    if ("snapshots" in flags and cfg.snapshots is not None
+            and cfg.snapshots <= 0):
         raise ConfigError("snapshot stride must be positive")
-    if "N" in _COMMANDS[cfg.command][1] and cfg.N > MAX_GRID_N:
-        raise ConfigError(f"N = {cfg.N} points per axis is above the ceiling "
-                          f"of {MAX_GRID_N}")
     return cfg
 
 
@@ -472,11 +455,8 @@ def _cmd_crossings(cfg: RunConfig):
 def _cmd_groundstate(cfg: RunConfig):
     tp = TrapParams(nu=cfg.nu, b=cfg.b)
     record = ground_state_scan(tp, m_range=cfg.m_range, size=cfg.K)
-    lo, hi = cfg.m_range
-    sectors = [[m, solve_sector(tp, m, size=cfg.K).energies[0]]
-               for m in range(lo, hi + 1)]
     result = {"m_star": record.m_star, "energy": record.energy,
-              "sectors": sectors}
+              "sectors": record.sectors}
     path = _out_path(cfg, ".json")
     io_utils.write_json_record(path, result, cfg.to_header())
     return [path]
@@ -601,7 +581,7 @@ _COMMANDS = {
                        ("b", "nu_grid", "m_range", "K")),
     "evolve": (_cmd_evolve,
                ("nu", "b", "xi0", "packet_width", "N", "L", "dtau",
-                "tau_end", "snapshots", "ramp", "tau_ramp")),
+                "tau_end", "snapshots", "ramp", "tau_ramp", "format")),
     "imag-time": (_cmd_imag_time, ("nu", "b", "m", "N", "L", "tol")),
     "ramp-compare": (_cmd_ramp_compare,
                      ("nu", "b", "tau_ramp", "tau_end", "dtau", "N", "L")),
@@ -637,9 +617,7 @@ def main(argv=None) -> int:
                 print(path)
         except _NUMERICAL_ERRORS as exc:
             return _fail(exc, EXIT_NUMERICAL, caught)
-        except ConfigError as exc:
-            return _fail(exc, EXIT_CONFIG, caught)
-        except ValueError as exc:
+        except ValueError as exc:  # ConfigError and the library's refusals
             return _fail(exc, EXIT_CONFIG, caught)
         except RuntimeError as exc:
             return _fail(exc, EXIT_NUMERICAL, caught)

@@ -71,6 +71,7 @@ from .params import TrapParams
 __all__ = [
     "DEFAULT_PACKET_WIDTH",
     "GridSpec",
+    "MAX_GRID_N",
     "GridState",
     "RampProtocol",
     "EvolutionResult",
@@ -92,6 +93,8 @@ __all__ = [
 ]
 
 DEFAULT_PACKET_WIDTH = 0.5
+
+MAX_GRID_N = 4096  # points per axis; one 4096^2 complex field is 256 MiB
 
 _HALF_PI = 0.5 * math.pi
 
@@ -121,15 +124,18 @@ class GridSpec:
 
     Samples sit at -L + (i + 1/2) h, half a cell off the origin, so none
     coincides with it and the point set is closed under the square's
-    rotations and reflections.
+    rotations and reflections.  n is a power of two from 4 to MAX_GRID_N
+    (4096); a larger grid is refused here, before any array is built.
     """
 
     n: int = 256
     half_extent: float = 8.0
 
     def __post_init__(self):
-        if self.n < 4 or (self.n & (self.n - 1)) != 0:
-            raise ValueError(f"n must be a power of two >= 4, got {self.n}")
+        if not 4 <= self.n <= MAX_GRID_N or self.n & (self.n - 1):
+            raise ValueError(
+                f"n = {self.n} points per axis must be a power of two from 4 "
+                f"to the ceiling of {MAX_GRID_N}")
         if not (self.half_extent > 0 and np.isfinite(self.half_extent)):
             raise ValueError("half_extent must be positive and finite")
 

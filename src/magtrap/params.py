@@ -94,7 +94,9 @@ class PhysicalParams:
 class TrapParams:
     """Dimensionless control parameters of the reduced problem.
 
-    nu          ratio omega_c / omega_t, canonical orientation nu >= 0
+    nu          ratio omega_c / omega_t, canonical orientation nu >= 0:
+                E(-nu, m) = E(nu, -m), so a reversed field is |nu| with m
+                mirrored (or from_signed)
     b           Coulomb coupling, b >= 0 (identical charges repel)
     field_sign  +1 or -1, orientation of q * B_z.  For field_sign = -1 a
                 physical state with angular momentum m corresponds to the
@@ -110,8 +112,9 @@ class TrapParams:
             raise ValueError("nu and b must be finite")
         if self.nu < 0:
             raise ValueError(
-                "nu must be non-negative; use TrapParams.from_signed to "
-                "canonicalize a signed field")
+                f"nu = {self.nu:g} is negative: energies obey E(-nu, m) = "
+                f"E(nu, -m), so pass |nu| and mirror m, or canonicalize a "
+                f"signed field with TrapParams.from_signed")
         if self.b < 0:
             raise ValueError("b must be non-negative (repulsive core)")
         if self.field_sign not in (+1, -1):

@@ -52,10 +52,12 @@ cached; a solve at any (nu, b, alpha) is then one float64 symmetric
 eigendecomposition.  Its energies are the Rayleigh quotients y^T H y of
 the eigenvectors y, accurate to relative rounding, where the eigenvalues
 themselves carry an absolute error of eps ||H|| (Parlett, The Symmetric
-Eigenvalue Problem, SIAM 1998).  A weight whose mass under- or overflows
-float64 at the requested alpha, or a block that is not finite, is
-reported as a basis conditioning error naming the offending K; a pencil
-that overflows at the requested (nu, b) raises OverflowError.
+Eigenvalue Problem, SIAM 1998).  A basis holds 1 to MAX_BASIS_K (240)
+functions, the range over which the tests check the recurrence.  A weight
+whose mass under- or overflows float64 at the requested (alpha, |m|) is
+reported as a basis conditioning error naming alpha and |m|, a block that
+is not finite or a failing eigensolve as one naming K; a pencil that
+overflows at the requested (nu, b) raises OverflowError.
 
 A state is its eigenvector in the orthonormal basis phi_k, and nothing
 else: no expansion over the raw u_k is formed, since its high terms carry
@@ -84,6 +86,7 @@ __all__ = [
     "GroundStateRecord",
     "BasisConditioningError",
     "BracketingError",
+    "MAX_BASIS_K",
     "overlap_and_hamiltonian_matrices",
     "solve_sector",
     "crude_variational_energy",
@@ -95,6 +98,10 @@ __all__ = [
 DEFAULT_BASIS_SIZE = 30
 DEFAULT_M_RANGE = (-3, 6)
 
+# the largest basis size; tests/test_radial.py checks the recurrence, which
+# runs one step past the basis, to n = 241
+MAX_BASIS_K = 240
+
 # ground energy movement under K -> K + 10 that triggers a convergence warning
 _SENTINEL_SHIFT = 1e-7
 
@@ -103,19 +110,18 @@ _PANEL_ORDER = 40
 
 
 class BasisConditioningError(RuntimeError):
-    """Raised when the sector basis cannot be orthonormalized.
+    """Raised when the sector basis cannot be used in float64; names why.
 
     The float64 recurrence has no precision budget that a large K exhausts;
     it fails only when the weight's mass leaves the float64 range (an
-    extreme alpha) or a pencil block is not finite.  A failing float64
-    eigensolve of the reduced pencil is reported the same way.
+    extreme alpha or |m|, which no K mends) or a pencil block is not
+    finite.  A failing float64 eigensolve of the reduced pencil is reported
+    here too.
     """
 
-    def __init__(self, size: int, m: int):
-        super().__init__(
-            f"overlap matrix lost positive definiteness at basis size "
-            f"K={size} (sector m={m}); the monomial Gaussian basis is too "
-            f"ill-conditioned at this size, reduce K")
+    def __init__(self, size: int, m: int, cause: str):
+        super().__init__(f"basis of K={size} functions in sector m={m}: "
+                         f"{cause}")
         self.size = size
         self.m = m
 
@@ -134,7 +140,9 @@ class RadialBasis:
     b = 0 state at finite nu.  Every width shares the one alpha = 1/2
     reduction of its (|m|, size): this basis is that one dilated by
     c = sqrt(2 alpha), which expansion, _density_slope and radial_moments
-    apply as scalars.
+    apply as scalars.  size runs from 1 to MAX_BASIS_K (240), the largest
+    basis whose recurrence the tests check; a larger one is refused here,
+    before any reduction.
     """
 
     m: int
@@ -142,8 +150,11 @@ class RadialBasis:
     alpha: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.size < 1:
-            raise ValueError("basis size must be at least 1")
+        if not 1 <= self.size <= MAX_BASIS_K:
+            raise ValueError(
+                f"basis size K = {self.size} must be at least 1 and at most "
+                f"the ceiling of {MAX_BASIS_K}, the largest basis whose "
+                f"recurrence is tested")
         if not (self.alpha > 0 and math.isfinite(self.alpha)):
             raise ValueError("alpha must be positive and finite")
 
@@ -415,17 +426,24 @@ def _sector_blocks(m: int, size: int, alpha: float):
 
     c is the dilation that maps the blocks onto the width-alpha basis.
     Every consumer of a basis comes through here, so this is where an
-    extreme alpha is refused: BasisConditioningError is raised when the
-    mass of the width-alpha weight, (2 alpha)^-(|m|+1) Gamma(|m|+1) / 2,
-    leaves the normal float64 range, or when the alpha = 1/2 reduction
-    fails.
+    extreme alpha or |m| is refused, before any reduction:
+    BasisConditioningError is raised when the mass of the width-alpha
+    weight, (2 alpha)^-(|m|+1) Gamma(|m|+1) / 2, leaves the normal float64
+    range, or when the alpha = 1/2 reduction has a block that is not
+    finite.
     """
     m_abs = abs(m)
     log2_mass = (math.lgamma(m_abs + 1) / math.log(2.0) - 1.0
                  - (m_abs + 1) * math.log2(2.0 * alpha))
-    blocks = _reduce(m_abs, size) if -1022 <= log2_mass < 1024 else None
+    if not -1022 <= log2_mass < 1024:
+        raise BasisConditioningError(
+            size, m, f"the weight mass (2 alpha)^-(|m|+1) Gamma(|m|+1) / 2 "
+            f"at alpha={alpha:g}, |m|={m_abs} is 2^{log2_mass:.0f}, outside "
+            f"the float64 range; no K mends this, alpha and |m| decide it")
+    blocks = _reduce(m_abs, size)
     if blocks is None:
-        raise BasisConditioningError(size, m)
+        raise BasisConditioningError(
+            size, m, "a block of its reduction is not finite in float64")
     return blocks, math.sqrt(2.0 * alpha)
 
 
@@ -449,7 +467,8 @@ def _sector_eigh(m: int, size: int, alpha: float, nu: float, b: float):
     try:
         _, vectors = np.linalg.eigh(pencil)
     except np.linalg.LinAlgError:
-        raise BasisConditioningError(size, m) from None
+        raise BasisConditioningError(
+            size, m, "the float64 eigensolve of its pencil failed") from None
     quotients = (vectors * (pencil @ vectors)).sum(axis=0)
     return quotients - 0.5 * m * nu, vectors
 
@@ -475,13 +494,17 @@ class RadialEigenSolution:
 
 @dataclass(frozen=True)
 class GroundStateRecord:
-    """Winner of a ground-state scan over m at fixed (nu, b)."""
+    """Winner of a ground-state scan over m at fixed (nu, b).
+
+    sectors holds the scanned (m, ground energy) pairs in ascending m.
+    """
 
     nu: float
     b: float
     m_star: int
     energy: float
     solution: RadialEigenSolution = field(repr=False)
+    sectors: tuple = ()
 
 
 def solve_sector(tp: TrapParams, m: int, size: int = DEFAULT_BASIS_SIZE,
@@ -496,24 +519,30 @@ def solve_sector(tp: TrapParams, m: int, size: int = DEFAULT_BASIS_SIZE,
     included, is then a single float64 symmetric eigendecomposition at
     (nu, b), whose eigenvectors are the states in the orthonormal basis,
     orthonormal to rounding, and whose energies are their Rayleigh
-    quotients.  Raises BasisConditioningError when the basis cannot be
-    orthonormalized in float64.  With check_convergence=True the solve is
-    repeated at size + 10 and a warning is emitted if the ground energy
-    moves by more than 1e-7.
+    quotients.  Raises ValueError for a size outside [1, MAX_BASIS_K] and
+    BasisConditioningError when the basis cannot be used in float64.  With
+    check_convergence=True the solve is repeated at size + 10 and a warning
+    is emitted if the ground energy moves by more than 1e-7, or if that
+    larger basis is above the ceiling or cannot be solved.
     """
     basis = RadialBasis(m=m, size=size, alpha=alpha)
     energies, vectors = _sector_eigh(m, size, alpha, tp.nu, tp.b)
     sol = RadialEigenSolution(m=m, params=tp, basis=basis, energies=energies,
                               vectors=vectors)
 
-    if check_convergence:
+    if check_convergence and size + 10 > MAX_BASIS_K:
+        warnings.warn(
+            f"convergence sentinel at K={size + 10} (m={m}) is above the "
+            f"basis ceiling of {MAX_BASIS_K}; ground energy unverified",
+            RuntimeWarning)
+    elif check_convergence:
         try:
             bigger = solve_sector(tp, m, size=size + 10, alpha=alpha,
                                   check_convergence=False)
-        except BasisConditioningError:
+        except BasisConditioningError as exc:
             warnings.warn(
-                f"convergence sentinel at K={size + 10} failed to factorize "
-                f"(m={m}); ground energy unverified", RuntimeWarning)
+                f"convergence sentinel at K={size + 10} (m={m}) did not "
+                f"solve ({exc}); ground energy unverified", RuntimeWarning)
         else:
             shift = abs(bigger.energies[0] - energies[0])
             if shift > _SENTINEL_SHIFT:
@@ -559,16 +588,18 @@ def ground_state_scan(tp: TrapParams,
         raise ValueError(
             f"m_range {m_range} must include 0 and cover at least [-2, 4]")
 
-    best = None
+    sectors, best, best_key = [], None, None
     for m in range(lo, hi + 1):
         sol = solve_sector(tp, m, size=size,
                            check_convergence=check_convergence)
-        key = (sol.energies[0], abs(m), 0 if m >= 0 else 1)
-        if best is None or key < best[0]:
-            best = (key, m, sol)
-    _, m_star, sol = best
-    return GroundStateRecord(nu=tp.nu, b=tp.b, m_star=m_star,
-                             energy=float(sol.energies[0]), solution=sol)
+        energy = float(sol.energies[0])
+        sectors.append((m, energy))
+        key = (energy, abs(m), m < 0)
+        if best_key is None or key < best_key:
+            best, best_key = sol, key
+    return GroundStateRecord(nu=tp.nu, b=tp.b, m_star=best.m,
+                             energy=best_key[0], solution=best,
+                             sectors=tuple(sectors))
 
 
 def _ground_energy(b: float, m: int, nu: float, size: int) -> float:
@@ -621,7 +652,7 @@ def find_crossing(tp: TrapParams, m1: int, m2: int,
     """
     lo, hi = nu_bracket
     if not (0 <= lo < hi):
-        raise ValueError("need 0 <= lo < hi in nu_bracket")
+        raise ValueError(f"need 0 <= lo < hi in nu_bracket, got {lo}:{hi}")
     if m1 == m2:
         raise ValueError(
             f"m1 and m2 are both {m1}; a sector cannot cross itself")

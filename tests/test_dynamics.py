@@ -12,6 +12,7 @@ from scipy.integrate import quad
 import oracles
 from magtrap import TrapParams
 from magtrap.dynamics import (
+    MAX_GRID_N,
     BoundaryLeakError,
     GridSpec,
     GridState,
@@ -55,6 +56,12 @@ class TestGridSpec:
     def test_rejects_bad_point_count(self, n):
         with pytest.raises(ValueError, match="power of two"):
             GridSpec(n=n)
+
+    def test_point_ceiling_is_exact(self):
+        # a spec holds no array, so the ceiling costs nothing to probe
+        assert GridSpec(n=MAX_GRID_N).n == MAX_GRID_N
+        with pytest.raises(ValueError, match=f"ceiling of {MAX_GRID_N}"):
+            GridSpec(n=2 * MAX_GRID_N)
 
     @pytest.mark.parametrize("L", [0.0, -3.0, math.inf])
     def test_rejects_bad_extent(self, L):

@@ -16,9 +16,8 @@ from hypothesis import strategies as st
 
 import magtrap
 import oracles
+from magtrap import cli, radial
 from magtrap.cli import (
-    MAX_BASIS_K,
-    MAX_GRID_N,
     MAX_RECORDS,
     ConfigError,
     RunConfig,
@@ -29,6 +28,7 @@ from magtrap.cli import (
     read_config_file,
     resolve_config,
 )
+from magtrap.dynamics import MAX_GRID_N
 from magtrap.io_utils import (
     ARTIFACT_VERSION,
     read_grid_dump,
@@ -38,6 +38,7 @@ from magtrap.io_utils import (
     write_json_record,
     write_table,
 )
+from magtrap.radial import MAX_BASIS_K
 
 
 _PI_ALPHABET = "0123456789.epi+-*/() "
@@ -573,7 +574,7 @@ class TestModuleEntry:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1, proc.stderr
         err = json.loads(lines[0])
-        assert err["error"] == "ConfigError"
+        assert err["error"] == "ValueError"
         assert f"ceiling of {MAX_GRID_N}" in err["message"]
         assert list(tmp_path.iterdir()) == []
 
@@ -620,26 +621,54 @@ class TestModuleEntry:
         assert f"ceiling of {MAX_RECORDS}" in err["message"]
         assert not (tmp_path / "s.csv").exists()
 
+    @pytest.mark.parametrize("levels", ["--levels=0", "--levels=-1"])
+    def test_spectrum_without_levels_still_counts_the_nu_grid(self, levels,
+                                                             tmp_path):
+        # a level count below one makes the row product vanish; the 1e9 nu
+        # values are refused all the same, before 16 GB of grid is built
+        proc = _fresh_python(["-m", "magtrap.cli", "spectrum", "--nu-grid",
+                              "0:1e9:1", levels, "--out",
+                              str(tmp_path / "s.csv")], tmp_path,
+                             address_space=1 << 30)
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        err = json.loads(lines[0])
+        assert err["error"] == "ConfigError"
+        assert f"ceiling of {MAX_RECORDS}" in err["message"]
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("command", ["evolve", "imag-time",
                                          "ramp-compare"])
     def test_grid_point_ceiling_is_exact(self, command):
+        # the ceiling is GridSpec's: the command meets it at its first line
         ok = build_parser().parse_args([command, "--N", str(MAX_GRID_N)])
         assert resolve_config(ok).N == MAX_GRID_N
         args = build_parser().parse_args([command, "--N",
                                           str(2 * MAX_GRID_N)])
-        with pytest.raises(ConfigError, match="points per axis"):
-            resolve_config(args)
+        handler, _ = cli._COMMANDS[command]
+        with pytest.raises(ValueError, match="points per axis"):
+            handler(resolve_config(args))
 
     @pytest.mark.parametrize("argv", [
         ["groundstate"], ["spectrum", "--nu-grid", "0:1:0.5"], ["crossings"],
         ["current"], ["velocity-sweep", "--nu-grid", "0:1:0.5"]])
-    def test_basis_size_ceiling_is_exact(self, argv):
+    def test_basis_size_ceiling_is_exact(self, argv, tmp_path, capsys):
+        # the ceiling is RadialBasis's: a command refuses K = 241 with one
+        # JSON line, before any reduction, and writes nothing
         ok = build_parser().parse_args([*argv, "--K", str(MAX_BASIS_K)])
         assert resolve_config(ok).K == MAX_BASIS_K
-        args = build_parser().parse_args([*argv, "--K",
-                                          str(MAX_BASIS_K + 1)])
-        with pytest.raises(ConfigError, match=f"ceiling of {MAX_BASIS_K}"):
-            resolve_config(args)
+        misses = radial._reduce.cache_info().misses
+        out = tmp_path / "artifact"
+        assert main([*argv, "--K", str(MAX_BASIS_K + 1),
+                     "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ValueError"
+        assert f"ceiling of {MAX_BASIS_K}" in err["message"]
+        assert radial._reduce.cache_info().misses == misses
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command,grid,extra,refused", [
         ("velocity-sweep", "0:99999:1", [], False),
@@ -677,6 +706,30 @@ class TestCommandArtifacts:
         assert len(result["sectors"]) == 7
         sector_energies = {m: e for m, e in result["sectors"]}
         assert result["energy"] == min(sector_energies.values())
+
+    def test_groundstate_solves_each_sector_once(self, tmp_path,
+                                                 monkeypatch):
+        solved = []
+        solve = radial.solve_sector
+
+        def counted(tp, m, *args, **kwargs):
+            solved.append(m)
+            return solve(tp, m, *args, **kwargs)
+
+        monkeypatch.setattr(radial, "solve_sector", counted)
+        monkeypatch.setattr(cli, "solve_sector", counted)
+        assert main(["groundstate", "--nu", "1", "--b", "5", "--K", "14",
+                     "--m-range", "-2:4",
+                     "--out", str(tmp_path / "gs.json")]) == 0
+        assert solved == list(range(-2, 5))
+
+    def test_smallest_basis_runs(self, tmp_path):
+        # one function per sector is a basis RadialBasis accepts
+        out = tmp_path / "gs.json"
+        assert main(["groundstate", "--K", "1", "--out", str(out)]) == 0
+        _, result = read_json_record(out)
+        # at nu = b = 0 the one-function basis is the exact ground state
+        assert result["energy"] == pytest.approx(1.0, abs=1e-12)
 
     def test_current_table_carries_drift_velocity(self, tmp_path):
         out = tmp_path / "cur.csv"
@@ -778,6 +831,37 @@ class TestConfigPlumbing:
                      "--nu", "2", "--out", str(out)]) == 0
         header, _ = read_table(out)
         assert header["nu"] == "2.0" and header["b"] == "1.0"
+
+    @pytest.mark.parametrize("command, key", [
+        (["potential"], "K = 1"), (["groundstate", "--K", "10"], "dtau = 0"),
+        (["groundstate", "--K", "10"], "format = hdf5"),
+        (["imag-time", "--N", "16", "--m", "0"], "snapshots = 0")])
+    def test_keys_a_command_does_not_take_do_not_refuse_it(self, tmp_path,
+                                                           command, key):
+        config = tmp_path / "run.cfg"
+        config.write_text(key + "\n")
+        out = tmp_path / "artifact"
+        assert main([*command, "--config", str(config),
+                     "--out", str(out)]) == 0
+        assert out.exists()
+
+    def test_format_is_an_evolve_flag(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert main(["spectrum", "--nu-grid", "0:1:0.5", "--format",
+                     "grid-dump", "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "--format" in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["csv", "json"])
+    def test_evolve_refuses_a_format_it_does_not_write(self, tmp_path,
+                                                       value):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"format = {value}\n")
+        assert main(["evolve", "--config", str(config), "--N", "16",
+                     "--out", str(tmp_path / "e.csv")]) == 2
+        assert list(tmp_path.iterdir()) == [config]
 
     def test_negative_sector_values_pass_through_argv(self, tmp_path):
         out = tmp_path / "d.csv"

@@ -38,6 +38,11 @@ class TestTrapParams:
         with pytest.raises(ValueError):
             TrapParams(**kwargs)
 
+    def test_negative_field_ratio_names_the_mirror(self):
+        with pytest.raises(ValueError, match=(
+                r"E\(-nu, m\) = E\(nu, -m\), so pass \|nu\| and mirror m")):
+            TrapParams(nu=-1.0)
+
     def test_from_signed_canonicalizes_orientation(self):
         tp = TrapParams.from_signed(-2.0, b=1.0)
         assert tp.nu == 2.0

@@ -17,6 +17,7 @@ from magtrap.observables import (
     velocity_expectation,
 )
 from magtrap.radial import (
+    MAX_BASIS_K,
     BasisConditioningError,
     BracketingError,
     RadialBasis,
@@ -198,6 +199,35 @@ class TestConditioningFailure:
         assert err.value.size == 10
         assert "K=10" in str(err.value)
 
+    @pytest.mark.parametrize("m, alpha", [(6, 1e-300), (6, 1e300),
+                                          (400, 0.5), (-400, 0.5)])
+    def test_weight_outside_float_range_names_alpha_and_m(self, m, alpha):
+        # no basis size mends a weight mass outside float64, so the error
+        # names what does decide it, and asks for no smaller K
+        misses = radial._reduce.cache_info().misses
+        with pytest.raises(BasisConditioningError) as err:
+            solve_sector(TrapParams(nu=1.0, b=1.0), m, size=10, alpha=alpha)
+        message = str(err.value)
+        assert f"alpha={alpha:g}, |m|={abs(m)}" in message
+        assert "no K mends" in message and "reduce K" not in message
+        assert (err.value.size, err.value.m) == (10, m)
+        assert radial._reduce.cache_info().misses == misses
+
+    def test_block_that_is_not_finite_names_the_size(self, monkeypatch):
+        monkeypatch.setattr(radial, "_reduce", lambda m_abs, size: None)
+        with pytest.raises(BasisConditioningError,
+                           match=r"K=12 .*sector m=2: a block .* not finite"):
+            solve_sector(TrapParams(nu=1.0), 2, size=12)
+
+    def test_failing_eigensolve_names_the_size(self, monkeypatch):
+        def fail(matrix):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(BasisConditioningError,
+                           match=r"K=12 .*sector m=2: the float64 eigensolve"):
+            solve_sector(TrapParams(nu=1.0), 2, size=12)
+
     def test_unconverged_sentinel_warns(self):
         with pytest.warns(RuntimeWarning, match="increase the basis"):
             solve_sector(TrapParams(nu=0.5, b=10.0), 0, size=4,
@@ -208,6 +238,37 @@ class TestConditioningFailure:
             warnings.simplefilter("error")
             solve_sector(TrapParams(nu=0.5, b=10.0), 0, size=30,
                          check_convergence=True)
+
+    def test_sentinel_above_the_ceiling_warns_unverified(self):
+        with pytest.warns(RuntimeWarning, match=(
+                f"sentinel at K={MAX_BASIS_K + 10} .*ceiling of "
+                f"{MAX_BASIS_K}.*unverified")):
+            sol = solve_sector(TrapParams(nu=0.5, b=1.0), 0,
+                               size=MAX_BASIS_K, check_convergence=True)
+        assert len(sol.energies) == MAX_BASIS_K
+
+
+class TestBasisCeiling:
+    def test_ceiling_is_exact(self):
+        assert RadialBasis(m=0, size=MAX_BASIS_K).size == MAX_BASIS_K
+        with pytest.raises(ValueError, match=f"ceiling of {MAX_BASIS_K}"):
+            RadialBasis(m=0, size=MAX_BASIS_K + 1)
+
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_empty_basis_is_refused(self, size):
+        with pytest.raises(ValueError, match="at least 1"):
+            RadialBasis(m=0, size=size)
+
+    def test_solve_above_the_ceiling_is_refused_before_any_reduction(self):
+        misses = radial._reduce.cache_info().misses
+        with pytest.raises(ValueError, match=f"ceiling of {MAX_BASIS_K}"):
+            solve_sector(TrapParams(nu=1.0, b=1.0), 0, size=MAX_BASIS_K + 1)
+        assert radial._reduce.cache_info().misses == misses
+
+    def test_one_function_basis_solves(self):
+        # at nu = b = 0 the single alpha = 1/2 Gaussian is the ground state
+        sol = solve_sector(TrapParams(nu=0.0), 0, size=1)
+        assert sol.energies == pytest.approx([1.0], abs=1e-14)
 
 
 class TestDilatedBasis:
@@ -337,6 +398,14 @@ class TestGroundStateScan:
         rec = ground_state_scan(TrapParams(nu=1.0, b=5.0))
         assert rec.m_star == 1
         assert rec.solution.energies[0] == rec.energy
+
+    def test_record_carries_every_scanned_sector(self):
+        tp = TrapParams(nu=1.0, b=5.0)
+        rec = ground_state_scan(tp, m_range=(-2, 4), size=12)
+        assert rec.sectors == tuple(
+            (m, solve_sector(tp, m, size=12).energies[0])
+            for m in range(-2, 5))
+        assert dict(rec.sectors)[rec.m_star] == rec.energy
 
     @pytest.mark.parametrize("m_range", [(-1, 4), (-2, 3), (1, 6)])
     def test_rejects_short_scan_windows(self, m_range):
