@@ -44,6 +44,7 @@ import math
 import operator
 import re
 import sys
+import threading
 import typing
 import warnings
 from dataclasses import dataclass
@@ -283,7 +284,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-_DASH_VALUE_FLAGS = {"--m", "--m-range", "--nu-bracket"}
+_DASH_VALUE_FLAGS = {"--m", "--m-range", "--nu-bracket", "--nu-grid"}
 
 
 def _merge_negative_values(argv):
@@ -556,12 +557,29 @@ def _cmd_ramp_compare(cfg: RunConfig):
     _, state0 = imaginary_time_ground(spec, rest, 0, tol=cfg.tol,
                                       coulomb="softcore")
     base = _out_path(cfg, ".csv")
-    written = []
-    for kind in ("step", "smooth"):
+    outcomes = {}
+
+    def run(kind):
         ramp = RampProtocol(kind, nu_final=cfg.nu,
                             tau_ramp=0.0 if kind == "step" else cfg.tau_ramp)
-        result = evolve(state0, tp, cfg.dtau, tau_end, ramp,
-                        record_every=_RECORD_EVERY)
+        try:
+            outcomes[kind] = evolve(state0, tp, cfg.dtau, tau_end, ramp,
+                                    record_every=_RECORD_EVERY)
+        except Exception as exc:  # raised below, in the serial order
+            outcomes[kind] = exc
+
+    # the runs share only read-only grid tables, so the smooth ramp runs on
+    # a second thread; the CSVs are written, or the first error raised, in
+    # the serial order, step first
+    smooth = threading.Thread(target=run, args=("smooth",), daemon=True)
+    smooth.start()
+    run("step")
+    smooth.join()
+    written = []
+    for kind in ("step", "smooth"):
+        result = outcomes[kind]
+        if isinstance(result, Exception):
+            raise result
         path = _tagged(base, f"_{kind}")
         header = _evolve_header(cfg, spec)
         header["ramp"] = kind

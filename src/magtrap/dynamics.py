@@ -55,6 +55,16 @@ axis a.  The autocorrelation is an overlap with the initial lab pattern
 that never builds the lab field: the quarter turns move onto the
 reference, and the last shear becomes a weighted sum of axis-0 transforms.
 Snapshots, to_lab_frame and rotate_frame still rotate the field.
+
+Sums over an N x N field are numpy's own fixed-order sums (einsum over the
+float view), never BLAS: norms, overlaps, the Gram entries of the
+eigensolve and the moment weights of a record.  OpenBLAS splits a dot
+product or a matrix-vector product above about 10^4 elements across its
+threads, so its rounding follows the thread count, and its pool then spins
+on a core that another run could use.  Artifacts therefore do not depend on
+OPENBLAS_NUM_THREADS, and two runs can share the machine's cores.  The
+cached tables of a grid are read-only; what a run changes, its half kick,
+it owns.
 """
 
 from __future__ import annotations
@@ -187,7 +197,7 @@ class GridState:
 
     def norm(self) -> float:
         a = self.amplitudes
-        return float(np.sqrt(self.spec.h ** 2 * np.vdot(a, a).real))
+        return math.sqrt(self.spec.h ** 2 * _vdot(a, a).real)
 
     def density(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
@@ -286,11 +296,27 @@ def _filter(f: np.ndarray, table: np.ndarray) -> np.ndarray:
     return f
 
 
-class _Stepper:
-    """The tables of h2 for one (grid, b, Coulomb flavor) combination.
+def _vdot(a: np.ndarray, b: np.ndarray) -> complex:
+    """np.vdot(a, b) of two N x N fields in one fixed order, without BLAS.
 
-    It holds V0 and the wavenumbers k, which every consumer reads; the step
-    keeps exp(z T), exp(z V0/2) and the half kick for the last dtau and nu.
+    The real part is one einsum over the float views; a self-overlap stops
+    there.  The imaginary part pairs the strided real and imaginary views.
+    """
+    x = np.ascontiguousarray(a).view(float)
+    if b is a:
+        return complex(np.einsum("ij,ij->", x, x))
+    y = np.ascontiguousarray(b).view(float)
+    return complex(np.einsum("ij,ij->", x, y),
+                   np.einsum("ij,ij->", x[:, ::2], y[:, 1::2])
+                   - np.einsum("ij,ij->", x[:, 1::2], y[:, ::2]))
+
+
+class _Tables:
+    """The read-only tables of h2 for one (grid, b, Coulomb flavor).
+
+    V0, the axis and the wavenumbers k, which every consumer reads, and the
+    record's sums over a field.  Runs on several threads share one
+    instance, so nothing here changes after it is built.
     """
 
     def __init__(self, spec: GridSpec, b: float, coulomb: str):
@@ -309,8 +335,8 @@ class _Stepper:
         self.v0_max = float(self.v0.max())
         self.rho2_max = float(rho2.max())
         self.k = spec.wavenumbers()
-        self._dtau = self._kick_nu = None
-        self.kinetic = self.kick0 = self._kick = None
+        for table in (self.ax, self.ax2, self.v0, self.k):
+            table.flags.writeable = False
 
     def v2(self, nu: float) -> np.ndarray:  # V0 + (nu^2/8) rho^2
         return self.v0 + 0.125 * nu * nu * np.add.outer(self.ax2, self.ax2)
@@ -318,51 +344,8 @@ class _Stepper:
     def t(self) -> np.ndarray:  # T = k^2/2, built per use: not kept
         return 0.5 * np.add.outer(self.k ** 2, self.k ** 2)
 
-    def set_dtau(self, dtau: float) -> None:
-        if dtau != self._dtau:  # the old tables go first: one set at a time
-            self.kinetic = self.kick0 = self._kick = None
-            self.kinetic = np.exp(-1j * dtau * self.t())
-            self.kick0 = np.exp(0.5 * (-1j * dtau) * self.v0)
-            self._dtau, self._kick_nu = dtau, None
-
-    def _half_kick(self, nu: float) -> np.ndarray:
-        if nu != self._kick_nu:
-            quad = 0.125 * nu * nu
-            if not math.isfinite(quad):
-                raise OverflowError(
-                    f"nu = {nu!r}: the field term nu^2/8 overflows float64")
-            dtau = self._dtau
-            field = np.exp(0.0625 * (-1j * dtau) * nu * nu * self.ax2)
-            self._kick = self.kick0 * field[:, None] * field[None, :]
-            self._kick_nu = nu
-            # a kick phase above pi aliases the corner potential; max V2 is
-            # taken only when its bound max V0 + (nu^2/8) max rho^2 wraps,
-            # and beyond 1e3 pi the step no longer resolves the potential
-            if (self.v0_max + quad * self.rho2_max) * dtau > np.pi:
-                vmax = float(self.v2(nu).max())
-                if vmax * dtau > 1e3 * np.pi:
-                    raise FloatingPointError(
-                        f"max|V2| dtau = {vmax * dtau:.3g} exceeds 1e3 pi "
-                        f"at dtau = {dtau!r}; the potential phase wraps, "
-                        "reduce dtau or the box")
-                if vmax * dtau > np.pi:
-                    warnings.warn(
-                        f"max|V2| dtau = {vmax * dtau:.3g} exceeds pi; "
-                        "the potential phase wraps, reduce dtau or the box",
-                        stacklevel=4)
-        return self._kick
-
-    def step(self, psi: np.ndarray, nu: float, dtau: float) -> np.ndarray:
-        # every operation after the first product works in its buffer, so
-        # a step holds one N x N array besides psi
-        self.set_dtau(dtau)
-        half = self._half_kick(nu)
-        out = _filter(half * psi, self.kinetic)
-        out *= half
-        return out
-
     def norm_sq(self, psi: np.ndarray) -> float:
-        return self.spec.h ** 2 * float(np.vdot(psi, psi).real)
+        return self.spec.h ** 2 * _vdot(psi, psi).real
 
     def observables(self, psi: np.ndarray, nu: float) -> dict:
         """Rotating-frame expectation values of the state, normalized.
@@ -374,7 +357,7 @@ class _Stepper:
         k, ax = self.k, self.ax
         dens = np.abs(psi) ** 2
         dens_xi, dens_eta = dens.sum(axis=1), dens.sum(axis=0)
-        total = float(np.vdot(psi, psi).real)  # h^2 cancels in every mean
+        total = _vdot(psi, psi).real  # h^2 cancels in every mean
         pot = float(np.sum(self.v0 * dens))
         del dens
         per_k, on_line = [], []  # sums over lines; <p_a> on each line
@@ -382,7 +365,7 @@ class _Stepper:
             power = np.abs(np.fft.fft(psi, axis=a)) ** 2
             power = power.T if a else power  # wavenumber down the rows
             per_k.append(power.sum(axis=1))
-            on_line.append(k @ power)
+            on_line.append(np.einsum("q,qj->j", k, power))
         scale = self.spec.n * total
         kin = 0.5 * float((k * k) @ (per_k[0] + per_k[1])) / scale
         rho2 = float(dens_xi @ self.ax2 + dens_eta @ self.ax2)
@@ -402,14 +385,77 @@ class _Stepper:
 
     def edge_mass(self, psi: np.ndarray, cells: int) -> float:
         c = cells
-        total = sum(float(np.vdot(strip, strip).real) for strip in (
+        total = sum(_vdot(strip, strip).real for strip in (
             psi[:c, :], psi[-c:, :], psi[c:-c, :c], psi[c:-c, -c:]))
         return self.spec.h ** 2 * total
 
 
 @lru_cache(maxsize=16)
-def _stepper_for(spec: GridSpec, b: float, coulomb: str) -> _Stepper:
-    return _Stepper(spec, b, coulomb)
+def _tables_for(spec: GridSpec, b: float, coulomb: str) -> _Tables:
+    return _Tables(spec, b, coulomb)
+
+
+# one set at a time: the two factors of a 4096^2 grid take 512 MiB
+@lru_cache(maxsize=1)
+def _step_factors(spec: GridSpec, b: float, dtau: float):
+    """exp(z T) and exp(z V0/2) of the real-time step, z = -i dtau."""
+    tables = _tables_for(spec, b, "softcore")
+    kinetic = np.exp(-1j * dtau * tables.t())
+    kick0 = np.exp(0.5 * (-1j * dtau) * tables.v0)
+    kinetic.flags.writeable = kick0.flags.writeable = False
+    return kinetic, kick0
+
+
+class _Propagator:
+    """One run's real-time step at a fixed dtau.
+
+    The factors are the shared read-only ones; the half kick
+    exp(z V2/2) = exp(z V0/2) e(xi) e(eta) is this run's own buffer,
+    rebuilt in place whenever nu changes.
+    """
+
+    def __init__(self, spec: GridSpec, b: float, dtau: float):
+        self.tables = _tables_for(spec, b, "softcore")
+        self.dtau = dtau
+        self.kinetic, self.kick0 = _step_factors(spec, b, dtau)
+        self.kick = np.empty_like(self.kick0)
+        self.nu = None
+
+    def half_kick(self, nu: float) -> np.ndarray:
+        if nu != self.nu:
+            quad = 0.125 * nu * nu
+            if not math.isfinite(quad):
+                raise OverflowError(
+                    f"nu = {nu!r}: the field term nu^2/8 overflows float64")
+            dtau, tables = self.dtau, self.tables
+            field = np.exp(0.0625 * (-1j * dtau) * nu * nu * tables.ax2)
+            np.multiply(self.kick0, field[:, None], out=self.kick)
+            np.multiply(self.kick, field[None, :], out=self.kick)
+            self.nu = nu
+            # a kick phase above pi aliases the corner potential; max V2 is
+            # taken only when its bound max V0 + (nu^2/8) max rho^2 wraps,
+            # and beyond 1e3 pi the step no longer resolves the potential
+            if (tables.v0_max + quad * tables.rho2_max) * dtau > np.pi:
+                vmax = float(tables.v2(nu).max())
+                if vmax * dtau > 1e3 * np.pi:
+                    raise FloatingPointError(
+                        f"max|V2| dtau = {vmax * dtau:.3g} exceeds 1e3 pi "
+                        f"at dtau = {dtau!r}; the potential phase wraps, "
+                        "reduce dtau or the box")
+                if vmax * dtau > np.pi:
+                    warnings.warn(
+                        f"max|V2| dtau = {vmax * dtau:.3g} exceeds pi; "
+                        "the potential phase wraps, reduce dtau or the box",
+                        stacklevel=4)
+        return self.kick
+
+    def step(self, psi: np.ndarray, nu: float) -> np.ndarray:
+        # every operation after the first product works in its buffer, so
+        # a step holds one N x N array besides psi
+        half = self.half_kick(nu)
+        out = _filter(half * psi, self.kinetic)
+        out *= half
+        return out
 
 
 def gaussian_packet(spec: GridSpec, center: float = 4.0,
@@ -428,7 +474,7 @@ def gaussian_packet(spec: GridSpec, center: float = 4.0,
             f"edge L = {spec.half_extent}; enlarge the box (aliasing hazard)")
     xi, eta = spec.meshes()
     psi = np.exp(-width * ((xi - center) ** 2 + eta ** 2)).astype(complex)
-    psi /= math.sqrt(spec.h ** 2 * np.vdot(psi, psi).real)
+    psi /= math.sqrt(spec.h ** 2 * _vdot(psi, psi).real)
     return GridState(spec=spec, amplitudes=psi)
 
 
@@ -438,7 +484,7 @@ def sector_seed(spec: GridSpec, m: int) -> GridState:
     psi = np.exp(-0.5 * (xi ** 2 + eta ** 2)).astype(complex)
     if m != 0:
         psi *= (xi + 1j * np.sign(m) * eta) ** abs(m)
-    psi /= math.sqrt(spec.h ** 2 * np.vdot(psi, psi).real)
+    psi /= math.sqrt(spec.h ** 2 * _vdot(psi, psi).real)
     return GridState(spec=spec, amplitudes=psi)
 
 
@@ -450,8 +496,7 @@ def strang_step(state: GridState, tp: TrapParams, dtau: float) -> GridState:
     """
     if dtau <= 0:
         raise ValueError("dtau must be positive")
-    stepper = _stepper_for(state.spec, tp.b, "softcore")
-    psi = stepper.step(state.amplitudes, tp.nu, dtau)
+    psi = _Propagator(state.spec, tp.b, dtau).step(state.amplitudes, tp.nu)
     return replace(state, amplitudes=psi, tau=state.tau + dtau)
 
 
@@ -625,10 +670,10 @@ def evolve(state: GridState, tp: TrapParams, dtau: float, tau_end: float,
     n_steps = max(1, round(span / dtau))
 
     # the step's tables before the copy: built later, they raise the peak
-    stepper = _stepper_for(spec, tp.b, "softcore")
-    stepper.set_dtau(dtau)
+    propagator = _Propagator(spec, tp.b, dtau)
+    tables = propagator.tables
     psi = np.array(state.amplitudes, dtype=complex, copy=True)
-    norm0 = math.sqrt(stepper.norm_sq(psi))
+    norm0 = math.sqrt(tables.norm_sq(psi))
     if not abs(norm0 - 1.0) <= norm_tol:
         raise ValueError(
             f"input state norm is {norm0:.6g}, not 1 within norm_tol = "
@@ -657,13 +702,13 @@ def evolve(state: GridState, tp: TrapParams, dtau: float, tau_end: float,
         quarters, outer, inner = _rotation_parts(spec, -th)
         ref = np.rot90(psi_ref, -quarters)
         if outer is None:
-            return abs(h2 * np.vdot(ref, psi_now))
+            return abs(h2 * _vdot(ref, psi_now))
         if quarters not in ref_ft:
             ref_ft[quarters] = np.fft.fft(ref, axis=0)
         ft = _shear(_shear(psi_now, 0, outer), 1, inner.T)
         np.fft.fft(ft, axis=0, out=ft)
         ft *= outer
-        return abs(h2 * np.vdot(ref_ft[quarters], ft)) / spec.n
+        return abs(h2 * _vdot(ref_ft[quarters], ft)) / spec.n
 
     record_every = max(1, record_every)
     snap_idx: dict[int, list[float]] = {}
@@ -682,9 +727,9 @@ def evolve(state: GridState, tp: TrapParams, dtau: float, tau_end: float,
         tau_i = tau0 + i_step * dtau
         record = i_step % record_every == 0 or i_step == n_steps
         if ((record or i_step % _EDGE_CHECK_EVERY == 0)
-                and not stepper.edge_mass(psi_now, edge_cells) <= edge_tol):
+                and not tables.edge_mass(psi_now, edge_cells) <= edge_tol):
             # a wrapped kick aliases the packet outward: the step is at fault
-            wrap = float(stepper.v2(nu_at(tau_i)).max()) * dtau
+            wrap = float(tables.v2(nu_at(tau_i)).max()) * dtau
             advice = ("enlarge the box" if not wrap > np.pi else
                       f"max|V2| dtau = {wrap:.3g} exceeds pi, the "
                       "potential phase wraps: reduce dtau or the box")
@@ -697,7 +742,7 @@ def evolve(state: GridState, tp: TrapParams, dtau: float, tau_end: float,
         if record:
             columns["tau"].append(tau_i)
             columns["autocorr"].append(autocorr(psi_now, th))
-            obs = _lab_vectors(stepper.observables(psi_now, nu_at(tau_i)), th)
+            obs = _lab_vectors(tables.observables(psi_now, nu_at(tau_i)), th)
             for name, value in obs.items():
                 columns[name].append(value)
             if observers:
@@ -717,8 +762,8 @@ def evolve(state: GridState, tp: TrapParams, dtau: float, tau_end: float,
     take_records(0, psi)
     for i in range(n_steps):
         nu_mid = nu_at(tau0 + (i + 0.5) * dtau)
-        psi = stepper.step(psi, nu_mid, dtau)
-        drift = abs(math.sqrt(stepper.norm_sq(psi)) - 1.0)
+        psi = propagator.step(psi, nu_mid)
+        drift = abs(math.sqrt(tables.norm_sq(psi)) - 1.0)
         worst_drift = max(worst_drift, drift)
         if not drift <= norm_tol:
             raise NormDriftError(
@@ -772,8 +817,8 @@ def imaginary_time_ground(spec: GridSpec, tp: TrapParams, m_seed: int, *,
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    stepper = _stepper_for(spec, tp.b, coulomb)
-    v2, kinetic = stepper.v2(tp.nu), stepper.t()
+    tables = _tables_for(spec, tp.b, coulomb)
+    v2, kinetic = tables.v2(tp.nu), tables.t()
     if not v2.max() * np.finfo(float).eps < kinetic.max():
         raise FloatingPointError(
             f"max V2 = {v2.max():.3g} at nu = {tp.nu!r} rounds the kinetic "
@@ -783,16 +828,19 @@ def imaginary_time_ground(spec: GridSpec, tp: TrapParams, m_seed: int, *,
     rows = np.zeros((2, 3, spec.n, spec.n), dtype=complex)
     basis, image = rows
 
+    def norm(row):
+        return math.sqrt(_vdot(row, row).real)
+
     def apply_h2(i):  # image of row i, both scaled to a unit row i
-        basis[i] /= np.linalg.norm(basis[i])
+        basis[i] /= norm(basis[i])
         np.add(_filter(basis[i].copy(), kinetic), v2 * basis[i], out=image[i])
 
     def gram(kets):  # <basis[i]|kets[j]>, without a conjugated copy
-        return np.array([[np.vdot(bi, kj) for kj in kets] for bi in basis])
+        return np.array([[_vdot(bi, kj) for kj in kets] for bi in basis])
 
     basis[0] = sector_seed(spec, m_seed).amplitudes
     apply_h2(0)
-    energy, moved = float(np.vdot(basis[0], image[0]).real), math.inf
+    energy, moved = _vdot(basis[0], image[0]).real, math.inf
     for _ in range(max_steps):
         np.subtract(image[0], energy * basis[0], out=basis[1])
         _filter(basis[1], precondition)
@@ -809,17 +857,18 @@ def imaginary_time_ground(spec: GridSpec, tp: TrapParams, m_seed: int, *,
                 f"the Rayleigh quotient is {energy!r} (m_seed = {m_seed}, "
                 f"nu = {tp.nu!r}); the state is not finite")
         for a in (basis, image):
-            a[2] = np.tensordot(c[1:], a[1:], 1)
+            a[2] *= c[2]
+            a[2] += c[1] * a[1]
             np.add(c[0] * a[0], a[2], out=a[0])
-        rows[:, 2] /= np.linalg.norm(basis[2])
+        rows[:, 2] /= norm(basis[2])
         if moved < tol:
             break
     else:
         raise RuntimeError(
             f"imaginary_time_ground did not converge within {max_steps} "
             f"iterations (m_seed = {m_seed}, last dE = {moved:.3e})")
-    psi = basis[0] / (spec.h * np.linalg.norm(basis[0]))
-    lz = stepper.observables(psi, tp.nu)["Lz"]
+    psi = basis[0] / (spec.h * norm(basis[0]))
+    lz = tables.observables(psi, tp.nu)["Lz"]
     if abs(lz - m_seed) > 1e-6:
         raise SectorLeakageError(
             f"<L_z> = {lz:.8f} drifted from the seeded sector m = {m_seed}; "
@@ -835,8 +884,8 @@ def state_observables(state: GridState, tp: TrapParams,
     accumulated angle; pass nu to override tp.nu (ramp diagnostics).
     """
     nu_now = tp.nu if nu is None else nu
-    stepper = _stepper_for(state.spec, tp.b, "softcore")
-    return _lab_vectors(stepper.observables(state.amplitudes, nu_now),
+    tables = _tables_for(state.spec, tp.b, "softcore")
+    return _lab_vectors(tables.observables(state.amplitudes, nu_now),
                         state.theta)
 
 

@@ -1,6 +1,8 @@
 """Grid propagation: packets, ramps, frames, guards, imaginary time."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -27,7 +29,9 @@ from magtrap.dynamics import (
     state_observables,
     strang_step,
     to_lab_frame,
-    _stepper_for,
+    _Propagator,
+    _step_factors,
+    _tables_for,
 )
 
 SPEC128 = GridSpec(n=128, half_extent=8.0)
@@ -315,7 +319,7 @@ class TestEdgeMassAgainstReference:
         spec = GridSpec(n=n, half_extent=8.0)
         rng = np.random.default_rng(seed)
         psi = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        got = _stepper_for(spec, 0.0, "softcore").edge_mass(psi, cells)
+        got = _tables_for(spec, 0.0, "softcore").edge_mass(psi, cells)
         ref = oracles.reference_edge_mass(psi, spec.h, cells)
         assert got == pytest.approx(ref, rel=1e-13)
 
@@ -336,14 +340,13 @@ class TestTransformAgainstReference:
     @example(n=128, nu=2.5, b=0.5, dtau=5e-3, seed=1)
     def test_step(self, n, nu, b, dtau, seed):
         spec = GridSpec(n=n, half_extent=8.0)
-        stepper = _stepper_for(spec, b, "softcore")
+        propagator = _Propagator(spec, b, dtau)
         rng = np.random.default_rng(seed)
         psi = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         atol = self.RTOL * float(np.abs(psi).max())
-        stepper.set_dtau(dtau)
         ref = oracles.reference_transform_step(
-            psi, stepper._half_kick(nu), stepper.kinetic)
-        got = stepper.step(psi, nu, dtau)
+            psi, propagator.half_kick(nu).copy(), propagator.kinetic)
+        got = propagator.step(psi, nu)
         np.testing.assert_allclose(got, ref, rtol=0, atol=atol)
 
 
@@ -456,8 +459,8 @@ class TestEvolveBookkeeping:
         assert res.final_lab().frame == "lab"
 
     def test_changing_dtau_matches_fresh_runs(self):
-        # the stepper keeps its step tables for the last dtau; a run after
-        # one at another dtau must not see them
+        # the step factors are cached per dtau; a run after one at another
+        # dtau must not see them
         tp = TrapParams(nu=1.0, b=0.5)
         state = gaussian_packet(SPEC64, 2.0)
 
@@ -466,9 +469,11 @@ class TestEvolveBookkeeping:
 
         fresh = {}
         for dtau in (2e-3, 1e-3):
-            _stepper_for.cache_clear()
+            _tables_for.cache_clear()
+            _step_factors.cache_clear()
             fresh[dtau] = run(dtau)
-        _stepper_for.cache_clear()
+        _tables_for.cache_clear()
+        _step_factors.cache_clear()
         for dtau in (2e-3, 1e-3, 2e-3):
             got = run(dtau)
             np.testing.assert_array_equal(got.final_state.amplitudes,
@@ -494,6 +499,49 @@ class TestEvolveBookkeeping:
             evolve(gaussian_packet(SPEC128, 2.0), FREE, 0.1, 0.3)
 
 
+class TestConcurrentRuns:
+    def test_threads_match_serial_runs(self):
+        # the runs read one grid's cached tables, built here by whichever
+        # thread comes first; each keeps its own half kick, which the
+        # ramps rebuild on every step.  More threads than cores and a short
+        # switch interval make the threads interleave often
+        tp = TrapParams(nu=1.0, b=0.0)
+        state = gaussian_packet(SPEC128, 1.5)
+        ramps = (RampProtocol("step", 1.0),
+                 RampProtocol("smooth", 1.0, tau_ramp=0.3),
+                 RampProtocol("linear", 1.0, tau_ramp=0.2), None)
+
+        def run(ramp):
+            return evolve(state, tp, 1e-3, 0.6, ramp, record_every=50)
+
+        serial = [run(ramp) for ramp in ramps]
+        threaded = [None] * len(ramps)
+
+        def target(i):
+            threaded[i] = run(ramps[i])
+
+        _tables_for.cache_clear()
+        _step_factors.cache_clear()
+        threads = [threading.Thread(target=target, args=(i,))
+                   for i in range(len(ramps))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for alone, together in zip(serial, threaded):
+            np.testing.assert_array_equal(together.final_state.amplitudes,
+                                          alone.final_state.amplitudes)
+            for name, col in alone.as_columns().items():
+                np.testing.assert_array_equal(together.as_columns()[name],
+                                              col)
+
+
 class TestGuards:
     def test_edge_guard_trips_when_region_covers_packet(self):
         with pytest.raises(BoundaryLeakError, match="enlarge the box"):
@@ -501,8 +549,8 @@ class TestGuards:
                    edge_cells=60)
 
     def test_edge_leak_advice_belongs_to_the_run(self):
-        # both runs share one cached stepper; the second, at nu = 1, wraps
-        # nothing, so its leak is the box's fault whatever the first saw
+        # both runs share one grid's cached tables; the second, at nu = 1,
+        # wraps nothing, so its leak is the box's fault whatever the first saw
         spec = GridSpec(n=64, half_extent=12.0)
         with pytest.warns(UserWarning, match="phase wraps"), \
                 pytest.raises(BoundaryLeakError, match="reduce dtau"):
@@ -542,12 +590,12 @@ class TestGuards:
         # the kernel transforms and multiplies in its own buffer; a second
         # N x N temporary would double the peak
         spec = GridSpec(n=256, half_extent=12.0)
-        stepper = _stepper_for(spec, 1.0, "softcore")
+        propagator = _Propagator(spec, 1.0, 1e-3)
         psi = gaussian_packet(spec, 4.0).amplitudes
-        stepper.step(psi, 1.0, 1e-3)  # builds the tables at this dtau, nu
+        propagator.step(psi, 1.0)  # builds the half kick at this nu
         tracemalloc.start()
         try:
-            stepper.step(psi, 1.0, 1e-3)
+            propagator.step(psi, 1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

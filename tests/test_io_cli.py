@@ -6,7 +6,9 @@ import os
 import resource
 import subprocess
 import sys
+import threading
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +30,15 @@ from magtrap.cli import (
     read_config_file,
     resolve_config,
 )
-from magtrap.dynamics import MAX_GRID_N
+from magtrap.dynamics import (
+    MAX_GRID_N,
+    BoundaryLeakError,
+    GridSpec,
+    NormDriftError,
+    RampProtocol,
+    evolve,
+    imaginary_time_ground,
+)
 from magtrap.io_utils import (
     ARTIFACT_VERSION,
     read_grid_dump,
@@ -240,9 +250,21 @@ class TestMergeNegativeValues:
         (["--m", "-2"], ["--m=-2"]),
         (["--m", "-1,2"], ["--m=-1,2"]),
         (["--nu-bracket", "-1:2"], ["--nu-bracket=-1:2"]),
+        (["--nu-grid", "-1:1:0.5"], ["--nu-grid=-1:1:0.5"]),
     ])
     def test_joins_leading_dash_values(self, argv, merged):
         assert _merge_negative_values(argv) == merged
+
+    @pytest.mark.parametrize("grid", [["--nu-grid", "-1:1:0.5"],
+                                      ["--nu-grid=-1:1:0.5"]])
+    def test_negative_nu_grid_reaches_the_mirror_advice(self, grid, tmp_path,
+                                                        capsys):
+        out = tmp_path / "s.csv"
+        assert main(["spectrum", *grid, "--K", "4", "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "pass |nu| and mirror m" in err["message"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["--xi0", "-3"],           # not a sector flag
@@ -373,15 +395,16 @@ class TestExitCodes:
         assert json.loads(capsys.readouterr().err)["exit_code"] == 4
 
 
-def _fresh_python(args, cwd, address_space=None):
+def _fresh_python(args, cwd, address_space=None, env=None):
     """Run a fresh interpreter that imports this checkout of magtrap.
 
     With address_space (bytes) the child runs under that RLIMIT_AS, on one
     BLAS/OpenMP thread: per-thread buffers and stacks would otherwise grow
-    numpy's import footprint with the host's core count.
+    numpy's import footprint with the host's core count.  env holds extra
+    environment variables for the child.
     """
     package_root = str(Path(magtrap.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **(env or {}), PYTHONPATH=os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")])))
     limit = None
     if address_space is not None:
@@ -399,6 +422,39 @@ def _fresh_python(args, cwd, address_space=None):
 # prints the scipy and mpmath modules the interpreter has loaded
 _HEAVY_MODULES = ("import sys\nprint(sorted(m for m in sys.modules "
                   "if m.split('.')[0] in ('scipy', 'mpmath')))")
+
+
+class TestBlasThreadCount:
+    # OpenBLAS splits a dot product of more than 10^4 elements across its
+    # threads, so at 128^2, not at 64^2, a BLAS sum would round differently
+    COMMANDS = (
+        ["evolve", "--nu", "1", "--b", "1", "--N", "128", "--L", "12",
+         "--tau-end", "0.2", "--snapshots", "0.1", "--format", "grid-dump",
+         "--out", "evolve.csv"],
+        ["imag-time", "--nu", "1", "--b", "1", "--m", "0,1", "--N", "128",
+         "--out", "imag_time.json"],
+        ["ramp-compare", "--nu", "1", "--b", "1", "--N", "128",
+         "--tau-ramp", "0.1", "--tau-end", "0.2", "--out", "ramp.csv"],
+    )
+
+    def test_grid_artifacts_do_not_depend_on_it(self, tmp_path):
+        artifacts = {}
+        for threads in ("1", "2"):
+            side = tmp_path / threads
+            side.mkdir()
+            for argv in self.COMMANDS:
+                proc = _fresh_python(["-m", "magtrap.cli", *argv], side,
+                                     env={"OPENBLAS_NUM_THREADS": threads})
+                assert proc.returncode == 0, proc.stderr
+            artifacts[threads] = {p.name: p.read_bytes()
+                                  for p in side.iterdir()}
+        assert sorted(artifacts["1"]) == sorted(artifacts["2"]) == [
+            "evolve.csv", "evolve_final.npz", "evolve_snap001.npz",
+            "evolve_snap002.npz", "imag_time.json", "ramp_smooth.csv",
+            "ramp_step.csv"]
+        differ = [name for name, data in artifacts["1"].items()
+                  if artifacts["2"][name] != data]
+        assert differ == []
 
 
 class TestModuleEntry:
@@ -791,6 +847,24 @@ class TestCommandArtifacts:
         assert energies[0] == pytest.approx(1.0, abs=1e-5)
         assert energies[1] == pytest.approx(2.0, abs=1e-5)
 
+    def test_ramp_compare_tables_match_serial_runs(self, tmp_path):
+        # the two ramps run on two threads; each table holds what one
+        # evolve call on this thread returns, to the bit
+        out = tmp_path / "rr.csv"
+        assert main(["ramp-compare", "--nu", "1", "--b", "1", "--N", "64",
+                     "--dtau", "1e-2", "--tau-ramp", "1", "--tau-end", "2",
+                     "--out", str(out)]) == 0
+        spec = GridSpec(n=64, half_extent=8.0)
+        tp = magtrap.TrapParams(nu=1.0, b=1.0)
+        _, state0 = imaginary_time_ground(
+            spec, magtrap.TrapParams(nu=0.0, b=1.0), 0, coulomb="softcore")
+        for ramp in (RampProtocol("step", 1.0),
+                     RampProtocol("smooth", 1.0, tau_ramp=1.0)):
+            serial = evolve(state0, tp, 1e-2, 2.0, ramp, record_every=10)
+            _, cols = read_table(tmp_path / f"rr_{ramp.kind}.csv")
+            for name, col in serial.as_columns().items():
+                np.testing.assert_array_equal(cols[name], col)
+
     def test_ramp_compare_writes_both_protocols(self, tmp_path):
         out = tmp_path / "rr.csv"
         assert main(["ramp-compare", "--nu", "0.5", "--b", "0", "--N", "64",
@@ -869,3 +943,87 @@ class TestConfigPlumbing:
                      "--m", "-1", "--out", str(out)]) == 0
         _, cols = read_table(out)
         assert "V_m-1" in cols
+
+
+class TestRampCompareThreads:
+    """ramp-compare runs the smooth ramp on a second thread; its tables, its
+    errors and its warnings still come out in the serial order, step
+    first."""
+
+    ARGV = ["ramp-compare", "--nu", "0.5", "--b", "0", "--N", "32",
+            "--dtau", "1e-2", "--tau-ramp", "0.2", "--tau-end", "0.4"]
+
+    @pytest.fixture()
+    def smooth_done(self):
+        return threading.Event()
+
+    def _patch(self, monkeypatch, by_kind, smooth_done):
+        # by_kind maps a ramp kind to what its run does instead of evolving;
+        # the step run waits until the smooth run has ended, so the smooth
+        # one always finishes first
+        def fake(state, tp, dtau, tau_end, ramp, **kwargs):
+            if ramp.kind == "step":
+                assert smooth_done.wait(60)
+            try:
+                return by_kind[ramp.kind](state, tp, dtau, tau_end, ramp,
+                                          **kwargs)
+            finally:
+                if ramp.kind == "smooth":
+                    smooth_done.set()
+
+        monkeypatch.setattr(cli, "evolve", fake)
+
+    def test_both_runs_fail_with_the_step_error(self, tmp_path, monkeypatch,
+                                                capsys, smooth_done):
+        def fail(error):
+            def run(*args, **kwargs):
+                raise error(f"{args[4].kind} failed")
+            return run
+
+        self._patch(monkeypatch, {"step": fail(NormDriftError),
+                                  "smooth": fail(BoundaryLeakError)},
+                    smooth_done)
+        out = tmp_path / "rr.csv"
+        assert main([*self.ARGV, "--out", str(out)]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "NormDriftError"
+        assert err["message"] == "step failed"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_smooth_failure_still_writes_the_step_table(
+            self, tmp_path, monkeypatch, capsys, smooth_done):
+        def fail(*args, **kwargs):
+            raise BoundaryLeakError("smooth failed")
+
+        self._patch(monkeypatch, {"step": evolve, "smooth": fail},
+                    smooth_done)
+        out = tmp_path / "rr.csv"
+        assert main([*self.ARGV, "--out", str(out)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "BoundaryLeakError"
+        assert err["message"] == "smooth failed"
+        assert [p.name for p in tmp_path.iterdir()] == ["rr_step.csv"]
+        header, cols = read_table(tmp_path / "rr_step.csv")
+        assert header["ramp"] == "step" and len(cols["tau"]) == 5
+
+    def test_warnings_of_either_thread_reach_the_json_line(
+            self, tmp_path, monkeypatch, capsys, smooth_done):
+        def warn_then(error):
+            def run(*args, **kwargs):
+                warnings.warn(f"{args[4].kind} warned")
+                if error:
+                    raise error(f"{args[4].kind} failed")
+                return evolve(*args, **kwargs)
+            return run
+
+        self._patch(monkeypatch, {"step": warn_then(None),
+                                  "smooth": warn_then(NormDriftError)},
+                    smooth_done)
+        assert main([*self.ARGV, "--out", str(tmp_path / "rr.csv")]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["message"] == "smooth failed"
+        assert sorted(err["warnings"]) == ["smooth warned", "step warned"]
