@@ -838,6 +838,11 @@ def imaginary_time_ground(spec: GridSpec, tp: TrapParams, m_seed: int, *,
     def gram(kets):  # <basis[i]|kets[j]>, without a conjugated copy
         return np.array([[_vdot(bi, kj) for kj in kets] for bi in basis])
 
+    def overlap():  # <basis[i]|basis[j]> for j <= i, all that eigh reads
+        rows = list(basis)  # rows[i] is rows[i]: a diagonal is one real sum
+        return np.array([[_vdot(rows[i], rows[j]) if j <= i else 0.0
+                          for j in range(3)] for i in range(3)])
+
     basis[0] = sector_seed(spec, m_seed).amplitudes
     apply_h2(0)
     energy, moved = _vdot(basis[0], image[0]).real, math.inf
@@ -845,7 +850,7 @@ def imaginary_time_ground(spec: GridSpec, tp: TrapParams, m_seed: int, *,
         np.subtract(image[0], energy * basis[0], out=basis[1])
         _filter(basis[1], precondition)
         apply_h2(1)
-        s, u = np.linalg.eigh(gram(basis))
+        s, u = np.linalg.eigh(overlap())
         keep = s > _GRAM_FLOOR * s[-1]
         t = u[:, keep] / np.sqrt(s[keep])
         ritz, vec = np.linalg.eigh(t.conj().T @ gram(image) @ t)

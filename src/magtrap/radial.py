@@ -139,10 +139,10 @@ class RadialBasis:
     nu = 0, b = 0 ground state; pass alpha = gauss_width/2 to match the
     b = 0 state at finite nu.  Every width shares the one alpha = 1/2
     reduction of its (|m|, size): this basis is that one dilated by
-    c = sqrt(2 alpha), which expansion, _density_slope and radial_moments
-    apply as scalars.  size runs from 1 to MAX_BASIS_K (240), the largest
-    basis whose recurrence the tests check; a larger one is refused here,
-    before any reduction.
+    c = sqrt(2 alpha), which expansion, _chi_and_slope, _samples and
+    radial_moments apply as scalars.  size runs from 1 to MAX_BASIS_K (240),
+    the largest basis whose recurrence the tests check; a larger one is
+    refused here, before any reduction.
     """
 
     m: int
@@ -170,7 +170,7 @@ class RadialBasis:
         evaluated at c rho; a and sb are that basis's recurrence.
         """
         blocks, c = _sector_blocks(self.m, self.size, self.alpha)
-        w = [math.sqrt(c) * float(x) for x in weights]
+        w = (math.sqrt(c) * np.asarray(weights, dtype=float)).tolist()
         return blocks.a, blocks.sb, w, 0.5 + abs(self.m), c
 
     def expansion(self, weights):
@@ -180,7 +180,9 @@ class RadialBasis:
         basis that RadialEigenSolution.vectors refers to.  The sum runs the
         three-term recurrence of the q_k with the Gaussian factor carried
         from the start, so it neither cancels like a sum over the raw u_k
-        nor overflows far out.  A scalar rho is a 0-d array here.
+        nor overflows far out.  A scalar rho is a 0-d array here, and the
+        value a numpy float.  Each call runs the recurrence in four buffers
+        of rho's shape, allocated once per call.
         """
         a, sb, w, s, c = self._recurrence(weights)
 
@@ -189,28 +191,45 @@ class RadialBasis:
             if np.any(rho <= 0):
                 raise ValueError("rho must be strictly positive")
             r = c * rho
-            q = np.exp(s * np.log(r) - 0.5 * r * r) / sb[0]
-            q_prev, total = 0.0, w[0] * q
+            q, q_prev, step, total = (np.empty_like(r) for _ in range(4))
+            # q_0 = exp(s log r - r^2 / 2) / sb_0
+            np.log(r, out=q)
+            q *= s
+            np.multiply(0.5, r, out=step)
+            step *= r
+            q -= step
+            np.exp(q, out=q)
+            q /= sb[0]
+            np.multiply(w[0], q, out=total)
             for k in range(len(w) - 1):
-                q, q_prev = ((r - a[k]) * q - sb[k] * q_prev) / sb[k + 1], q
-                total = total + w[k + 1] * q
-            return total
+                # q_{k+1} = ((r - a_k) q_k - sb_k q_{k-1}) / sb_{k+1}, into
+                # the buffer of q_{k-1}; at k = 0 the subtrahend is zero
+                np.subtract(r, a[k], out=step)
+                step *= q
+                if k:
+                    np.multiply(sb[k], q_prev, out=q_prev)
+                    step -= q_prev
+                np.divide(step, sb[k + 1], out=q_prev)
+                q, q_prev = q_prev, q
+                np.multiply(w[k + 1], q, out=step)
+                total += step
+            return total[()]
 
         return series
 
-    def _density_slope(self, weights):
-        """Callable rho -> g^2 P (r P' + (s - r^2) P) at r = c rho, rho > 0.
+    def _chi_and_slope(self, weights):
+        """Callable rho -> (chi, g^2 P (r P' + (s - r^2) P)) at r = c rho > 0.
 
         With chi = expansion(weights) = g P at r, g = r^s exp(-r^2 / 2),
-        s = 1/2 + |m| and P = sqrt(c) sum_k weights[k] q_k, this is rho/2
-        times d(chi^2)/drho.  g P and g P' run the recurrences of _stieltjes
-        with g carried from the start, in plain float arithmetic: a root
-        search calls it one point at a time, where numpy would pay its
-        per-operation overhead at every step of the recurrence.
+        s = 1/2 + |m| and P = sqrt(c) sum_k weights[k] q_k, the second value
+        is rho/2 times d(chi^2)/drho.  g P and g P' run the recurrences of
+        _stieltjes with g carried from the start, in plain float arithmetic:
+        a root search calls it one point at a time, where numpy would pay
+        its per-operation overhead at every step of the recurrence.
         """
         a, sb, w, s, c = self._recurrence(weights)
 
-        def slope(rho):
+        def chi_and_slope(rho):
             r = c * rho
             q = math.exp(s * math.log(r) - 0.5 * r * r) / sb[0]
             q_prev = dq = dq_prev = dp = 0.0
@@ -222,9 +241,20 @@ class RadialBasis:
                     (q + x * dq - sb[k] * dq_prev) / sb[k + 1], dq)
                 p += w[k + 1] * q
                 dp += w[k + 1] * dq
-            return p * (r * dp + (s - r * r) * p)
+            return p, p * (r * dp + (s - r * r) * p)
 
-        return slope
+        return chi_and_slope
+
+    def _samples(self, weights):
+        """(rho_i, chi(rho_i)) on the basis's sampling grid, ascending.
+
+        One product with the cached table of the phi_k on that grid
+        (_sample_table), with no recurrence: samples dense enough to see
+        every lobe of chi, out to where the basis has no weight left.
+        """
+        _, _, w, _, c = self._recurrence(weights)
+        r, table = _sample_table(abs(self.m), self.size)
+        return r / c, table @ np.array(w)
 
     def radial_moments(self, weights) -> dict[int, float]:
         """<rho^p> for p = -1, 1, 2 of the state sum_k weights[k] phi_k.
@@ -419,6 +449,40 @@ def _reduce(m_abs: int, size: int) -> _SectorMatrices | None:
     for block in blocks:
         block.flags.writeable = False
     return _SectorMatrices(*blocks, a.tolist(), sb.tolist())
+
+
+@functools.lru_cache(maxsize=32)
+def _sample_table(m_abs: int, size: int):
+    """(r_i, phi_k(r_i)) of the alpha = 1/2 basis on a grid that sees chi.
+
+    A state of K functions is g times a polynomial of degree K - 1, which
+    oscillates on the scale of the zeros of q_K, the eigenvalues of the
+    truncated Jacobi matrix.  They all lie below R = sqrt(4K + 2|m| - 2),
+    at 0.6 to 0.86 of it.  The grid steps by pi / (4 R) and runs to R + 8,
+    where every phi_k has fallen below 1e-18 of its largest value.  In the
+    outer half of the zeros, where a state ends, two zeros are at least
+    2.8 steps apart, and 4.2 from K = 15 on, where a basis has room for
+    the ripples a narrow state leaves in its tail (tests/test_radial.py
+    checks these facts for K <= 240, |m| <= 40).  The table, sample i in
+    row i, is filled once per (|m|, K) by the recurrence of expansion with
+    every step kept: 64 kB at K = 30, 3 MB at K = 240.  Called only
+    after _sector_blocks has accepted the basis.
+    """
+    blocks = _reduce(m_abs, size)
+    a, sb = blocks.a, blocks.sb
+    radius = math.sqrt(4 * size + 2 * m_abs - 2)
+    step = math.pi / (4.0 * radius)
+    r = step * np.arange(1, math.ceil((radius + 8.0) / step) + 1)
+    table = np.empty((len(r), size))
+    table[:, 0] = np.exp((0.5 + m_abs) * np.log(r) - 0.5 * r * r) / sb[0]
+    prev = 0.0
+    for k in range(size - 1):
+        q = table[:, k]
+        table[:, k + 1] = ((r - a[k]) * q - sb[k] * prev) / sb[k + 1]
+        prev = q
+    for array in (r, table):
+        array.flags.writeable = False
+    return r, table
 
 
 def _sector_blocks(m: int, size: int, alpha: float):

@@ -22,7 +22,11 @@ and the kernel step on scipy's 2-D transforms is the package's former
 transform path, kept as the reference for the one-axis numpy transforms.
 The root of chi', summed over raw coefficients at 120 digits, is the
 reference for the density peak, which the package finds on the orthonormal
-basis recurrence.  The full density summed under a border mask is the
+basis recurrence.  The radial sum that allocates at every step, the
+current field evaluated one point at a time and the 1200-point scan for
+rho_max are the package's former code, kept as the references for the
+in-place recurrence, the field summed once per distinct radius and the
+rho_max found by root searches.  The full density summed under a border mask is the
 reference for the edge guard's strip sums.  The dense h2, with its own soft
 core and its own cell mean of 1/rho, is the reference for the package's
 LOBPCG sector solve; the
@@ -357,6 +361,61 @@ def mp_density_peak(m: int, coeff, rho_grid, alpha: float = 0.5) -> float:
         start = max((mp.mpf(float(r)) for r in rho_grid),
                     key=lambda r: chi(r) ** 2)
         return float(mp.findroot(chi_prime, start))
+
+
+def reference_expansion(a, sb, weights, s: float, c: float):
+    """Callable rho -> sum_k weights[k] phi_k(c rho), a new array per step.
+
+    The package's former radial sum: the three-term recurrence of the q_k
+    with the Gaussian factor g = r^s exp(-r^2 / 2) carried from the start,
+    r = c rho, every step allocating its result.  a, sb (sqrt of b_k) and
+    the weights, already scaled by sqrt(c), are data taken from a basis.
+    """
+    def series(rho):
+        r = c * np.asarray(rho, dtype=float)
+        q = np.exp(s * np.log(r) - 0.5 * r * r) / sb[0]
+        q_prev, total = 0.0, weights[0] * q
+        for k in range(len(weights) - 1):
+            q, q_prev = ((r - a[k]) * q - sb[k] * q_prev) / sb[k + 1], q
+            total = total + weights[k + 1] * q
+        return total
+
+    return series
+
+
+def reference_current_field(chi, m: int, nu: float, half_extent: float,
+                            n: int):
+    """(x, y, Jx, Jy) on the n x n square grid, one point at a time.
+
+    J = (m / rho - nu rho / 2) chi^2 / rho is azimuthal, Jx = -(y / rho) J,
+    Jy = (x / rho) J, and 0 at the origin; chi is called on each point
+    alone, as a 0-d array.
+    """
+    axis = np.linspace(-half_extent, half_extent, n)
+    x, y = np.meshgrid(axis, axis, indexing="ij")
+    jx, jy = np.zeros((n, n)), np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            xi, yj = float(x[i, j]), float(y[i, j])
+            rho = float(np.hypot(xi, yj))
+            if rho > 0:
+                value = float(chi(np.array(rho)))
+                j_phi = (m / rho - 0.5 * nu * rho) * (value * value / rho)
+                jx[i, j] = -yj / rho * j_phi
+                jy[i, j] = xi / rho * j_phi
+    return x, y, jx, jy
+
+
+def reference_rho_max(chi) -> float:
+    """The package's former rho_max: a 1200-point scan out to rho = 60.
+
+    The last of the points 0.05, 0.10, ..., 60 where chi^2 exceeds 1e-16 of
+    its largest sample, plus 1.
+    """
+    grid = np.linspace(0.05, 60.0, 1200)
+    vals = np.asarray(chi(grid)) ** 2
+    above = np.nonzero(vals > 1e-16 * vals.max())[0]
+    return float(grid[above[-1]] + 1.0)
 
 
 def _offset_grid(n: int, half_extent: float):

@@ -795,6 +795,16 @@ class TestCommandArtifacts:
         assert set(cols) == {"rho", "current", "density"}
         assert float(header["velocity"]) != 0.0
 
+    @pytest.mark.parametrize("size", [[], ["--K", "1"]])
+    def test_current_table_reaches_the_tail(self, tmp_path, size):
+        # the grid runs to rho_max, one past where chi^2 is 1e-16 of its
+        # peak, so its last density is at most that share of the largest
+        out = tmp_path / "cur.csv"
+        assert main(["current", "--nu", "1", "--b", "1", "--m", "1", *size,
+                     "--out", str(out)]) == 0
+        density = read_table(out)[1]["density"]
+        assert density[-1] <= 1e-16 * density.max()
+
     def test_spectrum_row_layout(self, tmp_path):
         out = tmp_path / "spec.csv"
         assert main(["spectrum", "--b", "1", "--nu-grid", "0:1:0.5",

@@ -18,7 +18,14 @@ from magtrap.observables import (
     velocity_expectation,
 )
 from magtrap.params import effective_potential_minimum
-from magtrap.radial import ground_state_scan, solve_sector
+from magtrap.radial import RadialBasis, ground_state_scan, solve_sector
+
+
+def _reference_chi(sol, level=0):
+    # the state's chi summed by the former allocating recurrence, with the
+    # weights scaled as from_solution scales them
+    weights = sol.vectors[:, level] * np.sqrt(1.0 / (2.0 * np.pi))
+    return oracles.reference_expansion(*sol.basis._recurrence(weights))
 
 
 @pytest.fixture(scope="module")
@@ -252,3 +259,74 @@ class TestDensityProfile:
         sol = solve_sector(TrapParams(nu=nu, b=b), m, size=size)
         prof = density_profile(RadialWavefunction.from_solution(sol))
         assert abs(prof.rho_peak - root) <= 1e-10
+
+
+class TestAgainstFormerCode:
+    """The in-place recurrence and the per-radius field, bit for bit."""
+
+    @pytest.mark.parametrize("size", [1, 2, 30, 240])
+    @pytest.mark.parametrize("m", [0, 1, -3, 40])
+    @pytest.mark.parametrize("alpha", [0.5, 1.3])
+    def test_expansion_matches_the_allocating_recurrence(self, size, m,
+                                                         alpha):
+        basis = RadialBasis(m=m, size=size, alpha=alpha)
+        rng = np.random.default_rng(1000 * size + abs(m))
+        weights = rng.standard_normal(size)
+        chi = basis.expansion(weights)
+        reference = oracles.reference_expansion(*basis._recurrence(weights))
+        rho = np.geomspace(1e-3, 40.0, 301)
+        assert np.array_equal(chi(rho), reference(rho))
+        for point in (np.array(0.7), 2.5):
+            value = chi(point)
+            assert np.ndim(value) == 0
+            assert np.array_equal(value, reference(point))
+
+    @pytest.mark.parametrize("n, half_extent, m", [
+        (5, 4.0, 1),    # odd: the middle point is the exact origin
+        (17, 6.0, 0),   # odd, m = 0 state, origin again
+        (32, 6.0, 2),   # even: no origin, radii repeat across the grid
+    ])
+    def test_current_field_matches_a_per_point_evaluation(self, n,
+                                                          half_extent, m):
+        tp = TrapParams(nu=1.0, b=1.0)
+        sol = solve_sector(tp, m, size=20)
+        wf = RadialWavefunction.from_solution(sol)
+        got = current_vector_field(wf, tp, half_extent, n)
+        want = oracles.reference_current_field(_reference_chi(sol), m,
+                                               tp.nu, half_extent, n)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        if n % 2:
+            assert got[0][n // 2, n // 2] == got[1][n // 2, n // 2] == 0.0
+
+
+class TestRhoMax:
+    """rho_max is 1 past the outermost radius where chi^2 is 1e-16 of peak."""
+
+    @pytest.mark.parametrize("nu, b, m, size, level", [
+        (1.0, 1.0, 1, 30, 0),     # the README current example
+        (1.0, 1.0, 1, 1, 0),      # its --K 1 run
+        (1.2, 2.0, 1, 30, 0),
+        (0.5, 0.0, 0, 20, 0),
+        (2.0, 5.0, 2, 30, 0),
+        (0.3, 3.0, 0, 20, 0),
+        (1.0, 1.0, 0, 30, 1),
+        (1.0, 1.0, 2, 30, 2),
+        (0.0, 20.0, 0, 30, 0),    # the strong-coupling ring
+        (5.0, 8.5, -5, 23, 0),    # a narrow state: ripples at 1e-15 of peak
+    ])
+    def test_within_one_cell_of_the_former_scan(self, nu, b, m, size, level):
+        sol = solve_sector(TrapParams(nu=nu, b=b), m, size=size)
+        wf = RadialWavefunction.from_solution(sol, level)
+        scan = oracles.reference_rho_max(_reference_chi(sol, level))
+        assert abs(wf.rho_max - scan) <= 0.05
+
+    @given(nu=st.floats(0.0, 5.0), b=st.floats(0.0, 10.0),
+           m=st.integers(-6, 6), size=st.integers(1, 60), data=st.data())
+    def test_nothing_of_the_state_lies_beyond(self, nu, b, m, size, data):
+        level = data.draw(st.integers(0, min(2, size - 1)), label="level")
+        wf = RadialWavefunction.from_solution(
+            solve_sector(TrapParams(nu=nu, b=b), m, size=size), level)
+        rho = np.arange(1, 30001) * (max(60.0, 2.0 * wf.rho_max) / 30000)
+        dens = wf.chi(rho) ** 2
+        assert dens[rho >= wf.rho_max].max() < 1e-16 * dens.max()

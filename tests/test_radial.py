@@ -23,6 +23,8 @@ from magtrap.radial import (
     RadialBasis,
     _discretization,
     _panel_count,
+    _reduce,
+    _sample_table,
     _sector_blocks,
     _sector_eigh,
     _stieltjes,
@@ -484,3 +486,35 @@ class TestSpectrumSweep:
         sol = solve_sector(TrapParams(nu=1.1, b=0.5), 0, size=10)
         for (_, _, level, energy) in rows:
             assert energy == sol.energies[level]
+
+
+class TestSampleGrid:
+    """The facts _sample_table's docstring rests on, over K <= 240, |m| <= 40."""
+
+    @pytest.mark.parametrize("m_abs", [0, 1, 6, 20, 40])
+    @pytest.mark.parametrize("size", [1, 2, 3, 5, 15, 30, 60, 240])
+    def test_grid_sees_the_zeros_and_outruns_every_function(self, m_abs,
+                                                            size):
+        zeros = np.linalg.eigvalsh(_reduce(m_abs, size).position)
+        radius = math.sqrt(4 * size + 2 * m_abs - 2)
+        r, table = _sample_table(m_abs, size)
+        step = r[1] - r[0]
+        # every zero of q_K below R, at most 0.86 of it
+        assert zeros[-1] < 0.87 * radius
+        # in the outer half of the zeros, at least 2.8 steps between two,
+        # and 4.2 from K = 15 on
+        outer = np.diff(zeros)[zeros[1:] > 0.5 * zeros[-1]]
+        assert np.all(outer >= (4.2 if size >= 15 else 2.8) * step)
+        # at R + 8 each phi_k is below 1e-18 of its largest sample
+        assert r[-1] >= radius + 8.0
+        peaks = np.abs(table).max(axis=0)
+        assert np.all(np.abs(table[-1]) < 1e-18 * peaks)
+
+    def test_table_holds_the_basis_functions(self):
+        # each column is phi_k on the grid, as expansion sums it
+        basis = RadialBasis(m=2, size=12)
+        r, table = _sample_table(2, 12)
+        for k in range(12):
+            phi_k = basis.expansion(np.eye(12)[k])(r)
+            np.testing.assert_allclose(table[:, k], phi_k, rtol=1e-13,
+                                       atol=1e-15 * np.abs(phi_k).max())
