@@ -23,16 +23,16 @@ find_crossing a reversed bracket or m1 = m2.  This module checks only what
 it builds itself, and only for the commands that take the field: the nu
 grid of a sweep, a positive dtau and snapshot stride, one m for `current`,
 and the `--format` of `evolve`.  `evolve` and `ramp-compare` write one
-record every 10 steps and refuse, as a configuration error, a run that
-would take more than MAX_RECORDS (100 000) records, snapshots included.
-The same ceiling holds for the rows of a sweep table, counted before the
-nu grid is built: n_nu x (distinct m) x levels for `spectrum`, n_nu for
-`velocity-sweep`.
+record every 10 steps and one at the last, and refuse, as a configuration
+error, a run that would take more than MAX_RECORDS (100 000) records,
+snapshots included.  The same ceiling holds for the rows of a sweep table,
+counted before the nu grid is built: n_nu x (distinct m) x levels for
+`spectrum`, n_nu for `velocity-sweep`.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
-(conditioning, bracketing, norm drift, sector leakage, overflow, running out
-of memory), 4 I/O failure.  Failures print a single machine-readable JSON
-line to stderr.
+(conditioning, bracketing, norm drift, edge leak, sector leakage, overflow,
+running out of memory), 4 I/O failure.  Failures print a single
+machine-readable JSON line to stderr.
 """
 
 from __future__ import annotations
@@ -54,11 +54,8 @@ import numpy as np
 
 from . import io_utils
 from .dynamics import (
-    BoundaryLeakError,
     GridSpec,
-    NormDriftError,
     RampProtocol,
-    SectorLeakageError,
     evolve,
     gaussian_packet,
     imaginary_time_ground,
@@ -71,7 +68,6 @@ from .observables import (
 )
 from .params import TrapParams, effective_potential
 from .radial import (
-    BasisConditioningError,
     BracketingError,
     find_crossing,
     ground_state_scan,
@@ -402,7 +398,8 @@ def _check_record_count(tau_end: float, dtau: float, snapshots: int = 0):
     # the step count evolve takes; round raises OverflowError (exit 3) when
     # tau_end / dtau is not finite
     steps = max(1, round(tau_end / dtau))
-    records = steps // _RECORD_EVERY + 1 + snapshots
+    # a record at step 0, every _RECORD_EVERY steps, and at the last step
+    records = -(-steps // _RECORD_EVERY) + 1 + snapshots
     if records > MAX_RECORDS:
         raise ConfigError(
             f"{steps} steps of dtau = {dtau:g} to tau_end = {tau_end:g} "
@@ -605,9 +602,9 @@ _COMMANDS = {
                      ("nu", "b", "tau_ramp", "tau_end", "dtau", "N", "L")),
 }
 
-_NUMERICAL_ERRORS = (BasisConditioningError, BracketingError,
-                     NormDriftError, BoundaryLeakError, SectorLeakageError,
-                     ArithmeticError, MemoryError)
+# the library's other numerical failures are RuntimeErrors, which main
+# sends to exit 3 as well; BracketingError is a ValueError
+_NUMERICAL_ERRORS = (BracketingError, ArithmeticError, MemoryError)
 
 
 def _fail(exc: BaseException, code: int, caught: list) -> int:

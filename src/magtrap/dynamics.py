@@ -111,9 +111,14 @@ _HALF_PI = 0.5 * math.pi
 # fft2 and ifft2 are these one-axis transforms in this order, bit for bit
 _AXES = (0, 1)
 
-# evolve checks the edge guard at least this often, in steps, whatever the
-# record cadence: a packet must not wrap around unseen between records
+# evolve checks the edge guard every this many steps and at the last one,
+# whatever the record cadence: a packet must not wrap around unseen between
+# records, and a guard that followed the records would fire at a time that
+# depends on how often output is written
 _EDGE_CHECK_EVERY = 10
+
+# the record columns, each named as its EvolutionResult field but for case
+_COLUMNS = ("tau", "norm", "energy", "Lz", "vx", "vy", "autocorr", "cx", "cy")
 
 
 class NormDriftError(RuntimeError):
@@ -432,22 +437,31 @@ class _Propagator:
             np.multiply(self.kick0, field[:, None], out=self.kick)
             np.multiply(self.kick, field[None, :], out=self.kick)
             self.nu = nu
-            # a kick phase above pi aliases the corner potential; max V2 is
-            # taken only when its bound max V0 + (nu^2/8) max rho^2 wraps,
-            # and beyond 1e3 pi the step no longer resolves the potential
+            # max V2 is taken only when its bound max V0 + (nu^2/8) max rho^2
+            # exceeds pi
             if (tables.v0_max + quad * tables.rho2_max) * dtau > np.pi:
-                vmax = float(tables.v2(nu).max())
-                if vmax * dtau > 1e3 * np.pi:
-                    raise FloatingPointError(
-                        f"max|V2| dtau = {vmax * dtau:.3g} exceeds 1e3 pi "
-                        f"at dtau = {dtau!r}; the potential phase wraps, "
-                        "reduce dtau or the box")
-                if vmax * dtau > np.pi:
-                    warnings.warn(
-                        f"max|V2| dtau = {vmax * dtau:.3g} exceeds pi; "
-                        "the potential phase wraps, reduce dtau or the box",
-                        stacklevel=4)
+                advice = self.wrap_advice(nu)
+                if advice:
+                    warnings.warn(advice, stacklevel=4)
         return self.kick
+
+    def wrap_advice(self, nu: float) -> str:
+        """Advice when a step at nu wraps its potential phase, else ''.
+
+        A kick phase max|V2| dtau above pi aliases the corner potential;
+        beyond 1e3 pi the step no longer resolves the potential, and this
+        raises FloatingPointError.
+        """
+        wrap = float(self.tables.v2(nu).max()) * self.dtau
+        if not wrap > np.pi:
+            return ""
+        advice = (f"max|V2| dtau = {wrap:.3g} exceeds "
+                  f"{'1e3 pi' if wrap > 1e3 * np.pi else 'pi'} at dtau = "
+                  f"{self.dtau!r}; the potential phase wraps, reduce dtau "
+                  "or the box")
+        if wrap > 1e3 * np.pi:
+            raise FloatingPointError(advice)
+        return advice
 
     def step(self, psi: np.ndarray, nu: float) -> np.ndarray:
         # every operation after the first product works in its buffer, so
@@ -622,11 +636,8 @@ class EvolutionResult:
     worst_norm_drift: float = 0.0
 
     def as_columns(self) -> dict:
-        cols = {"tau": self.tau, "norm": self.norm, "energy": self.energy,
-                "Lz": self.lz, "vx": self.vx, "vy": self.vy,
-                "autocorr": self.autocorr, "cx": self.cx, "cy": self.cy}
-        cols.update(self.extra)
-        return cols
+        return {**{name: getattr(self, name.lower()) for name in _COLUMNS},
+                **self.extra}
 
     def final_lab(self) -> GridState:
         return to_lab_frame(self.final_state)
@@ -650,8 +661,10 @@ def evolve(state: GridState, tp: TrapParams, dtau: float, tau_end: float,
     frame state at record times.  Aborts with NormDriftError when the norm
     leaves 1 +- norm_tol or stops being finite (checked every step), with
     BoundaryLeakError when more than edge_tol probability sits within
-    edge_cells of the box edge (checked on every record step and at least
-    every 10th step), and with OverflowError when nu^2 overflows float64.
+    edge_cells of the box edge (checked every 10th step and at the last,
+    whatever record_every is), and with OverflowError when nu^2 overflows
+    float64.  Each step advances the state, checks the norm, then the edge,
+    and only then records and takes its snapshots.
     workers is accepted for compatibility and ignored: every transform runs
     on one thread.
     """
@@ -716,78 +729,61 @@ def evolve(state: GridState, tp: TrapParams, dtau: float, tau_end: float,
         i = min(max(round((float(t_req) - tau0) / dtau), 0), n_steps)
         snap_idx.setdefault(i, []).append(float(t_req))
 
-    columns = {name: [] for name in
-               ("tau", "norm", "energy", "Lz", "vx", "vy", "autocorr",
-                "cx", "cy")}
+    columns = {name: [] for name in _COLUMNS}
     extra_cols = {name: [] for name, _ in observers}
     snapshots: list[Snapshot] = []
     worst_drift = 0.0
-
-    def take_records(i_step: int, psi_now: np.ndarray):
-        tau_i = tau0 + i_step * dtau
-        record = i_step % record_every == 0 or i_step == n_steps
-        if ((record or i_step % _EDGE_CHECK_EVERY == 0)
-                and not tables.edge_mass(psi_now, edge_cells) <= edge_tol):
+    for i in range(n_steps + 1):
+        tau_i = tau0 + i * dtau
+        if i:
+            psi = propagator.step(psi, nu_at(tau0 + (i - 0.5) * dtau))
+            drift = abs(math.sqrt(tables.norm_sq(psi)) - 1.0)
+            worst_drift = max(worst_drift, drift)
+            if not drift <= norm_tol:
+                raise NormDriftError(
+                    f"norm drifted by {drift:.3e} after {i} steps "
+                    f"(tau = {tau_i:.6g}, dtau = {dtau}); "
+                    "reduce dtau or check the potential for phase wrapping")
+        if ((i % _EDGE_CHECK_EVERY == 0 or i == n_steps)
+                and not tables.edge_mass(psi, edge_cells) <= edge_tol):
             # a wrapped kick aliases the packet outward: the step is at fault
-            wrap = float(tables.v2(nu_at(tau_i)).max()) * dtau
-            advice = ("enlarge the box" if not wrap > np.pi else
-                      f"max|V2| dtau = {wrap:.3g} exceeds pi, the "
-                      "potential phase wraps: reduce dtau or the box")
+            advice = propagator.wrap_advice(nu_at(tau_i)) or "enlarge the box"
             raise BoundaryLeakError(
                 f"more than {edge_tol:g} probability within {edge_cells} "
                 f"cells of the edge at tau = {tau_i:.6g}; {advice}")
-        if not (record or i_step in snap_idx):
-            return
+        record = i % record_every == 0 or i == n_steps
+        if not (record or i in snap_idx):
+            continue
         th = theta_at(tau_i)
         if record:
-            columns["tau"].append(tau_i)
-            columns["autocorr"].append(autocorr(psi_now, th))
-            obs = _lab_vectors(tables.observables(psi_now, nu_at(tau_i)), th)
-            for name, value in obs.items():
-                columns[name].append(value)
-            if observers:
-                view = GridState(spec=spec, amplitudes=psi_now.copy(),
-                                 frame="rotating", tau=tau_i, theta=th)
-                for name, fn in observers:
-                    extra_cols[name].append(float(fn(view)))
-        if i_step in snap_idx:
-            snap_state = GridState(spec=spec, amplitudes=psi_now.copy(),
-                                   frame="rotating", tau=tau_i, theta=th)
+            obs = _lab_vectors(tables.observables(psi, nu_at(tau_i)), th)
+            obs.update(tau=tau_i, autocorr=autocorr(psi, th))
+            for name in _COLUMNS:
+                columns[name].append(obs[name])
+        if i not in snap_idx and not observers:
+            continue
+        # one copy serves the observers and the snapshots; taken after the
+        # record's temporaries are freed and dropped before the next step,
+        # it does not raise the peak
+        view = GridState(spec=spec, amplitudes=psi.copy(), frame="rotating",
+                         tau=tau_i, theta=th)
+        if record:
+            for name, fn in observers:
+                extra_cols[name].append(float(fn(view)))
+        if i in snap_idx:
             if snapshot_frame == "lab":
-                snap_state = to_lab_frame(snap_state)
-            for t_req in snap_idx[i_step]:
-                snapshots.append(Snapshot(requested_tau=t_req,
-                                          state=snap_state))
+                view = to_lab_frame(view)
+            snapshots.extend(Snapshot(requested_tau=t_req, state=view)
+                             for t_req in snap_idx[i])
+        del view
 
-    take_records(0, psi)
-    for i in range(n_steps):
-        nu_mid = nu_at(tau0 + (i + 0.5) * dtau)
-        psi = propagator.step(psi, nu_mid)
-        drift = abs(math.sqrt(tables.norm_sq(psi)) - 1.0)
-        worst_drift = max(worst_drift, drift)
-        if not drift <= norm_tol:
-            raise NormDriftError(
-                f"norm drifted by {drift:.3e} after {i + 1} steps "
-                f"(tau = {tau0 + (i + 1) * dtau:.6g}, dtau = {dtau}); "
-                "reduce dtau or check the potential for phase wrapping")
-        take_records(i + 1, psi)
-
-    tau_f = tau0 + n_steps * dtau
-    final = GridState(spec=spec, amplitudes=psi, frame="rotating",
-                      tau=tau_f, theta=theta_at(tau_f))
+    # the last step always records, so tau_i and th are the final ones
     return EvolutionResult(
-        tau=np.array(columns["tau"]),
-        norm=np.array(columns["norm"]),
-        energy=np.array(columns["energy"]),
-        lz=np.array(columns["Lz"]),
-        vx=np.array(columns["vx"]),
-        vy=np.array(columns["vy"]),
-        autocorr=np.array(columns["autocorr"]),
-        cx=np.array(columns["cx"]),
-        cy=np.array(columns["cy"]),
+        **{name.lower(): np.array(columns[name]) for name in _COLUMNS},
         extra={name: np.array(vals) for name, vals in extra_cols.items()},
         snapshots=tuple(snapshots),
-        final_state=final,
+        final_state=GridState(spec=spec, amplitudes=psi, frame="rotating",
+                              tau=tau_i, theta=th),
         worst_norm_drift=worst_drift,
     )
 

@@ -568,6 +568,19 @@ class TestGuards:
             evolve(gaussian_packet(SPEC64, 0.0, width=2.2), FREE, 5e-3,
                    math.pi, record_every=1000)
 
+    def test_edge_guard_schedule_ignores_the_record_cadence(self):
+        # the guard runs every 10th step and at the last one, never on the
+        # record steps between, so a leaking run raises at one tau however
+        # often it records
+        messages = set()
+        for record_every in (1, 3, 7, 10, 1000):
+            with pytest.raises(BoundaryLeakError) as info:
+                evolve(gaussian_packet(SPEC64, 0.0, width=2.2), FREE, 5e-3,
+                       math.pi, record_every=record_every)
+            messages.add(str(info.value))
+        assert len(messages) == 1, messages
+        assert "at tau = 1.05;" in messages.pop()
+
     def test_interaction_flavor_mismatch_radiates(self):
         # a state relaxed under the cell-averaged interaction is not
         # stationary for the soft-core stepper: the defect at the origin

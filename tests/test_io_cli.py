@@ -378,6 +378,25 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "BracketingError" and err["exit_code"] == 3
 
+    @pytest.mark.parametrize("argv, error", [
+        (["current", "--nu", "1", "--b", "1", "--m", "400"],
+         "BasisConditioningError"),
+        (["evolve", "--xi0", "0", "--packet-width", "2.2", "--L", "8",
+          "--N", "64", "--dtau", "5e-3", "--tau-end", "3.14"],
+         "BoundaryLeakError"),
+        (["imag-time", "--nu", "1", "--b", "1", "--m", "3", "--N", "64"],
+         "SectorLeakageError"),
+    ])
+    def test_library_runtime_errors_exit_3(self, argv, error, tmp_path,
+                                           capsys):
+        # main names none of these: they reach exit 3 as RuntimeErrors
+        assert main([*argv, "--out", str(tmp_path / "artifact")]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == error and err["exit_code"] == 3
+        assert list(tmp_path.iterdir()) == []
+
     def test_overflowing_step_count_exits_3(self, tmp_path, capsys):
         # every input is finite, but tau_end / dtau is not
         rc = main(["evolve", "--N", "64", "--tau-end", "1e300",
@@ -660,6 +679,38 @@ class TestModuleEntry:
         assert f"ceiling of {MAX_RECORDS}" in err["message"]
         assert not (tmp_path / "e.csv").exists()
 
+    def test_record_ceiling_counts_the_final_record(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # 999 995 steps record at step 0, at every 10th and at the last:
+        # 100 001 records, one above the ceiling
+        def run(*args, **kwargs):
+            pytest.fail("evolve ran above the record ceiling")
+
+        monkeypatch.setattr(cli, "evolve", run)
+        assert main(["evolve", "--N", "64", "--tau-end", "999995",
+                     "--dtau", "1", "--out", str(tmp_path / "e.csv")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "100001 records" in err["message"]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("steps", [9, 10, 11, 15, 20])
+    def test_record_ceiling_is_the_rows_evolve_writes(self, steps, tmp_path,
+                                                      monkeypatch):
+        # a ceiling at the rows the run writes admits it; one lower refuses
+        out = tmp_path / "e.csv"
+        argv = ["evolve", "--nu", "0", "--xi0", "0", "--N", "32",
+                "--dtau", "1e-2", "--tau-end", str(steps / 100),
+                "--out", str(out)]
+        assert main(argv) == 0
+        rows = len(read_table(out)[1]["tau"])
+        out.unlink()
+        monkeypatch.setattr(cli, "MAX_RECORDS", rows)
+        assert main(argv) == 0
+        out.unlink()
+        monkeypatch.setattr(cli, "MAX_RECORDS", rows - 1)
+        assert main(argv) == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--b", "1", "--nu-grid", "0:1e12:1", "--m", "0"],
