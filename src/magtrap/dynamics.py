@@ -22,9 +22,14 @@ h2 is advanced with one unitary symmetric second-order kernel,
 
     K . IFFT exp(z k^2/2) FFT . K,    K = exp(z V0/2) e(xi) e(eta),
 
-with z = -i dtau and e(x) = exp(z nu^2 x^2/16).  The field enters only
-through that separable factor, so a change of nu costs 2n exponentials and
-a broadcast product.  Samples sit half a cell off the origin, at
+with z = -i dtau and e(x) = exp(z nu^2 x^2/16).  evolve applies the
+trailing K of one step and the leading K of the next as one product, by a
+table the run owns: the field enters only through the separable factor, so
+a change of nu costs 2n exponentials and three products to rebuild it, and
+at constant nu it is built once.  Between steps the field lacks its
+trailing K, a phase that the norm and edge guards do not see; a record
+settles a copy, so the stepped field does not depend on how often output
+is written.  Samples sit half a cell off the origin, at
 -L + (i + 1/2) h, so none lies on the Coulomb singularity.  Real time uses
 the bounded soft core b/sqrt(rho^2 + eps^2) with eps = h/2.  A sector's
 lowest state is solved for, not relaxed: LOBPCG on the unsplit h2 = T + V2,
@@ -48,13 +53,14 @@ phase table exp(-i c k_q x_p) is built from the chirp identity
 q p = (q^2 + p^2 - (q - p)^2)/2 (Bluestein 1970): two 1-D chirps and a
 Toeplitz chirp in q - p, 4n - 1 exponentials instead of n^2.
 
-A record is one density, two power spectra and five autocorrelation
-passes, where it used to be nine passes.  By Parseval along one axis every
-momentum moment is a weighted sum of |F_a psi|^2, F_a the transform along
-axis a.  The autocorrelation is an overlap with the initial lab pattern
-that never builds the lab field: the quarter turns move onto the
-reference, and the last shear becomes a weighted sum of axis-0 transforms.
-Snapshots, to_lab_frame and rotate_frame still rotate the field.
+A record is one density and six one-axis passes, two of them inverse: two
+power spectra and four more for the autocorrelation.  By Parseval along one
+axis every momentum moment is a weighted sum of |F_a psi|^2, F_a the
+transform along axis a.  The autocorrelation is an overlap with the initial
+lab pattern that never builds the lab field: the quarter turns move onto
+the reference, the first shear starts from the spectrum's F_0 psi, and the
+last shear becomes a weighted sum of axis-0 transforms.  Snapshots,
+to_lab_frame and rotate_frame still rotate the field.
 
 Sums over an N x N field are numpy's own fixed-order sums (einsum over the
 float view), never BLAS: norms, overlaps, the Gram entries of the
@@ -63,8 +69,8 @@ product or a matrix-vector product above about 10^4 elements across its
 threads, so its rounding follows the thread count, and its pool then spins
 on a core that another run could use.  Artifacts therefore do not depend on
 OPENBLAS_NUM_THREADS, and two runs can share the machine's cores.  The
-cached tables of a grid are read-only; what a run changes, its half kick,
-it owns.
+cached tables of a grid are read-only; what a run changes, its merged
+kick, it owns.
 """
 
 from __future__ import annotations
@@ -291,12 +297,13 @@ def _cell_averaged_inverse_radius(spec: GridSpec) -> np.ndarray:
     return (s[1:, 1:] - s[:-1, 1:] - s[1:, :-1] + s[:-1, :-1]) / spec.h ** 2
 
 
-def _filter(f: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """f <- IFFT(table FFT f) in f's own buffer, in the fft2 axis order."""
-    for a in _AXES:
+def _filter(f: np.ndarray, table: np.ndarray, axes=_AXES) -> np.ndarray:
+    """f <- IFFT(table FFT f) along axes in f's own buffer; by default both,
+    in the fft2 axis order."""
+    for a in axes:
         np.fft.fft(f, axis=a, out=f)
     f *= table
-    for a in _AXES:
+    for a in axes:
         np.fft.ifft(f, axis=a, out=f)
     return f
 
@@ -349,28 +356,27 @@ class _Tables:
     def t(self) -> np.ndarray:  # T = k^2/2, built per use: not kept
         return 0.5 * np.add.outer(self.k ** 2, self.k ** 2)
 
-    def norm_sq(self, psi: np.ndarray) -> float:
-        return self.spec.h ** 2 * _vdot(psi, psi).real
-
-    def observables(self, psi: np.ndarray, nu: float) -> dict:
+    def observables(self, psi: np.ndarray, nu: float, ft=None) -> dict:
         """Rotating-frame expectation values of the state, normalized.
 
         Parseval along axis a gives <p_a^j> = sum k^j |F_a psi|^2 / n, F_a
         the transform along a; as xi commutes with p_eta, <xi p_eta> is
-        sum_xi xi sum_k k |F_1 psi|^2 / n, and <eta p_xi> likewise.
+        sum_xi xi sum_k k |F_1 psi|^2 / n, and <eta p_xi> likewise.  The
+        transforms are taken in ft, if given, which is left holding F_0 psi.
         """
         k, ax = self.k, self.ax
-        dens = np.abs(psi) ** 2
+        dens = np.square(psi.real) + np.square(psi.imag)  # no hypot
         dens_xi, dens_eta = dens.sum(axis=1), dens.sum(axis=0)
         total = _vdot(psi, psi).real  # h^2 cancels in every mean
-        pot = float(np.sum(self.v0 * dens))
+        pot = float(np.einsum("ij,ij->", self.v0, dens))
         del dens
-        per_k, on_line = [], []  # sums over lines; <p_a> on each line
-        for a in _AXES:
-            power = np.abs(np.fft.fft(psi, axis=a)) ** 2
+        per_k, on_line = [0, 0], [0, 0]  # sums over lines; <p_a> on each line
+        for a in _AXES[::-1]:  # F_0 psi last
+            ft = np.fft.fft(psi, axis=a, out=ft)
+            power = np.square(ft.real) + np.square(ft.imag)
             power = power.T if a else power  # wavenumber down the rows
-            per_k.append(power.sum(axis=1))
-            on_line.append(np.einsum("q,qj->j", k, power))
+            per_k[a] = power.sum(axis=1)
+            on_line[a] = np.einsum("q,qj->j", k, power)
         scale = self.spec.n * total
         kin = 0.5 * float((k * k) @ (per_k[0] + per_k[1])) / scale
         rho2 = float(dens_xi @ self.ax2 + dens_eta @ self.ax2)
@@ -389,7 +395,7 @@ class _Tables:
         }
 
     def edge_mass(self, psi: np.ndarray, cells: int) -> float:
-        c = cells
+        c = cells  # 1 <= c <= n/2, so that the four strips do not overlap
         total = sum(_vdot(strip, strip).real for strip in (
             psi[:c, :], psi[-c:, :], psi[c:-c, :c], psi[c:-c, -c:]))
         return self.spec.h ** 2 * total
@@ -412,38 +418,38 @@ def _step_factors(spec: GridSpec, b: float, dtau: float):
 
 
 class _Propagator:
-    """One run's real-time step at a fixed dtau.
+    """One run's real-time step at a fixed dtau, its trailing half kick
+    deferred.
 
-    The factors are the shared read-only ones; the half kick
-    exp(z V2/2) = exp(z V0/2) e(xi) e(eta) is this run's own buffer,
-    rebuilt in place whenever nu changes.
+    The half kick K(nu) = exp(z V0/2) e(xi) e(eta) is a phase.  A step
+    leaves the field without its trailing K(nu) and the next step applies it
+    together with its own leading kick, as one product by
+    K(nu) K(nu') = exp(z V0/2)^2 e e'(xi) e e'(eta): a table this run owns,
+    rebuilt only when the pair changes, so once at constant nu.  settle
+    applies the pending kick.  exp(z T) and exp(z V0/2) are the shared
+    read-only factors.
     """
 
     def __init__(self, spec: GridSpec, b: float, dtau: float):
         self.tables = _tables_for(spec, b, "softcore")
         self.dtau = dtau
         self.kinetic, self.kick0 = _step_factors(spec, b, dtau)
-        self.kick = np.empty_like(self.kick0)
-        self.nu = None
+        # the pending kick (none before a step) and the merged one
+        self.nu = self.e = self.pair = self.pair_nu = None
 
-    def half_kick(self, nu: float) -> np.ndarray:
-        if nu != self.nu:
-            quad = 0.125 * nu * nu
-            if not math.isfinite(quad):
-                raise OverflowError(
-                    f"nu = {nu!r}: the field term nu^2/8 overflows float64")
-            dtau, tables = self.dtau, self.tables
-            field = np.exp(0.0625 * (-1j * dtau) * nu * nu * tables.ax2)
-            np.multiply(self.kick0, field[:, None], out=self.kick)
-            np.multiply(self.kick, field[None, :], out=self.kick)
-            self.nu = nu
-            # max V2 is taken only when its bound max V0 + (nu^2/8) max rho^2
-            # exceeds pi
-            if (tables.v0_max + quad * tables.rho2_max) * dtau > np.pi:
-                advice = self.wrap_advice(nu)
-                if advice:
-                    warnings.warn(advice, stacklevel=4)
-        return self.kick
+    def _field(self, nu: float) -> np.ndarray:
+        """e(x) = exp(z nu^2 x^2/16); warns if the phase at nu wraps."""
+        quad = 0.125 * nu * nu
+        if not math.isfinite(quad):
+            raise OverflowError(
+                f"nu = {nu!r}: the field term nu^2/8 overflows float64")
+        dtau, tables = self.dtau, self.tables
+        # max V2 is taken only when its bound max V0 + (nu^2/8) max rho^2
+        # exceeds pi
+        if (tables.v0_max + quad * tables.rho2_max) * dtau > np.pi:
+            if advice := self.wrap_advice(nu):
+                warnings.warn(advice, stacklevel=4)
+        return np.exp(0.0625 * (-1j * dtau) * nu * nu * tables.ax2)
 
     def wrap_advice(self, nu: float) -> str:
         """Advice when a step at nu wraps its potential phase, else ''.
@@ -464,11 +470,27 @@ class _Propagator:
         return advice
 
     def step(self, psi: np.ndarray, nu: float) -> np.ndarray:
-        # every operation after the first product works in its buffer, so
-        # a step holds one N x N array besides psi
-        half = self.half_kick(nu)
-        out = _filter(half * psi, self.kinetic)
-        out *= half
+        """psi <- IFFT exp(z T) FFT K(nu) K(nu') psi in psi's own buffer, nu'
+        the pending kick's (none before the first step); K(nu) is left
+        pending.  A step after the first makes two N x N products."""
+        e, self.e = self.e, (self.e if nu == self.nu else self._field(nu))
+        if self.nu is None:
+            self.settle(psi, out=psi)
+        else:
+            if (self.nu, nu) != self.pair_nu:
+                self.pair = self.settle(self.kick0, self.pair, e * self.e)
+                self.pair_nu = (self.nu, nu)
+            psi *= self.pair
+        self.nu = nu
+        return _filter(psi, self.kinetic)
+
+    def settle(self, psi: np.ndarray, out=None, e=None) -> np.ndarray:
+        """psi exp(z V0/2) e(xi) e(eta), in a new array unless out is given;
+        e is the pending kick's unless given, so this is K(nu) psi."""
+        e = self.e if e is None else e
+        out = np.multiply(psi, self.kick0, out=out)
+        out *= e[:, None]
+        out *= e[None, :]
         return out
 
 
@@ -510,39 +532,39 @@ def strang_step(state: GridState, tp: TrapParams, dtau: float) -> GridState:
     """
     if dtau <= 0:
         raise ValueError("dtau must be positive")
-    psi = _Propagator(state.spec, tp.b, dtau).step(state.amplitudes, tp.nu)
-    return replace(state, amplitudes=psi, tau=state.tau + dtau)
+    propagator = _Propagator(state.spec, tp.b, dtau)
+    psi = propagator.step(state.amplitudes.copy(), tp.nu)
+    return replace(state, amplitudes=propagator.settle(psi, out=psi),
+                   tau=state.tau + dtau)
 
 
-def _shear(psi: np.ndarray, axis: int, table: np.ndarray) -> np.ndarray:
-    # translate each line along `axis` by its own offset, exactly, in
-    # k-space; table[i, j] is the phase of wavenumber i on line j (axis 0)
-    # or of line i at wavenumber j (axis 1)
-    ft = np.fft.fft(psi, axis=axis)
-    ft *= table
-    return np.fft.ifft(ft, axis=axis, out=ft)
+def _shear_table(spec: GridSpec, c: float, axis: int) -> np.ndarray:
+    """exp(-i c k_q x_p) in the layout of a transform along axis: wavenumber
+    q down the rows and sample p across for axis 0, the transpose for axis 1.
 
-
-def _shear_table(spec: GridSpec, c: float) -> np.ndarray:
-    """exp(-i c k_q x_p): wavenumber q down the rows, sample p across.
-
-    With k_q = 2 pi q / (n h) for the signed FFT index q and x_p = (p + 1/2) h
-    for p = j - n/2, the phase is (pi c / n)(q^2 + q + p^2 - (q - p)^2), so
-    the table is two 1-D chirps times a Toeplitz chirp in q - p: 4n - 1
-    exponentials and one row gather instead of n^2 exponentials.
+    Applied as IFFT(table FFT f) along axis, it translates each line by its
+    own offset, exactly.  With k_q = 2 pi q / (n h) for the signed FFT index
+    q and x_p = (p + 1/2) h for p = j - n/2, the phase is
+    (pi c / n)(q^2 + q + p^2 - (q - p)^2), so the table is two 1-D chirps
+    times a Toeplitz chirp in q - p: 4n - 1 exponentials and row gathers
+    instead of n^2 exponentials.
     """
-    n = spec.n
+    n, half = spec.n, spec.n // 2
     w = math.pi * c / n
-    p = np.arange(n) - n // 2
+    p = np.arange(n) - half
     q = np.fft.ifftshift(p)
     d = np.arange(1 - n, n)
-    # row r of the window view is exp(i w d^2) at d = r + j - n + 1, which
-    # is -(q - p) for r = n/2 - 1 - q; the chirp is even in d
-    toeplitz = np.lib.stride_tricks.sliding_window_view(
-        np.exp(1j * (w * (d * d))), n)
-    table = toeplitz[n // 2 - 1 - q]
-    table *= np.exp(-1j * (w * (q * q + q)))[:, None]
-    table *= np.exp(-1j * (w * (p * p)))
+    chirp = np.exp(1j * (w * (d * d)))  # even in d
+    window = np.lib.stride_tricks.sliding_window_view
+    # row m of `rows` starts at d = n/2 - m, and halves[i] holds rows i and
+    # i + n/2.  Row p of the axis-1 table runs over d = q - p from q = 0,
+    # then from q = -n/2: rows p + n/2 and p + n; row q of the axis-0 table
+    # over d = p - q, rows q + n and q + n/2.  Either takes one copy
+    rows = window(chirp, half)[::-1]
+    halves = window(rows, half + 1, axis=0)[:, :, ::half].transpose(0, 2, 1)
+    table = (halves[half + q, ::-1] if axis == 0 else halves).reshape(n, n)
+    table *= np.expand_dims(np.exp(-1j * (w * (q * q + q))), 1 - axis)
+    table *= np.expand_dims(np.exp(-1j * (w * (p * p))), axis)
     return table
 
 
@@ -550,21 +572,22 @@ def _rotation_parts(spec: GridSpec, theta: float):
     """(q, a, s) with Rot(theta) = P^q Sa Sb Sa, P the quarter turn.
 
     a and s are the shear tables of the residual angle, None when it
-    vanishes; Sa is applied along axis 0 and Sb along axis 1 (transposed).
+    vanishes; Sa is applied along axis 0 and Sb along axis 1.
     """
     quarters = round(theta / _HALF_PI)
     residual = theta - quarters * _HALF_PI
     if abs(residual) <= 1e-15:
         return quarters % 4, None, None
-    return (quarters % 4, _shear_table(spec, -math.tan(0.5 * residual)),
-            _shear_table(spec, math.sin(residual)))
+    return (quarters % 4, _shear_table(spec, -math.tan(0.5 * residual), 0),
+            _shear_table(spec, math.sin(residual), 1))
 
 
 def _rotate_amplitudes(spec: GridSpec, psi: np.ndarray,
                        theta: float) -> np.ndarray:
     quarters, outer, inner = _rotation_parts(spec, theta)
     if outer is not None:
-        psi = _shear(_shear(_shear(psi, 0, outer), 1, inner.T), 0, outer)
+        psi = _filter(_filter(_filter(psi.copy(), outer, (0,)), inner, (1,)),
+                      outer, (0,))
     # psi'(xi, eta) = psi(eta, -xi) per quarter turn, an exact permutation:
     # the offset axis negates under i -> n-1-i
     return np.ascontiguousarray(np.rot90(psi, quarters))
@@ -673,6 +696,8 @@ def evolve(state: GridState, tp: TrapParams, dtau: float, tau_end: float,
     if snapshot_frame not in ("lab", "rotating"):
         raise ValueError("snapshot_frame must be 'lab' or 'rotating'")
     spec = state.spec
+    if not 1 <= edge_cells <= spec.n // 2:
+        raise ValueError(f"edge_cells must be from 1 to n/2 = {spec.n // 2}")
     tau0 = state.tau
     theta0 = state.theta
     span = tau_end - tau0
@@ -686,14 +711,15 @@ def evolve(state: GridState, tp: TrapParams, dtau: float, tau_end: float,
     propagator = _Propagator(spec, tp.b, dtau)
     tables = propagator.tables
     psi = np.array(state.amplitudes, dtype=complex, copy=True)
-    norm0 = math.sqrt(tables.norm_sq(psi))
+    h2, ref_ft = spec.h ** 2, {}
+    norm0 = math.sqrt(h2 * _vdot(psi, psi).real)
     if not abs(norm0 - 1.0) <= norm_tol:
         raise ValueError(
             f"input state norm is {norm0:.6g}, not 1 within norm_tol = "
             f"{norm_tol:g}; normalize the state before evolving it")
 
-    def nu_at(tau: float) -> float:
-        return ramp.nu(tau) if ramp is not None else tp.nu
+    def nu_at(tau):  # a float or an array, as tau is
+        return ramp.nu(tau) if ramp is not None else tp.nu + 0.0 * tau
 
     def theta_at(tau: float) -> float:
         if ramp is not None:
@@ -705,20 +731,22 @@ def evolve(state: GridState, tp: TrapParams, dtau: float, tau_end: float,
         psi_ref = _rotate_amplitudes(spec, psi, -theta0)
     else:
         psi_ref = psi.copy()
-    h2, ref_ft = spec.h ** 2, {}
 
-    def autocorr(psi_now: np.ndarray, th: float) -> float:
+    def autocorr(psi_now: np.ndarray, ft: np.ndarray, th: float) -> float:
         # |<psi_ref|R psi>| with R = Rot(-th) = P^q Sa Sb Sa, without the lab
         # field: <psi_ref|P^q f> = <P^-q psi_ref|f>, and by Parseval along
         # axis 0 the last shear is a weighted sum of F0 transforms, that of
-        # the reference taken once per quarter-turn count
+        # the reference taken once per quarter-turn count.  ft holds F0 psi,
+        # the first shear's transform, and is consumed
         quarters, outer, inner = _rotation_parts(spec, -th)
         ref = np.rot90(psi_ref, -quarters)
         if outer is None:
             return abs(h2 * _vdot(ref, psi_now))
         if quarters not in ref_ft:
             ref_ft[quarters] = np.fft.fft(ref, axis=0)
-        ft = _shear(_shear(psi_now, 0, outer), 1, inner.T)
+        ft *= outer
+        np.fft.ifft(ft, axis=0, out=ft)
+        _filter(ft, inner, (1,))
         np.fft.fft(ft, axis=0, out=ft)
         ft *= outer
         return abs(h2 * _vdot(ref_ft[quarters], ft)) / spec.n
@@ -733,11 +761,17 @@ def evolve(state: GridState, tp: TrapParams, dtau: float, tau_end: float,
     extra_cols = {name: [] for name, _ in observers}
     snapshots: list[Snapshot] = []
     worst_drift = 0.0
+    # nu at each step's midpoint, from one call of nu_at per 256 steps
+    mids = (tau0 + (np.arange(j, min(j + 256, n_steps)) + 0.5) * dtau
+            for j in range(0, n_steps, 256))
+    nus = (nu for mid in mids for nu in nu_at(mid).tolist())
     for i in range(n_steps + 1):
         tau_i = tau0 + i * dtau
         if i:
-            psi = propagator.step(psi, nu_at(tau0 + (i - 0.5) * dtau))
-            drift = abs(math.sqrt(tables.norm_sq(psi)) - 1.0)
+            # psi lacks its trailing half kick, a phase, which the guards
+            # need not see
+            propagator.step(psi, next(nus))
+            drift = abs(math.sqrt(h2 * _vdot(psi, psi).real) - 1.0)
             worst_drift = max(worst_drift, drift)
             if not drift <= norm_tol:
                 raise NormDriftError(
@@ -755,27 +789,31 @@ def evolve(state: GridState, tp: TrapParams, dtau: float, tau_end: float,
         if not (record or i in snap_idx):
             continue
         th = theta_at(tau_i)
+        # the state with its pending kick: a copy, so that the stepped field
+        # does not depend on the output cadence, but at the last step
+        now = psi if i == 0 else propagator.settle(
+            psi, psi if i == n_steps else None)
         if record:
-            obs = _lab_vectors(tables.observables(psi, nu_at(tau_i)), th)
-            obs.update(tau=tau_i, autocorr=autocorr(psi, th))
+            ft = np.empty_like(psi)
+            obs = _lab_vectors(tables.observables(now, nu_at(tau_i), ft), th)
+            obs.update(tau=tau_i, autocorr=autocorr(now, ft, th))
+            del ft  # before the observers run
             for name in _COLUMNS:
                 columns[name].append(obs[name])
-        if i not in snap_idx and not observers:
-            continue
-        # one copy serves the observers and the snapshots; taken after the
-        # record's temporaries are freed and dropped before the next step,
-        # it does not raise the peak
-        view = GridState(spec=spec, amplitudes=psi.copy(), frame="rotating",
-                         tau=tau_i, theta=th)
-        if record:
-            for name, fn in observers:
-                extra_cols[name].append(float(fn(view)))
-        if i in snap_idx:
-            if snapshot_frame == "lab":
-                view = to_lab_frame(view)
-            snapshots.extend(Snapshot(requested_tau=t_req, state=view)
-                             for t_req in snap_idx[i])
-        del view
+        if i in snap_idx or observers:
+            # one field that no step touches serves the observers and the
+            # snapshots
+            view = GridState(spec=spec, frame="rotating", tau=tau_i, theta=th,
+                             amplitudes=now.copy() if now is psi else now)
+            if record:
+                for name, fn in observers:
+                    extra_cols[name].append(float(fn(view)))
+            if i in snap_idx:
+                if snapshot_frame == "lab":
+                    view = to_lab_frame(view)
+                snapshots.extend(Snapshot(requested_tau=t_req, state=view)
+                                 for t_req in snap_idx[i])
+        now = view = None  # not held over the steps to the next record
 
     # the last step always records, so tau_i and th are the final ones
     return EvolutionResult(

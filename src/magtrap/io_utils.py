@@ -108,10 +108,14 @@ def read_json_record(path):
 
 def write_grid_dump(path, amplitudes: np.ndarray, axis: np.ndarray,
                     header: dict) -> None:
-    """Binary snapshot: complex field, its axis, and the header as strings."""
+    """Binary snapshot: complex field, its axis, and the header as strings.
+
+    Stored without deflate: a field's low bits are noise that deflate
+    shrinks by a tenth at about twenty times the cost of the write.
+    """
     keys = [str(k) for k in ("version", *header)]
     values = [ARTIFACT_VERSION] + [format_value(v) for v in header.values()]
-    np.savez_compressed(
+    np.savez(
         path,
         amplitudes=np.asarray(amplitudes, dtype=complex),
         axis=np.asarray(axis, dtype=float),

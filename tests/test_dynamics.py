@@ -30,6 +30,7 @@ from magtrap.dynamics import (
     strang_step,
     to_lab_frame,
     _Propagator,
+    _Tables,
     _step_factors,
     _tables_for,
 )
@@ -276,6 +277,43 @@ class TestKernelAgainstReference:
         assert_observables_match(last_row, expected)
 
 
+class TestMergedKicksAgainstReference:
+    """evolve's loop, which applies each step's trailing half kick and the
+    next step's leading one as one product, against as many calls of the
+    oracles' split step, which takes both half kicks and rebuilds the whole
+    potential on every call."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([16, 32, 64]), k=st.integers(1, 25),
+           smooth=st.booleans(), record_every=st.integers(1, 30),
+           nu=st.floats(0.0, 3.0), b=st.floats(0.0, 2.0),
+           dtau=st.floats(1e-4, 1e-2),
+           x0=st.floats(-2.0, 2.0), y0=st.floats(-2.0, 2.0),
+           kx0=st.floats(-1.0, 1.0), ky0=st.floats(-1.0, 1.0))
+    @example(n=64, k=25, smooth=False, record_every=10, nu=1.0, b=1.0,
+             dtau=1e-2, x0=2.0, y0=0.0, kx0=0.0, ky0=1.0)
+    @example(n=16, k=25, smooth=True, record_every=3, nu=2.5, b=0.5,
+             dtau=1e-2, x0=-1.0, y0=1.0, kx0=0.5, ky0=0.0)
+    def test_steps(self, n, k, smooth, record_every, nu, b, dtau, x0, y0,
+                   kx0, ky0):
+        # the smooth ramp moves nu on every step, at its midpoint.  The edge
+        # guard is not under test: a 16^2 grid rings out to its edge
+        spec = GridSpec(n=n, half_extent=8.0)
+        tp = TrapParams(nu=nu, b=b)
+        ramp = RampProtocol("smooth", nu, tau_ramp=k * dtau) if smooth else None
+        psi = moving_packet(spec, x0, y0, kx0, ky0)
+        res = evolve(GridState(spec=spec, amplitudes=psi), tp, dtau, k * dtau,
+                     ramp, record_every=record_every, edge_tol=math.inf)
+        ref = psi
+        for i in range(k):
+            nu_i = ramp.nu((i + 0.5) * dtau) if smooth else nu
+            ref = oracles.reference_strang_step(ref, spec.half_extent, nu_i, b,
+                                                dtau)
+        assert res.final_state.tau == pytest.approx(k * dtau, rel=1e-12)
+        np.testing.assert_allclose(res.final_state.amplitudes, ref, rtol=0,
+                                   atol=1e-12)
+
+
 class TestRecordSymmetries:
     """The record of a field and of its image under the square's symmetries.
 
@@ -328,8 +366,8 @@ class TestTransformAgainstReference:
     """The stepper's one-axis transforms against the oracles' kernel step on
     scipy's 2-D transforms, with the same kick and kinetic factors."""
 
-    # of max|psi|, fixed before the step; the two are bit-equal under the
-    # pinned numpy and scipy, and this leaves room for other pocketfft builds
+    # of max|psi|, fixed before the step; the two differ by the rounding of
+    # the kick's products, and this leaves room for other pocketfft builds
     RTOL = 1e-13
 
     @settings(max_examples=30, deadline=None)
@@ -344,9 +382,10 @@ class TestTransformAgainstReference:
         rng = np.random.default_rng(seed)
         psi = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         atol = self.RTOL * float(np.abs(psi).max())
-        ref = oracles.reference_transform_step(
-            psi, propagator.half_kick(nu).copy(), propagator.kinetic)
-        got = propagator.step(psi, nu)
+        got = propagator.step(psi.copy(), nu)
+        half = propagator.settle(np.ones_like(psi))  # the pending kick
+        propagator.settle(got, out=got)
+        ref = oracles.reference_transform_step(psi, half, propagator.kinetic)
         np.testing.assert_allclose(got, ref, rtol=0, atol=atol)
 
 
@@ -447,6 +486,52 @@ class TestEvolveBookkeeping:
         for snap in res.snapshots:
             assert abs(snap.state.tau - snap.requested_tau) <= 5e-4 + 1e-12
             assert snap.state.frame == "lab" and snap.state.theta == 0.0
+
+    @pytest.mark.parametrize("smooth", [False, True])
+    def test_stepped_field_ignores_the_record_cadence(self, smooth):
+        # a record settles a copy of the field with its pending half kick,
+        # so the stepped field, and every row, is the same bit for bit
+        # however often the run records
+        tp = TrapParams(nu=1.5, b=1.0)
+        ramp = RampProtocol("smooth", 1.5, tau_ramp=0.2) if smooth else None
+        state = GridState(spec=SPEC64,
+                          amplitudes=moving_packet(SPEC64, 2.0, -1.0, 0.5, 1.0))
+        runs = {every: evolve(state, tp, 1e-2, 0.3, ramp, record_every=every)
+                for every in (1, 3, 10)}
+        every_step = runs[1]
+        for every, res in runs.items():
+            np.testing.assert_array_equal(res.final_state.amplitudes,
+                                          every_step.final_state.amplitudes)
+            # each row sits at a tau that the run recording every step shares
+            _, rows, steps = np.intersect1d(res.tau, every_step.tau,
+                                            return_indices=True)
+            assert len(rows) == len(res.tau) == -(-30 // every) + 1
+            for name, col in res.as_columns().items():
+                np.testing.assert_array_equal(
+                    col[rows], every_step.as_columns()[name][steps],
+                    err_msg=f"{name}, record_every = {every}")
+
+    def test_record_makes_six_transforms(self, monkeypatch):
+        # a step is four one-axis passes; the record at theta = 0 reads two
+        # power spectra, the reference is transformed once, and every later
+        # record makes six passes: the axis-0 transform of its power
+        # spectrum is the first of its shears
+        calls = []
+
+        def counted(transform):
+            def wrapper(*args, **kwargs):
+                calls.append(transform.__name__)
+                return transform(*args, **kwargs)
+            return wrapper
+
+        for name in ("fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+        state = gaussian_packet(SPEC64, 2.0)
+        tp = TrapParams(nu=1.0, b=1.0)
+        for every, later_records in ((10, 2), (5, 4)):
+            calls.clear()
+            evolve(state, tp, 1e-2, 0.2, record_every=every)
+            assert len(calls) == 4 * 20 + 2 + 1 + 6 * later_records
 
     def test_autocorr_starts_at_unity(self):
         res = evolve(gaussian_packet(SPEC128, 2.0), FREE, 1e-3, 0.05)
@@ -581,6 +666,53 @@ class TestGuards:
         assert len(messages) == 1, messages
         assert "at tau = 1.05;" in messages.pop()
 
+    @pytest.mark.parametrize("cells", [0, -1, 40])
+    def test_edge_cells_outside_half_the_grid_are_refused(self, cells):
+        # 0 or a negative count would read psi[-0:], the whole field, and
+        # 40 of 64 cells would count overlapping strips twice
+        with pytest.raises(ValueError,
+                           match="edge_cells must be from 1 to n/2 = 32"):
+            evolve(gaussian_packet(SPEC64, 0.0), FREE, 1e-3, 0.01,
+                   edge_cells=cells)
+
+    @pytest.mark.parametrize("n, smooth", [(256, False), (512, True)])
+    def test_steps_between_records_allocate_no_field(self, monkeypatch, n,
+                                                     smooth):
+        # tracing starts at step 10's record, from an observer, and stops
+        # at step 20's edge check, before its record: the nine steps between
+        # and step 20 itself work in the field's own buffer.  A ramp rebuilds
+        # its merged kick on every step through broadcast products, which
+        # take numpy's fixed 128 KiB iteration buffer: a tenth of a 512^2
+        # field, not of a 256^2 one
+        spec = GridSpec(n=n, half_extent=12.0)
+        state = gaussian_packet(spec, 4.0)
+        ramp = RampProtocol("smooth", 1.0, tau_ramp=0.02) if smooth else None
+        seen, peaks = [], []
+
+        def start(view):
+            seen.append(view.tau)
+            if len(seen) == 2:
+                tracemalloc.start()
+            return 0.0
+
+        edge_mass = _Tables.edge_mass
+
+        def stop(self, psi, cells):
+            if tracemalloc.is_tracing():
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+            return edge_mass(self, psi, cells)
+
+        monkeypatch.setattr(_Tables, "edge_mass", stop)
+        try:
+            evolve(state, TrapParams(nu=1.0, b=1.0), 1e-3, 0.02, ramp,
+                   record_every=10, observers=(("start", start),))
+        finally:
+            if tracemalloc.is_tracing():
+                tracemalloc.stop()
+        assert len(seen) == 3 and len(peaks) == 1
+        assert peaks[0] <= 0.1 * state.amplitudes.nbytes
+
     def test_interaction_flavor_mismatch_radiates(self):
         # a state relaxed under the cell-averaged interaction is not
         # stationary for the soft-core stepper: the defect at the origin
@@ -600,12 +732,13 @@ class TestGuards:
         assert np.ptp(res.energy) < 1e-6
 
     def test_step_holds_one_field_besides_its_input(self):
-        # the kernel transforms and multiplies in its own buffer; a second
-        # N x N temporary would double the peak
+        # the kernel transforms and multiplies in its input's buffer; an
+        # N x N temporary beyond one would double the peak
         spec = GridSpec(n=256, half_extent=12.0)
         propagator = _Propagator(spec, 1.0, 1e-3)
         psi = gaussian_packet(spec, 4.0).amplitudes
-        propagator.step(psi, 1.0)  # builds the half kick at this nu
+        for _ in range(2):  # opens the run and builds its merged kick
+            propagator.step(psi, 1.0)
         tracemalloc.start()
         try:
             propagator.step(psi, 1.0)

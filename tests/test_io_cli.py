@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 import warnings
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -322,6 +323,19 @@ class TestGridDumpArtifacts:
         assert header["frame"] == "lab"
         np.testing.assert_array_equal(amp_back, amp)
         np.testing.assert_array_equal(axis_back, axis)
+
+    def test_members_are_stored_without_deflate(self, tmp_path):
+        # a field's low bits are noise: deflate would cost twenty times the
+        # write to save a tenth of the bytes
+        path = tmp_path / "g.npz"
+        write_grid_dump(path, np.ones((8, 8), dtype=complex),
+                        np.linspace(-4.0, 4.0, 8), {"tau": 0.5})
+        with zipfile.ZipFile(path) as archive:
+            members = archive.infolist()
+        assert {m.filename for m in members} == {
+            "amplitudes.npy", "axis.npy", "header_keys.npy",
+            "header_values.npy"}
+        assert all(m.compress_type == zipfile.ZIP_STORED for m in members)
 
 
 class TestExitCodes:
