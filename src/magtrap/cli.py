@@ -493,13 +493,15 @@ def _evolve_header(cfg: RunConfig, spec: GridSpec) -> dict:
     return header
 
 
+def _ramp(cfg: RunConfig, kind: str) -> RampProtocol:
+    return RampProtocol(kind, nu_final=cfg.nu,
+                        tau_ramp=0.0 if kind == "step" else cfg.tau_ramp)
+
+
 def _cmd_evolve(cfg: RunConfig):
     spec = GridSpec(n=cfg.N, half_extent=cfg.L)
     tp = TrapParams(nu=cfg.nu, b=cfg.b)
-    ramp = None
-    if cfg.ramp is not None:
-        ramp = RampProtocol(cfg.ramp, nu_final=cfg.nu,
-                            tau_ramp=0.0 if cfg.ramp == "step" else cfg.tau_ramp)
+    ramp = None if cfg.ramp is None else _ramp(cfg, cfg.ramp)
     tau_end = 2.0 * math.pi if cfg.tau_end is None else cfg.tau_end
     count = 0
     if cfg.snapshots:
@@ -513,22 +515,19 @@ def _cmd_evolve(cfg: RunConfig):
     header = _evolve_header(cfg, spec)
     io_utils.write_table(path, result.as_columns(), header)
     written = [path]
+
+    def dump(tag: str, st, **requested):
+        dump_path = _tagged(path, tag).with_suffix(".npz")
+        io_utils.write_grid_dump(
+            dump_path, st.amplitudes, spec.axis(),
+            {**header, "tau": st.tau, **requested, "frame": st.frame,
+             "theta": st.theta})
+        written.append(dump_path)
+
     for j, snap in enumerate(result.snapshots, 1):
-        snap_path = _tagged(path, f"_snap{j:03d}").with_suffix(".npz")
-        st = snap.state
-        io_utils.write_grid_dump(
-            snap_path, st.amplitudes, spec.axis(),
-            {**header, "tau": st.tau, "requested_tau": snap.requested_tau,
-             "frame": st.frame, "theta": st.theta})
-        written.append(snap_path)
+        dump(f"_snap{j:03d}", snap.state, requested_tau=snap.requested_tau)
     if cfg.format == "grid-dump":
-        final = result.final_lab()
-        final_path = _tagged(path, "_final").with_suffix(".npz")
-        io_utils.write_grid_dump(
-            final_path, final.amplitudes, spec.axis(),
-            {**header, "tau": final.tau, "frame": final.frame,
-             "theta": final.theta})
-        written.append(final_path)
+        dump("_final", result.final_lab())
     return written
 
 
@@ -550,19 +549,18 @@ def _cmd_ramp_compare(cfg: RunConfig):
     rest = TrapParams(nu=0.0, b=cfg.b)
     tau_end = 2.0 * cfg.tau_ramp + 10.0 if cfg.tau_end is None else cfg.tau_end
     _check_record_count(tau_end, cfg.dtau)
+    ramps = {kind: _ramp(cfg, kind) for kind in ("step", "smooth")}
     # relax under the same softcore interaction evolve steps, else the
-    # prepared state radiates from the origin cells
-    _, state0 = imaginary_time_ground(spec, rest, 0, tol=cfg.tol,
-                                      coulomb="softcore")
+    # prepared state radiates from the origin cells; at the default
+    # tolerance, as tol is not among this command's flags
+    _, state0 = imaginary_time_ground(spec, rest, 0, coulomb="softcore")
     base = _out_path(cfg, ".csv")
     outcomes = {}
 
     def run(kind):
-        ramp = RampProtocol(kind, nu_final=cfg.nu,
-                            tau_ramp=0.0 if kind == "step" else cfg.tau_ramp)
         try:
-            outcomes[kind] = evolve(state0, tp, cfg.dtau, tau_end, ramp,
-                                    record_every=_RECORD_EVERY)
+            outcomes[kind] = evolve(state0, tp, cfg.dtau, tau_end,
+                                    ramps[kind], record_every=_RECORD_EVERY)
         except Exception as exc:  # raised below, in the serial order
             outcomes[kind] = exc
 

@@ -57,10 +57,13 @@ A record is one density and six one-axis passes, two of them inverse: two
 power spectra and four more for the autocorrelation.  By Parseval along one
 axis every momentum moment is a weighted sum of |F_a psi|^2, F_a the
 transform along axis a.  The autocorrelation is an overlap with the initial
-lab pattern that never builds the lab field: the quarter turns move onto
-the reference, the first shear starts from the spectrum's F_0 psi, and the
-last shear becomes a weighted sum of axis-0 transforms.  Snapshots,
-to_lab_frame and rotate_frame still rotate the field.
+lab pattern, at frame angle 0 the caller's own field rather than a copy,
+that never builds the lab field: the quarter turns move onto the
+reference, the shears start from the spectrum's F_0 psi, and their closing
+inverse transform becomes, by Parseval, an overlap of axis-0 transforms.
+The three shears are one sequence that takes and returns an axis-0
+transform; rotate_frame, to_lab_frame and snapshots wrap it in one forward
+and one inverse pass.
 
 Sums over an N x N field are numpy's own fixed-order sums (einsum over the
 float view), never BLAS: norms, overlaps, the Gram entries of the
@@ -582,12 +585,25 @@ def _rotation_parts(spec: GridSpec, theta: float):
             _shear_table(spec, math.sin(residual), 1))
 
 
+def _shears(ft: np.ndarray, outer, inner) -> np.ndarray:
+    """ft <- F0 Sa Sb Sa f for ft = F0 f, in ft's own buffer: the shears of
+    _rotation_parts, taken and returned as axis-0 transforms."""
+    ft *= outer
+    np.fft.ifft(ft, axis=0, out=ft)
+    _filter(ft, inner, (1,))
+    np.fft.fft(ft, axis=0, out=ft)
+    ft *= outer
+    return ft
+
+
 def _rotate_amplitudes(spec: GridSpec, psi: np.ndarray,
                        theta: float) -> np.ndarray:
+    """psi rotated by theta; a whole number of turns returns psi's own
+    data, not a copy."""
     quarters, outer, inner = _rotation_parts(spec, theta)
     if outer is not None:
-        psi = _filter(_filter(_filter(psi.copy(), outer, (0,)), inner, (1,)),
-                      outer, (0,))
+        ft = _shears(np.fft.fft(psi, axis=0), outer, inner)
+        psi = np.fft.ifft(ft, axis=0, out=ft)
     # psi'(xi, eta) = psi(eta, -xi) per quarter turn, an exact permutation:
     # the offset axis negates under i -> n-1-i
     return np.ascontiguousarray(np.rot90(psi, quarters))
@@ -610,9 +626,7 @@ def to_lab_frame(state: GridState) -> GridState:
     """Undo the accumulated frame angle; lab pattern = rotation by -theta."""
     if state.frame == "lab":
         return state
-    psi = state.amplitudes
-    if state.theta != 0.0:
-        psi = _rotate_amplitudes(state.spec, psi, -state.theta)
+    psi = _rotate_amplitudes(state.spec, state.amplitudes, -state.theta)
     return GridState(spec=state.spec, amplitudes=psi, frame="lab",
                      tau=state.tau, theta=0.0)
 
@@ -726,30 +740,24 @@ def evolve(state: GridState, tp: TrapParams, dtau: float, tau_end: float,
             return theta0 + 0.5 * (ramp.nu_integral(tau) - ramp.nu_integral(tau0))
         return theta0 + 0.5 * tp.nu * (tau - tau0)
 
-    # physical reference for the autocorrelation is the initial lab pattern
-    if theta0 != 0.0:
-        psi_ref = _rotate_amplitudes(spec, psi, -theta0)
-    else:
-        psi_ref = psi.copy()
+    # the autocorrelation's reference is the initial lab pattern: at
+    # theta0 = 0 the caller's own field, which nothing here writes
+    psi_ref = to_lab_frame(state).amplitudes
 
     def autocorr(psi_now: np.ndarray, ft: np.ndarray, th: float) -> float:
         # |<psi_ref|R psi>| with R = Rot(-th) = P^q Sa Sb Sa, without the lab
         # field: <psi_ref|P^q f> = <P^-q psi_ref|f>, and by Parseval along
-        # axis 0 the last shear is a weighted sum of F0 transforms, that of
-        # the reference taken once per quarter-turn count.  ft holds F0 psi,
-        # the first shear's transform, and is consumed
+        # axis 0 the overlap is one of F0 transforms, that of the reference
+        # taken once per quarter-turn count.  ft holds F0 psi, where the
+        # shears start, and is consumed
         quarters, outer, inner = _rotation_parts(spec, -th)
         ref = np.rot90(psi_ref, -quarters)
         if outer is None:
             return abs(h2 * _vdot(ref, psi_now))
         if quarters not in ref_ft:
             ref_ft[quarters] = np.fft.fft(ref, axis=0)
-        ft *= outer
-        np.fft.ifft(ft, axis=0, out=ft)
-        _filter(ft, inner, (1,))
-        np.fft.fft(ft, axis=0, out=ft)
-        ft *= outer
-        return abs(h2 * _vdot(ref_ft[quarters], ft)) / spec.n
+        return abs(h2 * _vdot(ref_ft[quarters],
+                              _shears(ft, outer, inner))) / spec.n
 
     record_every = max(1, record_every)
     snap_idx: dict[int, list[float]] = {}
@@ -936,11 +944,10 @@ def angular_harmonics(state: GridState, n_harmonics: int = 48) -> np.ndarray:
     invariant under frame rotation up to a phase, so spreading diagnostics
     built from their moduli need no lab-frame conversion.
     """
-    xi, eta = state.spec.meshes()
-    rho = np.hypot(xi, eta)
+    # the samples sit half a cell off the origin, so rho > 0 everywhere
+    xi = state.spec.axis()[:, None]  # a column; eta is the row xi.T
     w = state.density() * state.spec.h ** 2
-    with np.errstate(invalid="ignore"):
-        z = np.where(rho > 0, (xi + 1j * eta) / np.where(rho > 0, rho, 1.0), 0.0)
+    z = (xi + 1j * xi.T) / np.hypot(xi, xi.T)
     coeffs = np.empty(n_harmonics + 1, dtype=complex)
     acc = np.ones_like(z)
     coeffs[0] = w.sum()

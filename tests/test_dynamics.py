@@ -747,6 +747,24 @@ class TestGuards:
             tracemalloc.stop()
         assert peak <= 1.1 * psi.nbytes
 
+    def test_evolve_holds_no_copy_of_its_input(self):
+        # at theta0 = 0 the autocorrelation's reference is the caller's own
+        # field.  With the grid's tables cached, a record peaks at seven
+        # fields: the stepped one, the run's merged kick, the settled copy,
+        # the record's transform, the reference's transform and the two
+        # shear tables.  A private copy of the input would be an eighth
+        spec = GridSpec(n=256, half_extent=12.0)
+        state = gaussian_packet(spec, 4.0)
+        tp = TrapParams(nu=1.0, b=1.0)
+        evolve(state, tp, 1e-3, 0.02)  # builds the cached tables
+        tracemalloc.start()
+        try:
+            evolve(state, tp, 1e-3, 0.02)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7.5 * state.amplitudes.nbytes
+
     def test_strang_step_validation(self):
         st = gaussian_packet(SPEC128, 2.0)
         with pytest.raises(ValueError, match="dtau"):

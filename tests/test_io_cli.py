@@ -994,6 +994,68 @@ class TestConfigPlumbing:
                      "--out", str(out)]) == 0
         assert out.exists()
 
+    # one small run of each command, and a valid value other than the
+    # default for every key but the common ones
+    RUNS = {
+        "potential": ["--nu", "1", "--b", "1", "--m", "0,1"],
+        "spectrum": ["--b", "1", "--nu-grid", "0:1:0.5", "--m", "0,1",
+                     "--levels", "2", "--K", "10"],
+        "crossings": ["--b", "1", "--nu-bracket", "0.05:5", "--K", "10"],
+        "groundstate": ["--nu", "1", "--b", "1", "--K", "10"],
+        "current": ["--nu", "1", "--b", "1", "--m", "1", "--K", "10"],
+        "velocity-sweep": ["--b", "1", "--nu-grid", "0.5:1:0.5", "--K", "10"],
+        "evolve": ["--nu", "1", "--b", "1", "--N", "32", "--xi0", "2",
+                   "--dtau", "1e-2", "--tau-end", "0.2", "--snapshots", "0.1",
+                   "--format", "grid-dump"],
+        "imag-time": ["--nu", "1", "--b", "0", "--m", "0,1", "--N", "32"],
+        "ramp-compare": ["--nu", "1", "--b", "1", "--N", "32", "--dtau",
+                         "1e-2", "--tau-ramp", "0.2", "--tau-end", "0.4"],
+    }
+    OTHER_VALUES = {
+        "nu": "0.7", "b": "0.3", "m": "2", "m1": "2", "m2": "3",
+        "m_range": "-1:2", "K": "12", "levels": "2", "N": "16", "L": "6",
+        "dtau": "2e-3", "tau_end": "0.3", "tau_ramp": "0.7",
+        "ramp": "smooth", "nu_grid": "0:0.5:0.25", "nu_bracket": "0.1:3",
+        "xi0": "2", "packet_width": "0.8", "snapshots": "0.1",
+        "tol": "1e-2", "format": "grid-dump",
+    }
+
+    def test_every_command_and_key_is_covered(self):
+        assert set(self.RUNS) == set(cli._COMMANDS)
+        assert set(self.OTHER_VALUES) == (set(cli._FIELD_TYPES) - {"command"}
+                                          - set(cli._COMMON_FLAGS))
+        defaults = RunConfig(command="potential")
+        for key, raw in self.OTHER_VALUES.items():
+            assert cli._coerce(key, raw) != getattr(defaults, key), key
+
+    @pytest.mark.parametrize("command", sorted(RUNS))
+    def test_keys_a_command_does_not_take_change_no_data(self, tmp_path,
+                                                         command):
+        # such a key is only echoed in the header: the columns, the JSON
+        # result and the dumped fields are the ones a plain run writes
+        taken = set(cli._COMMANDS[command][1]) | set(cli._COMMON_FLAGS)
+        config = tmp_path / "run.cfg"
+        config.write_text("".join(f"{key} = {raw}\n" for key, raw
+                                  in self.OTHER_VALUES.items()
+                                  if key not in taken))
+        suffix = (".json" if command in ("crossings", "groundstate",
+                                         "imag-time") else ".csv")
+        runs = {}
+        for name, extra in (("plain", []), ("configured",
+                                            ["--config", str(config)])):
+            out = tmp_path / name / f"artifact{suffix}"
+            assert main([command, *self.RUNS[command], *extra,
+                         "--out", str(out)]) == 0
+            runs[name] = sorted(out.parent.iterdir())
+        plain, configured = runs["plain"], runs["configured"]
+        assert [p.name for p in plain] == [p.name for p in configured]
+        read = {".csv": lambda p: read_table(p)[1],
+                ".json": lambda p: read_json_record(p)[1],
+                ".npz": lambda p: read_grid_dump(p)[1]}
+        for a, b in zip(plain, configured):
+            np.testing.assert_equal(read[b.suffix](b), read[a.suffix](a),
+                                    err_msg=a.name)
+
     def test_format_is_an_evolve_flag(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
         assert main(["spectrum", "--nu-grid", "0:1:0.5", "--format",
@@ -1082,6 +1144,18 @@ class TestRampCompareThreads:
         assert [p.name for p in tmp_path.iterdir()] == ["rr_step.csv"]
         header, cols = read_table(tmp_path / "rr_step.csv")
         assert header["ramp"] == "step" and len(cols["tau"]) == 5
+
+    def test_a_smooth_ramp_without_duration_is_refused_first(self, tmp_path,
+                                                             capsys):
+        # both ramps are built before the relaxation and either run, so the
+        # refusal exits 2 with one JSON line and writes no table
+        assert main([*self.ARGV, "--tau-ramp", "0",
+                     "--out", str(tmp_path / "rr.csv")]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["message"] == (
+            "smooth ramp needs tau_ramp > 0")
+        assert list(tmp_path.iterdir()) == []
 
     def test_warnings_of_either_thread_reach_the_json_line(
             self, tmp_path, monkeypatch, capsys, smooth_done):
