@@ -277,31 +277,32 @@ def build_parser() -> _Parser:
             kwargs = {"default": None, "help": _FLAG_HELP[name]}
             if name == "ramp":
                 kwargs["choices"] = ("step", "linear", "smooth")
-            sp.add_argument("--" + name.replace("_", "-"), dest=name, **kwargs)
+            sp.add_argument(_flag(name), dest=name, **kwargs)
     return parser
 
 
-_DASH_VALUE_FLAGS = {"--m", "--m-range", "--nu-bracket", "--nu-grid"}
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+# one value flag per RunConfig field; the parser adds --config and --help
+_VALUE_FLAGS = {_flag(name) for name in _FIELD_TYPES if name != "command"}
+_PARSER_FLAGS = _VALUE_FLAGS | {"--config", "-h", "--help"}
 
 
 def _merge_negative_values(argv):
-    """Join `--m-range -1:3` into `--m-range=-1:3`.
+    """Join `--m-range -1:3` into `--m-range=-1:3`, `--xi0 -1e-1` likewise.
 
-    Option parsing otherwise reads a leading-dash sector value as a new
-    flag; only flags whose values can legitimately start with a minus are
-    rewritten, so genuinely missing arguments still fail loudly.
+    Option parsing otherwise reads a value that starts with a minus as a
+    new flag.  A value flag is joined with a next token that starts with a
+    minus unless that token is itself a flag of the parser, alone or with
+    `=value`, so a missing argument still fails loudly.
     """
     merged = []
-    skip = False
-    for i, tok in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if (tok in _DASH_VALUE_FLAGS and nxt and len(nxt) > 1
-                and nxt[0] == "-" and nxt[1].isdigit()):
-            merged.append(f"{tok}={nxt}")
-            skip = True
+    for tok in argv:
+        if (merged and merged[-1] in _VALUE_FLAGS and tok[:1] == "-"
+                and tok.partition("=")[0] not in _PARSER_FLAGS):
+            merged[-1] += "=" + tok
         else:
             merged.append(tok)
     return merged

@@ -725,7 +725,7 @@ def evolve(state: GridState, tp: TrapParams, dtau: float, tau_end: float,
     propagator = _Propagator(spec, tp.b, dtau)
     tables = propagator.tables
     psi = np.array(state.amplitudes, dtype=complex, copy=True)
-    h2, ref_ft = spec.h ** 2, {}
+    h2 = spec.h ** 2
     norm0 = math.sqrt(h2 * _vdot(psi, psi).real)
     if not abs(norm0 - 1.0) <= norm_tol:
         raise ValueError(
@@ -743,21 +743,27 @@ def evolve(state: GridState, tp: TrapParams, dtau: float, tau_end: float,
     # the autocorrelation's reference is the initial lab pattern: at
     # theta0 = 0 the caller's own field, which nothing here writes
     psi_ref = to_lab_frame(state).amplitudes
+    # (q, F0 of the reference turned back by q quarters) for the latest q
+    # only: the frame angle never decreases, and a decrease would only
+    # recompute it
+    ref_ft = [None, None]
 
     def autocorr(psi_now: np.ndarray, ft: np.ndarray, th: float) -> float:
         # |<psi_ref|R psi>| with R = Rot(-th) = P^q Sa Sb Sa, without the lab
         # field: <psi_ref|P^q f> = <P^-q psi_ref|f>, and by Parseval along
         # axis 0 the overlap is one of F0 transforms, that of the reference
-        # taken once per quarter-turn count.  ft holds F0 psi, where the
-        # shears start, and is consumed
+        # retaken only when q changes.  ft holds F0 psi, where the shears
+        # start, and is consumed
         quarters, outer, inner = _rotation_parts(spec, -th)
         ref = np.rot90(psi_ref, -quarters)
         if outer is None:
             return abs(h2 * _vdot(ref, psi_now))
-        if quarters not in ref_ft:
-            ref_ft[quarters] = np.fft.fft(ref, axis=0)
-        return abs(h2 * _vdot(ref_ft[quarters],
-                              _shears(ft, outer, inner))) / spec.n
+        if ref_ft[0] != quarters:
+            # the old transform goes first; the new one is C-ordered, as
+            # _vdot reads it without a copy (an odd turn's is not)
+            ref_ft[:] = quarters, None
+            ref_ft[1] = np.fft.fft(ref, axis=0, out=np.empty_like(psi_now))
+        return abs(h2 * _vdot(ref_ft[1], _shears(ft, outer, inner))) / spec.n
 
     record_every = max(1, record_every)
     snap_idx: dict[int, list[float]] = {}

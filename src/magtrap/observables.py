@@ -25,18 +25,18 @@ matrix of the basis recurrence and M_2 twice the trap block, all cached
 with the basis.  These are the only moments on offer, and they are all the
 observables need: velocity_expectation, CurrentField.plane_integral and the
 mean radius of density_profile are built from them, so no observable
-runs quadrature.  The density peak is the root of chi', summed by the
-derivative recurrence of the basis (RadialBasis._chi_and_slope), so none
-runs an optimizer either.
+runs quadrature.  The density peak of density_profile is the root of
+chi', summed by the derivative recurrence of the basis
+(RadialBasis._chi_and_slope), so none runs an optimizer either.
 
-rho_max, the outer end of the default sampling grids, lies 1 past the
-outermost radius where chi^2 is 1e-16 of its peak.  Building a state finds
-both by root searches on that scalar recurrence, a handful of points,
-bracketed by the state's samples on a grid fixed by its basis: one product
-of the eigenvector with a table cached per basis (RadialBasis._samples),
-fine enough to see every lobe of chi, including the ripples at 1e-15 of
-the peak that a basis too wide for its state leaves in the tail.  No
-array of chi is summed until a caller asks for one.
+rho_max, the outer end of the default sampling grids, lies 1 past where
+chi^2 falls to 1e-16 of its largest sample, interpolated between samples.
+The samples lie on a grid fixed by the basis: one product of the
+eigenvector with a table cached per basis (RadialBasis._samples), fine
+enough to see every lobe of chi, including the ripples at 1e-15 of the
+peak that a basis too wide for its state leaves in the tail.  rho_max is
+a sampling range, so building a state runs no root search, and no array
+of chi is summed until a caller asks for one.
 """
 
 from __future__ import annotations
@@ -69,16 +69,10 @@ __all__ = [
 # target normalization of the radial factor, 1/(2 pi)
 _CHI_NORM = 1.0 / (2.0 * np.pi)
 
-# a state ends where chi^2 falls below this share of its peak; rho_max lies
-# one unit further out
+# a state ends where chi^2 falls below this share of its largest sample;
+# rho_max lies one unit further out
 _TAIL_SHARE = 1e-16
-# where the peak and tail searches stop: a slope below 1e-2 of the best
-# sample's chi^2 puts chi^2 within about 1e-5 of the top, which moves the
-# tail by about 1e-6; |log(chi^2 / floor)| below 1e-6 puts the tail within
-# about 1e-7 of its root, chi^2 falling there by e^(2 rho) per unit of rho
-_PEAK_FTOL = 1e-2
-_TAIL_FTOL = 1e-6
-# stands in for a chi of exactly zero in a logarithm
+# stands in for a chi^2 that underflows to zero in a logarithm
 _TINY = 5e-324
 
 
@@ -114,11 +108,10 @@ class RadialWavefunction:
         y = solution.vectors[:, level]
         weights = y * np.sqrt(_CHI_NORM)
         basis = solution.basis
-        chi_and_slope = basis._chi_and_slope(weights)
-        rho_max = _tail_radius(*basis._samples(weights), chi_and_slope)
+        rho_max = _tail_radius(*basis._samples(weights))
         wf = cls(solution.m, basis.expansion(weights), rho_max + 1.0)
         wf._moments = basis.radial_moments(y)
-        wf._chi_and_slope = chi_and_slope
+        wf._chi_and_slope = basis._chi_and_slope(weights)
         return wf
 
     def chi(self, rho):
@@ -149,43 +142,22 @@ class RadialWavefunction:
         return self._moments[power]
 
 
-def _tail_radius(rho, chi, chi_and_slope) -> float:
-    """Outermost rho where chi^2 is _TAIL_SHARE of its peak, by root searches.
+def _tail_radius(rho, chi) -> float:
+    """Where chi^2 falls to 1e-16 of its largest sample, between samples.
 
-    rho and chi are the basis's samples of the state (RadialBasis._samples),
-    which see every lobe of chi.  The peak is the root of d(chi^2)/drho
-    between the neighbours of the best sample, its value the largest chi^2
-    the search met; where they do not bracket a root, the best sample's.
-    The tail crossing is the root of log(chi^2 / floor) between the
-    outermost sample above the floor and the next one.  Both searches run
-    the scalar recurrence, a few points each.
+    rho_max lies 1 past it.  rho and chi are the basis's samples of the
+    state (RadialBasis._samples), which see every lobe of chi.  The floor
+    is 1e-16 of the largest chi^2 among them, and the crossing is
+    interpolated linearly in log chi^2 between the outermost sample above
+    the floor and the next one: no search, and no chi beyond the samples.
     """
     dens = chi * chi
-    i = int(np.argmax(dens))
-    seen = [float(dens[i])]
-    rho = rho.tolist()  # plain floats: the recurrence runs on scalars
-
-    def slope(r):
-        value, rising = chi_and_slope(r)
-        seen.append(value * value)
-        return rising
-
-    lo, hi = rho[max(i - 1, 0)], rho[min(i + 1, len(rho) - 1)]
-    f_lo, f_hi = slope(lo), slope(hi)
-    if f_lo > 0.0 > f_hi:
-        _illinois_root(slope, lo, hi, f_lo, f_hi, ftol=_PEAK_FTOL * seen[0])
-    floor = _TAIL_SHARE * max(seen)
-    log_floor = math.log(floor)
-
-    def excess(value):  # log(chi^2 / floor), finite where chi^2 underflows
-        return math.log(value * value or _TINY) - log_floor
-
+    floor = _TAIL_SHARE * float(dens.max())
     # sample j + 1 exists: the grid runs past where every phi_k has decayed
     j = int(np.flatnonzero(dens > floor)[-1])
-    crossing, _ = _illinois_root(lambda r: excess(chi_and_slope(r)[0]),
-                                 rho[j], rho[j + 1], excess(chi[j]),
-                                 excess(chi[j + 1]), ftol=_TAIL_FTOL)
-    return crossing
+    above, below = (math.log(d or _TINY) for d in dens[j:j + 2].tolist())
+    share = (above - math.log(floor)) / (above - below)
+    return float(rho[j] + share * (rho[j + 1] - rho[j]))
 
 
 @dataclass(frozen=True)
@@ -246,8 +218,7 @@ def current_vector_field(wf: RadialWavefunction, tp: TrapParams,
     r = rho[safe]
     # J depends on rho alone: sum chi once per distinct radius, then gather
     radii, where = np.unique(r, return_inverse=True)
-    j_phi = ((wf.m / radii - 0.5 * tp.nu * radii)
-             * wf.psi_squared(radii))[where]
+    j_phi = current_density(wf, tp, radii).J[where]
     jx[safe] = -y[safe] / r * j_phi
     jy[safe] = x[safe] / r * j_phi
     return x, y, jx, jy

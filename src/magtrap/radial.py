@@ -224,8 +224,11 @@ class RadialBasis:
         s = 1/2 + |m| and P = sqrt(c) sum_k weights[k] q_k, the second value
         is rho/2 times d(chi^2)/drho.  g P and g P' run the recurrences of
         _stieltjes with g carried from the start, in plain float arithmetic:
-        a root search calls it one point at a time, where numpy would pay
-        its per-operation overhead at every step of the recurrence.
+        the density peak search of observables.density_profile calls it one
+        point at a time, where numpy would pay its per-operation overhead
+        at every step of the recurrence.  rho_max needs no search: it lies
+        1 past where chi^2 falls to 1e-16 of its largest sample,
+        interpolated between samples (_samples).
         """
         a, sb, w, s, c = self._recurrence(weights)
 

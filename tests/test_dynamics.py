@@ -765,6 +765,26 @@ class TestGuards:
             tracemalloc.stop()
         assert peak <= 7.5 * state.amplitudes.nbytes
 
+    def test_evolve_keeps_one_reference_transform(self):
+        # from just below 3 pi/4 the frame passes a quarter-turn boundary.
+        # Off theta0 = 0 the reference is a rotated copy, an eighth field
+        # beside the seven above; its transform is replaced, not added to,
+        # and is C-ordered, so no record copies it.  Keeping the transform
+        # of each quarter-turn count peaked at nine fields
+        spec = GridSpec(n=256, half_extent=12.0)
+        amplitudes = gaussian_packet(spec, 4.0).amplitudes
+        state = GridState(spec, amplitudes, theta=0.75 * math.pi - 0.005)
+        tp = TrapParams(nu=1.0, b=1.0)
+        evolve(state, tp, 1e-3, 0.02)  # builds the cached tables
+        tracemalloc.start()
+        try:
+            result = evolve(state, tp, 1e-3, 0.02)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.final_state.theta > 0.75 * math.pi
+        assert peak <= 8.5 * amplitudes.nbytes
+
     def test_strang_step_validation(self):
         st = gaussian_packet(SPEC128, 2.0)
         with pytest.raises(ValueError, match="dtau"):

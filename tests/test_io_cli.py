@@ -252,9 +252,28 @@ class TestMergeNegativeValues:
         (["--m", "-1,2"], ["--m=-1,2"]),
         (["--nu-bracket", "-1:2"], ["--nu-bracket=-1:2"]),
         (["--nu-grid", "-1:1:0.5"], ["--nu-grid=-1:1:0.5"]),
+        (["--xi0", "-3"], ["--xi0=-3"]),
+        (["--xi0", "-1e-1"], ["--xi0=-1e-1"]),
+        (["--nu", "-pi/4", "--b", "1"], ["--nu=-pi/4", "--b", "1"]),
     ])
     def test_joins_leading_dash_values(self, argv, merged):
         assert _merge_negative_values(argv) == merged
+
+    @pytest.mark.parametrize("nu", ["-1e-3", "-pi/4"])
+    def test_negative_float_reaches_the_mirror_advice(self, nu, tmp_path,
+                                                      capsys):
+        out = tmp_path / "p.csv"
+        assert main(["potential", "--nu", nu, "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "pass |nu| and mirror m" in err["message"]
+        assert not out.exists()
+
+    def test_negative_exponent_runs(self, tmp_path):
+        out = tmp_path / "e.csv"
+        assert main(["evolve", "--xi0", "-1e-1", "--N", "64", "--L", "12",
+                     "--tau-end", "0.05", "--out", str(out)]) == 0
+        assert read_table(out)[0]["xi0"] == "-0.1"
 
     @pytest.mark.parametrize("grid", [["--nu-grid", "-1:1:0.5"],
                                       ["--nu-grid=-1:1:0.5"]])
@@ -268,8 +287,8 @@ class TestMergeNegativeValues:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
-        ["--xi0", "-3"],           # not a sector flag
         ["--m-range", "--out"],    # next token is a flag, not a value
+        ["--nu", "--out=x.csv"],   # a flag with its value
         ["--m-range"],             # nothing follows
         ["--m", "0,1"],            # no leading dash
     ])

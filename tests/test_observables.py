@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from magtrap import TrapParams
+from magtrap import TrapParams, observables
 from magtrap.observables import (
     RadialWavefunction,
     current_density,
@@ -301,7 +301,10 @@ class TestAgainstFormerCode:
 
 
 class TestRhoMax:
-    """rho_max is 1 past the outermost radius where chi^2 is 1e-16 of peak."""
+    """rho_max is 1 past where chi^2 falls to 1e-16 of its largest sample.
+
+    The crossing is interpolated between samples.
+    """
 
     @pytest.mark.parametrize("nu, b, m, size, level", [
         (1.0, 1.0, 1, 30, 0),     # the README current example
@@ -330,3 +333,31 @@ class TestRhoMax:
         rho = np.arange(1, 30001) * (max(60.0, 2.0 * wf.rho_max) / 30000)
         dens = wf.chi(rho) ** 2
         assert dens[rho >= wf.rho_max].max() < 1e-16 * dens.max()
+
+    def test_building_a_state_runs_no_root_search(self, monkeypatch):
+        # rho_max is read off the basis's samples: only density_profile's
+        # peak runs a search, on the state's scalar recurrence
+        def refuse(*args, **kwargs):
+            raise AssertionError("root search")
+
+        calls = []
+        scalar = RadialBasis._chi_and_slope
+
+        def counted(basis, weights):
+            chi_and_slope = scalar(basis, weights)
+            return lambda rho: calls.append(rho) or chi_and_slope(rho)
+
+        monkeypatch.setattr(observables, "_illinois_root", refuse)
+        monkeypatch.setattr(RadialBasis, "_chi_and_slope", counted)
+        for nu, b, m, size, level in [(1.0, 1.0, 1, 30, 0),
+                                      (1.0, 1.0, 1, 1, 0),
+                                      (0.0, 20.0, 0, 30, 0),
+                                      (5.0, 8.5, -5, 23, 0),
+                                      (0.2, 1.0, 3, 10, 2),
+                                      (2.5, 0.0, -5, 240, 2)]:
+            sol = solve_sector(TrapParams(nu=nu, b=b), m, size=size)
+            wf = RadialWavefunction.from_solution(sol, level)
+            assert wf.rho_max > 1.0
+        assert calls == []
+        with pytest.raises(AssertionError, match="root search"):
+            density_profile(wf)
