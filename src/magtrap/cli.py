@@ -14,20 +14,23 @@ separated, and a fixed-length one such as `tuple[int, int]` is colon
 separated and must have that many parts.  A tuple's elements share one
 type.
 
-Each rule on an input is stated once, by the layer that owns it, and a
+A subcommand's flags are its handler's parameters, named after the
+RunConfig fields, plus --seed and --out.  A config-file key that the
+command does not take is echoed in its headers and not used.
+
+Each rule on an input is stated once, where the value is built, and a
 library ValueError exits 2 like a ConfigError.  TrapParams refuses a
 negative nu or b; RadialBasis a basis size outside 1..MAX_BASIS_K (240),
 before any reduction; GridSpec a grid above MAX_GRID_N (4096) points per
 axis, before any array is built; spectrum_sweep more levels than K, and
-find_crossing a reversed bracket or m1 = m2.  This module checks only what
-it builds itself, and only for the commands that take the field: the nu
-grid of a sweep, a positive dtau and snapshot stride, one m for `current`,
-and the `--format` of `evolve`.  `evolve` and `ramp-compare` write one
-record every 10 steps and one at the last, and refuse, as a configuration
-error, a run that would take more than MAX_RECORDS (100 000) records,
-snapshots included.  The same ceiling holds for the rows of a sweep table,
-counted before the nu grid is built: n_nu x (distinct m) x levels for
-`spectrum`, n_nu for `velocity-sweep`.
+find_crossing a reversed bracket or m1 = m2.  A handler checks only what
+it builds itself: the nu grid of a sweep, a positive dtau and snapshot
+stride, one m for `current`, and the `--format` of `evolve`.  `evolve`
+and `ramp-compare` write one record every 10 steps and one at the last,
+and refuse, as a configuration error, a run that would take more than
+MAX_RECORDS (100 000) records, snapshots included.  The same ceiling holds
+for the rows of a sweep table, counted before the nu grid is built:
+n_nu x (distinct m) x levels for `spectrum`, n_nu for `velocity-sweep`.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
 (conditioning, bracketing, norm drift, edge leak, sector leakage, overflow,
@@ -39,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import inspect
 import json
 import math
 import operator
@@ -54,6 +58,7 @@ import numpy as np
 
 from . import io_utils
 from .dynamics import (
+    DEFAULT_PACKET_WIDTH,
     GridSpec,
     RampProtocol,
     evolve,
@@ -68,6 +73,8 @@ from .observables import (
 )
 from .params import TrapParams, effective_potential
 from .radial import (
+    DEFAULT_BASIS_SIZE,
+    DEFAULT_M_RANGE,
     BracketingError,
     find_crossing,
     ground_state_scan,
@@ -161,8 +168,8 @@ class RunConfig:
     m: tuple[int, ...] = (0,)
     m1: int = 0
     m2: int = 1
-    m_range: tuple[int, int] = (-3, 6)
-    K: int = 30
+    m_range: tuple[int, int] = DEFAULT_M_RANGE
+    K: int = DEFAULT_BASIS_SIZE
     levels: int = 1
     N: int = 256
     L: float = 8.0
@@ -173,7 +180,7 @@ class RunConfig:
     nu_grid: tuple[float, float, float] | None = None
     nu_bracket: tuple[float, float] = (0.0, 5.0)
     xi0: float = 4.0
-    packet_width: float = 0.5
+    packet_width: float = DEFAULT_PACKET_WIDTH
     snapshots: float | None = None
     tol: float = 1e-9
     seed: int = 0
@@ -227,6 +234,8 @@ def _coerce(name: str, raw: str):
         raise ConfigError(f"bad value for {name}: {raw!r} ({exc})") from None
 
 
+# every command takes these besides its handler's parameters: the seed is
+# only echoed, and the writer owns the output path
 _COMMON_FLAGS = ("seed", "out")
 
 _FLAG_HELP = {
@@ -267,13 +276,13 @@ def build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--config", help="key = value file; flags override it")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_, names) in _COMMANDS.items():
+    for command, handler in _COMMANDS.items():
         sp = sub.add_parser(command)
         # SUPPRESS so a subcommand-position --config does not clobber one
         # given before the subcommand with its default
         sp.add_argument("--config", default=argparse.SUPPRESS,
                         help="key = value file; flags override it")
-        for name in names + _COMMON_FLAGS:
+        for name in _flags(handler) + _COMMON_FLAGS:
             kwargs = {"default": None, "help": _FLAG_HELP[name]}
             if name == "ramp":
                 kwargs["choices"] = ("step", "linear", "smooth")
@@ -331,69 +340,42 @@ def read_config_file(path) -> dict:
 
 
 def resolve_config(args) -> RunConfig:
+    """Each field from its flag, else from the config file, else its
+    default."""
     file_vals = read_config_file(args.config) if args.config else {}
-    kwargs = {"command": args.command}
+    kwargs = {}
     for name in _FIELD_TYPES:
-        if name == "command":
-            continue
         raw = getattr(args, name, None)
         if raw is None:
             raw = file_vals.get(name)
         if raw is not None:
             kwargs[name] = _coerce(name, raw)
-    cfg = RunConfig(**kwargs)
-
-    # the library checks nu, b, K, levels, the bracket, m1 != m2 and N
-    flags = _COMMANDS[cfg.command][1]
-    if "dtau" in flags and cfg.dtau <= 0:
-        raise ConfigError(f"dtau = {cfg.dtau:g} must be positive")
-    if "format" in flags and cfg.format not in ("", "grid-dump"):
-        raise ConfigError(f"unknown format {cfg.format!r}")
-    if "nu_grid" in flags:
-        if cfg.nu_grid is None:
-            raise ConfigError(f"{cfg.command} needs --nu-grid lo:hi:step")
-        lo, hi, step = cfg.nu_grid
-        if not (step > 0 and hi > lo):
-            raise ConfigError(f"bad nu grid {cfg.nu_grid}")
-        n_nu = _nu_count(cfg.nu_grid)
-        rows = n_nu
-        if cfg.command == "spectrum":
-            # levels < 1 is refused by spectrum_sweep, after the nu grid is
-            # built, so n_nu bounds that grid on its own
-            rows = max(n_nu, n_nu * len(set(cfg.m)) * cfg.levels)
-        if rows > MAX_RECORDS:
-            raise ConfigError(
-                f"{cfg.command} over {n_nu:g} nu values would write {rows:g} "
-                f"rows, above the ceiling of {MAX_RECORDS}; coarsen the nu "
-                f"grid")
-    if cfg.command == "current" and len(cfg.m) != 1:
-        raise ConfigError("current takes exactly one m")
-    if ("snapshots" in flags and cfg.snapshots is not None
-            and cfg.snapshots <= 0):
-        raise ConfigError("snapshot stride must be positive")
-    return cfg
+    return RunConfig(**kwargs)
 
 
-def _out_path(cfg: RunConfig, extension: str) -> Path:
-    if cfg.out:
-        path = Path(cfg.out)
-    else:
-        name = cfg.command.replace("-", "_") + extension
-        path = io_utils.default_output_dir() / name
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _nu_count(grid):
-    """Number of nu values in lo:hi:step; inf when it passes float range."""
+def _nu_values(command: str, grid, rows_per_nu: int = 1) -> np.ndarray:
+    """The nu values of lo:hi:step, counted against MAX_RECORDS table rows
+    before the grid is built."""
+    if grid is None:
+        raise ConfigError(f"{command} needs --nu-grid lo:hi:step")
     lo, hi, step = grid
+    if not (step > 0 and hi > lo):
+        raise ConfigError(f"bad nu grid {grid}")
+    # inf when the count passes float range
     span = (hi - lo) / step + 1e-9
-    return math.floor(span) + 1 if math.isfinite(span) else math.inf
+    n_nu = math.floor(span) + 1 if math.isfinite(span) else math.inf
+    rows = n_nu * rows_per_nu
+    if rows > MAX_RECORDS:
+        raise ConfigError(
+            f"{command} over {n_nu:g} nu values would write {rows:g} rows, "
+            f"above the ceiling of {MAX_RECORDS}; coarsen the nu grid")
+    return lo + step * np.arange(n_nu)
 
 
-def _nu_values(grid) -> np.ndarray:
-    lo, _, step = grid
-    return lo + step * np.arange(_nu_count(grid))
+def _check_dtau(dtau: float) -> None:
+    # the first check of a real-time run, ahead of the grid and the field
+    if dtau <= 0:
+        raise ConfigError(f"dtau = {dtau:g} must be positive")
 
 
 def _check_record_count(tau_end: float, dtau: float, snapshots: int = 0):
@@ -410,158 +392,162 @@ def _check_record_count(tau_end: float, dtau: float, snapshots: int = 0):
             f"dtau or shorten the run")
 
 
-def _tagged(path: Path, tag: str) -> Path:
-    return path.with_name(path.stem + tag + path.suffix)
+class _Artifacts:
+    """A command's artifact writer, and the list of paths it wrote.
+
+    An artifact goes to `--out`, or to the command's name in the output
+    directory, with its tag before the suffix; a grid dump's suffix is
+    .npz.  Its header echoes the run's configuration, then its extras.
+    """
+
+    def __init__(self, cfg: RunConfig):
+        self.out = cfg.out
+        self.name = cfg.command.replace("-", "_")
+        self.header = cfg.to_header()
+        self.paths = []
+
+    def echo_step(self, spec: GridSpec) -> None:
+        """Add a real-time run's Coulomb softening and time unit to every
+        later header."""
+        self.header.update(epsilon=spec.coulomb_epsilon,
+                           time_convention="tau = omega_t * t")
+
+    def _write(self, write, suffix, tag, /, *data, **extras):
+        path = Path(self.out) if self.out else (
+            io_utils.default_output_dir() / (self.name + suffix))
+        if tag:
+            path = path.with_name(path.stem + tag + path.suffix)
+        if suffix == ".npz":
+            path = path.with_suffix(suffix)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write(path, *data, {**self.header, **extras})
+        self.paths.append(path)
+
+    def table(self, columns: dict, tag: str = "", **extras) -> None:
+        self._write(io_utils.write_table, ".csv", tag, columns, **extras)
+
+    def record(self, result: dict) -> None:
+        self._write(io_utils.write_json_record, ".json", "", result)
+
+    def dump(self, tag: str, state, **extras) -> None:
+        self._write(io_utils.write_grid_dump, ".npz", tag, state.amplitudes,
+                    state.spec.axis(), tau=state.tau, **extras,
+                    frame=state.frame, theta=state.theta)
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each takes the writer, then its own flags by RunConfig field name
 
-def _cmd_potential(cfg: RunConfig):
-    tp = TrapParams(nu=cfg.nu, b=cfg.b)
+def _cmd_potential(out, nu, b, m):
+    tp = TrapParams(nu=nu, b=b)
     rho = np.linspace(0.02, 8.0, 1600)
-    columns = {"rho": rho}
-    for m in cfg.m:
-        columns[f"V_m{m}"] = effective_potential(tp, m, rho)
-    path = _out_path(cfg, ".csv")
-    io_utils.write_table(path, columns, cfg.to_header())
-    return [path]
+    out.table({"rho": rho,
+               **{f"V_m{k}": effective_potential(tp, k, rho) for k in m}})
 
 
-def _cmd_spectrum(cfg: RunConfig):
-    rows = spectrum_sweep(cfg.b, _nu_values(cfg.nu_grid), cfg.m,
-                          size=cfg.K, n_levels=cfg.levels)
-    data = np.array(rows, dtype=float)
-    columns = {"nu": data[:, 0], "m": data[:, 1], "level": data[:, 2],
-               "energy": data[:, 3]}
-    path = _out_path(cfg, ".csv")
-    io_utils.write_table(path, columns, cfg.to_header())
-    return [path]
+def _cmd_spectrum(out, b, nu_grid, m, levels, K):
+    # levels < 1 is refused by spectrum_sweep, after the nu grid is built,
+    # so such a sweep counts one row per nu value
+    nus = _nu_values("spectrum", nu_grid, max(1, len(set(m)) * levels))
+    rows = spectrum_sweep(b, nus, m, size=K, n_levels=levels)
+    out.table(dict(zip(("nu", "m", "level", "energy"),
+                       np.array(rows, dtype=float).T)))
 
 
-def _cmd_crossings(cfg: RunConfig):
-    tp = TrapParams(nu=0.0, b=cfg.b)
-    nu_star = find_crossing(tp, cfg.m1, cfg.m2, cfg.nu_bracket, size=cfg.K)
-    at = TrapParams(nu=nu_star, b=cfg.b)
-    e1 = solve_sector(at, cfg.m1, size=cfg.K).energies[0]
-    e2 = solve_sector(at, cfg.m2, size=cfg.K).energies[0]
-    result = {"m1": cfg.m1, "m2": cfg.m2, "nu_star": nu_star,
-              "energy_m1": e1, "energy_m2": e2, "difference": e1 - e2}
-    path = _out_path(cfg, ".json")
-    io_utils.write_json_record(path, result, cfg.to_header())
-    return [path]
+def _cmd_crossings(out, b, m1, m2, nu_bracket, K):
+    nu_star = find_crossing(TrapParams(nu=0.0, b=b), m1, m2, nu_bracket,
+                            size=K)
+    at = TrapParams(nu=nu_star, b=b)
+    e1 = solve_sector(at, m1, size=K).energies[0]
+    e2 = solve_sector(at, m2, size=K).energies[0]
+    out.record({"m1": m1, "m2": m2, "nu_star": nu_star, "energy_m1": e1,
+                "energy_m2": e2, "difference": e1 - e2})
 
 
-def _cmd_groundstate(cfg: RunConfig):
-    tp = TrapParams(nu=cfg.nu, b=cfg.b)
-    record = ground_state_scan(tp, m_range=cfg.m_range, size=cfg.K)
-    result = {"m_star": record.m_star, "energy": record.energy,
-              "sectors": record.sectors}
-    path = _out_path(cfg, ".json")
-    io_utils.write_json_record(path, result, cfg.to_header())
-    return [path]
+def _cmd_groundstate(out, nu, b, m_range, K):
+    record = ground_state_scan(TrapParams(nu=nu, b=b), m_range=m_range,
+                               size=K)
+    out.record({"m_star": record.m_star, "energy": record.energy,
+                "sectors": record.sectors})
 
 
-def _cmd_current(cfg: RunConfig):
-    tp = TrapParams(nu=cfg.nu, b=cfg.b)
-    m = cfg.m[0]
-    wf = RadialWavefunction.from_solution(solve_sector(tp, m, size=cfg.K))
+def _cmd_current(out, nu, b, m, K):
+    if len(m) != 1:
+        raise ConfigError("current takes exactly one m")
+    tp = TrapParams(nu=nu, b=b)
+    wf = RadialWavefunction.from_solution(solve_sector(tp, m[0], size=K))
     rho = np.linspace(0.02, wf.rho_max, 1500)
-    current = current_density(wf, tp, rho)
-    columns = {"rho": rho, "current": current.J, "density": wf.density(rho)}
-    path = _out_path(cfg, ".csv")
-    header = cfg.to_header()
-    header["velocity"] = velocity_expectation(wf, tp)
-    io_utils.write_table(path, columns, header)
-    return [path]
+    out.table({"rho": rho, "current": current_density(wf, tp, rho).J,
+               "density": wf.density(rho)},
+              velocity=velocity_expectation(wf, tp))
 
 
-def _cmd_velocity_sweep(cfg: RunConfig):
-    rows = ground_velocity_sweep(cfg.b, _nu_values(cfg.nu_grid),
-                                 size=cfg.K, m_range=cfg.m_range)
-    data = np.array(rows, dtype=float)
-    columns = {"nu": data[:, 0], "m_star": data[:, 1], "energy": data[:, 2],
-               "velocity": data[:, 3]}
-    path = _out_path(cfg, ".csv")
-    io_utils.write_table(path, columns, cfg.to_header())
-    return [path]
+def _cmd_velocity_sweep(out, b, nu_grid, m_range, K):
+    rows = ground_velocity_sweep(b, _nu_values("velocity-sweep", nu_grid),
+                                 size=K, m_range=m_range)
+    out.table(dict(zip(("nu", "m_star", "energy", "velocity"),
+                       np.array(rows, dtype=float).T)))
 
 
-def _evolve_header(cfg: RunConfig, spec: GridSpec) -> dict:
-    header = cfg.to_header()
-    header["epsilon"] = spec.coulomb_epsilon
-    header["time_convention"] = "tau = omega_t * t"
-    return header
+def _ramp(kind: str, nu: float, tau_ramp: float) -> RampProtocol:
+    return RampProtocol(kind, nu_final=nu,
+                        tau_ramp=0.0 if kind == "step" else tau_ramp)
 
 
-def _ramp(cfg: RunConfig, kind: str) -> RampProtocol:
-    return RampProtocol(kind, nu_final=cfg.nu,
-                        tau_ramp=0.0 if kind == "step" else cfg.tau_ramp)
-
-
-def _cmd_evolve(cfg: RunConfig):
-    spec = GridSpec(n=cfg.N, half_extent=cfg.L)
-    tp = TrapParams(nu=cfg.nu, b=cfg.b)
-    ramp = None if cfg.ramp is None else _ramp(cfg, cfg.ramp)
-    tau_end = 2.0 * math.pi if cfg.tau_end is None else cfg.tau_end
-    count = 0
-    if cfg.snapshots:
-        count = int(math.floor(tau_end / cfg.snapshots + 1e-9))
-    _check_record_count(tau_end, cfg.dtau, count)
-    snapshot_times = [j * cfg.snapshots for j in range(1, count + 1)]
-    state0 = gaussian_packet(spec, cfg.xi0, cfg.packet_width)
-    result = evolve(state0, tp, cfg.dtau, tau_end, ramp,
+def _cmd_evolve(out, nu, b, xi0, packet_width, N, L, dtau, tau_end,
+                snapshots, ramp, tau_ramp, format):
+    _check_dtau(dtau)
+    if format not in ("", "grid-dump"):
+        raise ConfigError(f"unknown format {format!r}")
+    if snapshots is not None and snapshots <= 0:
+        raise ConfigError("snapshot stride must be positive")
+    spec = GridSpec(n=N, half_extent=L)
+    out.echo_step(spec)
+    tp = TrapParams(nu=nu, b=b)
+    protocol = None if ramp is None else _ramp(ramp, nu, tau_ramp)
+    tau_end = 2.0 * math.pi if tau_end is None else tau_end
+    count = int(math.floor(tau_end / snapshots + 1e-9)) if snapshots else 0
+    _check_record_count(tau_end, dtau, count)
+    snapshot_times = [j * snapshots for j in range(1, count + 1)]
+    state0 = gaussian_packet(spec, xi0, packet_width)
+    result = evolve(state0, tp, dtau, tau_end, protocol,
                     record_every=_RECORD_EVERY, snapshot_times=snapshot_times)
-    path = _out_path(cfg, ".csv")
-    header = _evolve_header(cfg, spec)
-    io_utils.write_table(path, result.as_columns(), header)
-    written = [path]
-
-    def dump(tag: str, st, **requested):
-        dump_path = _tagged(path, tag).with_suffix(".npz")
-        io_utils.write_grid_dump(
-            dump_path, st.amplitudes, spec.axis(),
-            {**header, "tau": st.tau, **requested, "frame": st.frame,
-             "theta": st.theta})
-        written.append(dump_path)
-
+    out.table(result.as_columns())
     for j, snap in enumerate(result.snapshots, 1):
-        dump(f"_snap{j:03d}", snap.state, requested_tau=snap.requested_tau)
-    if cfg.format == "grid-dump":
-        dump("_final", result.final_lab())
-    return written
+        out.dump(f"_snap{j:03d}", snap.state,
+                 requested_tau=snap.requested_tau)
+    if format == "grid-dump":
+        out.dump("_final", result.final_lab())
 
 
-def _cmd_imag_time(cfg: RunConfig):
-    spec = GridSpec(n=cfg.N, half_extent=cfg.L)
-    tp = TrapParams(nu=cfg.nu, b=cfg.b)
-    energies = [[m, imaginary_time_ground(spec, tp, m, tol=cfg.tol)[0]]
-                for m in cfg.m]
+def _cmd_imag_time(out, nu, b, m, N, L, tol):
+    spec = GridSpec(n=N, half_extent=L)
+    tp = TrapParams(nu=nu, b=b)
+    energies = [[k, imaginary_time_ground(spec, tp, k, tol=tol)[0]]
+                for k in m]
     best = min(energies, key=lambda pair: pair[1])
-    result = {"energies": energies, "m_star": best[0], "energy": best[1]}
-    path = _out_path(cfg, ".json")
-    io_utils.write_json_record(path, result, cfg.to_header())
-    return [path]
+    out.record({"energies": energies, "m_star": best[0], "energy": best[1]})
 
 
-def _cmd_ramp_compare(cfg: RunConfig):
-    spec = GridSpec(n=cfg.N, half_extent=cfg.L)
-    tp = TrapParams(nu=cfg.nu, b=cfg.b)
-    rest = TrapParams(nu=0.0, b=cfg.b)
-    tau_end = 2.0 * cfg.tau_ramp + 10.0 if cfg.tau_end is None else cfg.tau_end
-    _check_record_count(tau_end, cfg.dtau)
-    ramps = {kind: _ramp(cfg, kind) for kind in ("step", "smooth")}
+def _cmd_ramp_compare(out, nu, b, tau_ramp, tau_end, dtau, N, L):
+    _check_dtau(dtau)
+    spec = GridSpec(n=N, half_extent=L)
+    out.echo_step(spec)
+    tp = TrapParams(nu=nu, b=b)
+    rest = TrapParams(nu=0.0, b=b)
+    tau_end = 2.0 * tau_ramp + 10.0 if tau_end is None else tau_end
+    _check_record_count(tau_end, dtau)
+    ramps = {kind: _ramp(kind, nu, tau_ramp) for kind in ("step", "smooth")}
     # relax under the same softcore interaction evolve steps, else the
     # prepared state radiates from the origin cells; at the default
     # tolerance, as tol is not among this command's flags
     _, state0 = imaginary_time_ground(spec, rest, 0, coulomb="softcore")
-    base = _out_path(cfg, ".csv")
     outcomes = {}
 
     def run(kind):
         try:
-            outcomes[kind] = evolve(state0, tp, cfg.dtau, tau_end,
-                                    ramps[kind], record_every=_RECORD_EVERY)
+            outcomes[kind] = evolve(state0, tp, dtau, tau_end, ramps[kind],
+                                    record_every=_RECORD_EVERY)
         except Exception as exc:  # raised below, in the serial order
             outcomes[kind] = exc
 
@@ -572,35 +558,30 @@ def _cmd_ramp_compare(cfg: RunConfig):
     smooth.start()
     run("step")
     smooth.join()
-    written = []
     for kind in ("step", "smooth"):
         result = outcomes[kind]
         if isinstance(result, Exception):
             raise result
-        path = _tagged(base, f"_{kind}")
-        header = _evolve_header(cfg, spec)
-        header["ramp"] = kind
-        io_utils.write_table(path, result.as_columns(), header)
-        written.append(path)
-    return written
+        out.table(result.as_columns(), f"_{kind}", ramp=kind)
 
 
-# subcommand -> (handler, its flags besides _COMMON_FLAGS)
 _COMMANDS = {
-    "potential": (_cmd_potential, ("nu", "b", "m")),
-    "spectrum": (_cmd_spectrum, ("b", "nu_grid", "m", "levels", "K")),
-    "crossings": (_cmd_crossings, ("b", "m1", "m2", "nu_bracket", "K")),
-    "groundstate": (_cmd_groundstate, ("nu", "b", "m_range", "K")),
-    "current": (_cmd_current, ("nu", "b", "m", "K")),
-    "velocity-sweep": (_cmd_velocity_sweep,
-                       ("b", "nu_grid", "m_range", "K")),
-    "evolve": (_cmd_evolve,
-               ("nu", "b", "xi0", "packet_width", "N", "L", "dtau",
-                "tau_end", "snapshots", "ramp", "tau_ramp", "format")),
-    "imag-time": (_cmd_imag_time, ("nu", "b", "m", "N", "L", "tol")),
-    "ramp-compare": (_cmd_ramp_compare,
-                     ("nu", "b", "tau_ramp", "tau_end", "dtau", "N", "L")),
+    "potential": _cmd_potential,
+    "spectrum": _cmd_spectrum,
+    "crossings": _cmd_crossings,
+    "groundstate": _cmd_groundstate,
+    "current": _cmd_current,
+    "velocity-sweep": _cmd_velocity_sweep,
+    "evolve": _cmd_evolve,
+    "imag-time": _cmd_imag_time,
+    "ramp-compare": _cmd_ramp_compare,
 }
+
+
+def _flags(handler) -> tuple[str, ...]:
+    """A command's own flags: its handler's parameters after the writer."""
+    return tuple(inspect.signature(handler).parameters)[1:]
+
 
 # the library's other numerical failures are RuntimeErrors, which main
 # sends to exit 3 as well; BracketingError is a ValueError
@@ -627,8 +608,11 @@ def main(argv=None) -> int:
         try:
             args = parser.parse_args(_merge_negative_values(list(argv)))
             cfg = resolve_config(args)
-            handler, _ = _COMMANDS[cfg.command]
-            for path in handler(cfg):
+            handler = _COMMANDS[cfg.command]
+            out = _Artifacts(cfg)
+            handler(out, **{name: getattr(cfg, name)
+                            for name in _flags(handler)})
+            for path in out.paths:
                 print(path)
         except _NUMERICAL_ERRORS as exc:
             return _fail(exc, EXIT_NUMERICAL, caught)

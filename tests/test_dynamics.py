@@ -1,5 +1,6 @@
 """Grid propagation: packets, ramps, frames, guards, imaginary time."""
 
+import functools
 import math
 import sys
 import threading
@@ -10,9 +11,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import ive
 
 import oracles
-from magtrap import TrapParams
+from magtrap import RadialBasis, TrapParams, solve_sector
 from magtrap.dynamics import (
     MAX_GRID_N,
     BoundaryLeakError,
@@ -453,6 +455,100 @@ class TestClassicalMotion:
             assert np.abs(col - ref[:, j]).max() < 1e-5
         # the t = 0 row already carries the gauge drift
         assert res.vy[0] == pytest.approx(-0.5 * tp.nu * 2.0, abs=1e-10)
+
+
+# the continuum reference integrates over rho in [0, _REF_RHO_MAX]: a packet
+# of width 1/2 centred at xi0 <= 4 falls below 1e-31 there
+_REF_RHO_MAX = 16.0
+
+
+@functools.lru_cache(maxsize=None)
+def _weighted_sector_basis(m_abs, size, nodes):
+    """Gauss-Legendre nodes on [0, _REF_RHO_MAX], and the sector's
+    orthonormal phi_k on them times sqrt(rho) and the quadrature weights."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    rho = 0.5 * _REF_RHO_MAX * (x + 1.0)
+    basis = RadialBasis(m=m_abs, size=size)
+    phi = np.array([basis.expansion(e)(rho) for e in np.eye(size)])
+    return rho, phi * (np.sqrt(rho) * 0.5 * _REF_RHO_MAX * w)
+
+
+def continuum_autocorrelation(tp, xi0, width, taus, m_max=28, size=50,
+                              nodes=300):
+    """(A(tau), E) of the packet exp(-width ((xi - xi0)^2 + eta^2)) at
+    constant nu, stepped exactly in each sector's radial eigenbasis.
+
+    h2 is rotationally symmetric, so the packet's sectors evolve apart.  The
+    m-component of the normalized packet is, with N = sqrt(2 width / pi),
+
+        sqrt(2 pi) N exp(-width (rho^2 + xi0^2)) I_m(2 width xi0 rho),
+
+    its population in state n is c_mn^2, c_mn = int f_m chi_mn sqrt(rho),
+    and A(tau) = |sum c_mn^2 exp(-i E_mn tau)|, the lab-frame overlap that
+    evolve records; solve_sector's E_mn include -m nu / 2.  A(0) is the
+    total population, 1 when the sectors hold the whole packet.
+    """
+    amp = np.zeros(len(taus), dtype=complex)
+    energy = 0.0
+    for m in range(-m_max, m_max + 1):
+        rho, weighted = _weighted_sector_basis(abs(m), size, nodes)
+        # ive(m, z) = I_m(z) exp(-z) keeps the product finite far out
+        f = (2.0 * math.sqrt(width) * ive(m, 2.0 * width * xi0 * rho)
+             * np.exp(-width * (rho - xi0) ** 2))
+        sol = solve_sector(tp, m, size=size)
+        pop = (sol.vectors.T @ (weighted @ f)) ** 2
+        amp += np.exp(-1j * np.outer(taus, sol.energies)) @ pop
+        energy += pop @ sol.energies
+    return np.abs(amp), energy
+
+
+class TestContinuumReference:
+    """evolve's autocorrelation and energy against the continuum reference
+    of a packet kicked to xi0 = 4 (width 1/2, nu = 1, L = 12, tau <= 2).
+
+    At b = 0 only dtau enters: the grid is spectrally accurate there.  At
+    b > 0 the gap is spatial and first order in h: evolve steps the soft
+    core b / sqrt(rho^2 + (h/2)^2), and the gap is the same at dtau = 4e-3
+    as at 1e-3.  The bounds sit just above the measured figures, so a form
+    of the Coulomb term that converges faster passes, and a changed field
+    factor or Coulomb strength does not."""
+
+    @pytest.mark.parametrize("b,n,dtau,gap_bound,energy_bound", [
+        (0.0, 128, 1e-3, 1e-7, 1e-11),   # measured 6.3e-8, 1.1e-13
+        (1.0, 128, 1e-3, 5e-4, 9e-5),    # measured 4.8e-4, -8.1e-5
+        (1.0, 256, 4e-3, 2.5e-4, 2.2e-5),  # measured 2.4e-4, -2.0e-5
+    ])
+    def test_autocorrelation_and_energy(self, b, n, dtau, gap_bound,
+                                        energy_bound):
+        spec = GridSpec(n=n, half_extent=12.0)
+        tp = TrapParams(nu=1.0, b=b)
+        res = evolve(gaussian_packet(spec, 4.0, 0.5), tp, dtau, 2.0)
+        autocorr, energy = continuum_autocorrelation(tp, 4.0, 0.5, res.tau)
+        assert np.max(np.abs(res.autocorr - autocorr)) <= gap_bound
+        # the packet's grid energy; later records move by O(dtau^2)
+        assert abs(res.energy[0] - energy) <= energy_bound
+
+    @settings(max_examples=6, deadline=None)
+    @given(nu=st.floats(0.0, 2.0), xi0=st.floats(1.0, 4.0))
+    @example(nu=2.0, xi0=4.0)
+    def test_zero_coupling_gap_is_the_time_step(self, nu, xi0):
+        # the Strang step's dtau^2 error: 1.5e-6 at nu = 2, xi0 = 4
+        spec = GridSpec(n=128, half_extent=12.0)
+        tp = TrapParams(nu=nu, b=0.0)
+        res = evolve(gaussian_packet(spec, xi0, 0.5), tp, 4e-3, 1.0)
+        autocorr, energy = continuum_autocorrelation(tp, xi0, 0.5, res.tau)
+        assert np.max(np.abs(res.autocorr - autocorr)) <= 2e-6
+        assert abs(res.energy[0] - energy) <= 1e-11
+
+    def test_reference_is_converged(self):
+        tp = TrapParams(nu=1.0, b=1.0)
+        taus = np.linspace(0.0, 2.0, 41)
+        autocorr, energy = continuum_autocorrelation(tp, 4.0, 0.5, taus)
+        wider, wider_energy = continuum_autocorrelation(
+            tp, 4.0, 0.5, taus, m_max=34, size=70, nodes=400)
+        assert autocorr[0] == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(autocorr - wider)) <= 1e-10
+        assert energy == pytest.approx(wider_energy, abs=1e-11)
 
 
 class TestEvolveBookkeeping:

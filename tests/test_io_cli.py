@@ -4,6 +4,7 @@ import json
 import math
 import os
 import resource
+import shlex
 import subprocess
 import sys
 import threading
@@ -294,6 +295,27 @@ class TestMergeNegativeValues:
     ])
     def test_leaves_everything_else_alone(self, argv):
         assert _merge_negative_values(argv) == argv
+
+
+def _readme_commands():
+    """The `magtrap ...` lines of README's command-line example block."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1]
+    return [line for line in block.split("```", 1)[0].splitlines()
+            if line.startswith("magtrap ")]
+
+
+class TestReadmeCommands:
+    def test_every_command_is_shown(self):
+        assert ({shlex.split(line)[1] for line in _readme_commands()}
+                == set(cli._COMMANDS))
+
+    @pytest.mark.parametrize("line", _readme_commands())
+    def test_parses_and_resolves(self, line):
+        # a flag renamed in a handler's signature breaks the line here
+        argv = shlex.split(line)[1:]
+        args = build_parser().parse_args(_merge_negative_values(argv))
+        assert resolve_config(args).command == argv[0]
 
 
 class TestTableArtifacts:
@@ -780,15 +802,17 @@ class TestModuleEntry:
 
     @pytest.mark.parametrize("command", ["evolve", "imag-time",
                                          "ramp-compare"])
-    def test_grid_point_ceiling_is_exact(self, command):
-        # the ceiling is GridSpec's: the command meets it at its first line
+    def test_grid_point_ceiling_is_exact(self, command, tmp_path, capsys):
+        # the ceiling is GridSpec's: the command meets it when it builds
+        # the grid, before any array
         ok = build_parser().parse_args([command, "--N", str(MAX_GRID_N)])
         assert resolve_config(ok).N == MAX_GRID_N
-        args = build_parser().parse_args([command, "--N",
-                                          str(2 * MAX_GRID_N)])
-        handler, _ = cli._COMMANDS[command]
-        with pytest.raises(ValueError, match="points per axis"):
-            handler(resolve_config(args))
+        assert main([command, "--N", str(2 * MAX_GRID_N),
+                     "--out", str(tmp_path / "artifact")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "points per axis" in err["message"]
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [
         ["groundstate"], ["spectrum", "--nu-grid", "0:1:0.5"], ["crossings"],
@@ -817,13 +841,30 @@ class TestModuleEntry:
         ("spectrum", "0:24999:1", ["--m", "0,1,1", "--levels", "2"], False),
         ("spectrum", "0:25000:1", ["--m", "0,1", "--levels", "2"], True),
     ])
-    def test_sweep_row_ceiling_is_exact(self, command, grid, extra, refused):
-        args = build_parser().parse_args([command, "--nu-grid", grid, *extra])
+    def test_sweep_row_ceiling_is_exact(self, command, grid, extra, refused,
+                                        tmp_path, monkeypatch, capsys):
+        # a stub stands in for the sweep: it reports the nu grid it is
+        # handed instead of solving 100 000 points
+        class Reached(Exception):
+            pass
+
+        def sweep(b, nu_values, *args, **kwargs):
+            raise Reached(len(nu_values))
+
+        monkeypatch.setattr(cli, "spectrum_sweep", sweep)
+        monkeypatch.setattr(cli, "ground_velocity_sweep", sweep)
+        argv = [command, "--nu-grid", grid, *extra,
+                "--out", str(tmp_path / "s.csv")]
         if refused:
-            with pytest.raises(ConfigError, match="rows, above the ceiling"):
-                resolve_config(args)
+            assert main(argv) == 2
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "ConfigError"
+            assert "rows, above the ceiling" in err["message"]
         else:
-            resolve_config(args)
+            with pytest.raises(Reached) as reached:
+                main(argv)
+            assert reached.value.args[0] == int(grid.split(":")[1]) + 1
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCommandArtifacts:
@@ -1052,7 +1093,8 @@ class TestConfigPlumbing:
                                                          command):
         # such a key is only echoed in the header: the columns, the JSON
         # result and the dumped fields are the ones a plain run writes
-        taken = set(cli._COMMANDS[command][1]) | set(cli._COMMON_FLAGS)
+        taken = (set(cli._flags(cli._COMMANDS[command]))
+                 | set(cli._COMMON_FLAGS))
         config = tmp_path / "run.cfg"
         config.write_text("".join(f"{key} = {raw}\n" for key, raw
                                   in self.OTHER_VALUES.items()
