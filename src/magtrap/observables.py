@@ -37,10 +37,18 @@ enough to see every lobe of chi, including the ripples at 1e-15 of the
 peak that a basis too wide for its state leaves in the tail.  rho_max is
 a sampling range, so building a state runs no root search, and no array
 of chi is summed until a caller asks for one.
+
+A state is built once per eigenvector and shared: from_solution returns
+the state already built for a vector of the same content in the same
+basis, from a bounded cache, and that state keeps its default density
+profile once asked for it.  So a state, and the kept profile with its
+read-only arrays, are to be treated as immutable.  current_vector_field
+builds the geometry of its square grid once per (half_extent, n).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -95,24 +103,24 @@ class RadialWavefunction:
         # from_solution
         self._moments: dict[int, float] = {}
         self._chi_and_slope = None
+        # density_profile on the default grid, kept by its first call
+        self._profile = None
 
     @classmethod
     def from_solution(cls, solution: RadialEigenSolution,
                       level: int = 0) -> "RadialWavefunction":
-        """State `level` of a solution, 0 the lowest, in [0, K)."""
+        """State `level` of a solution, 0 the lowest, in [0, K).
+
+        Built once per eigenvector: a vector with the same content, in the
+        same basis, returns the very same state, shared and so to be
+        treated as immutable.  The 64 most recently used states are kept.
+        """
         size = solution.vectors.shape[1]
         if not 0 <= level < size:
             raise ValueError(f"level {level} is outside the valid range "
                              f"[0, {size}) of a K = {size} solution")
-        # orthonormal eigenvector => int chi^2 = 1; rescale to 1/(2 pi)
-        y = solution.vectors[:, level]
-        weights = y * np.sqrt(_CHI_NORM)
-        basis = solution.basis
-        rho_max = _tail_radius(*basis._samples(weights))
-        wf = cls(solution.m, basis.expansion(weights), rho_max + 1.0)
-        wf._moments = basis.radial_moments(y)
-        wf._chi_and_slope = basis._chi_and_slope(weights)
-        return wf
+        return _state(cls, solution.m, solution.basis,
+                      _Eigenvector(solution.vectors[:, level]))
 
     def chi(self, rho):
         """Radial factor chi(rho)."""
@@ -140,6 +148,41 @@ class RadialWavefunction:
                 f"<rho^{power}> is not available: exact moments exist for "
                 f"powers -1, 1, 2 of a state built by from_solution")
         return self._moments[power]
+
+
+class _Eigenvector:
+    """A state's eigenvector, hashed and compared by its content alone.
+
+    The key of the state cache.  The column itself is kept only until its
+    state is built: the moments are BLAS products, whose last bits follow
+    the column's stride, so a state is built from the solution's own
+    column, exactly as without the cache.
+    """
+
+    __slots__ = ("column", "content")
+
+    def __init__(self, column):
+        self.column = column
+        self.content = np.asarray(column, dtype=float).tobytes()
+
+    def __hash__(self):
+        return hash(self.content)
+
+    def __eq__(self, other):
+        return self.content == other.content
+
+
+@functools.lru_cache(maxsize=64)
+def _state(cls, m: int, basis, vector: _Eigenvector) -> RadialWavefunction:
+    """The state of one eigenvector of a basis, built on its first call."""
+    y, vector.column = vector.column, None
+    # orthonormal eigenvector => int chi^2 = 1; rescale to 1/(2 pi)
+    weights = y * np.sqrt(_CHI_NORM)
+    rho_max = _tail_radius(*basis._samples(weights))
+    wf = cls(m, basis.expansion(weights), rho_max + 1.0)
+    wf._moments = basis.radial_moments(y)
+    wf._chi_and_slope = basis._chi_and_slope(weights)
+    return wf
 
 
 def _tail_radius(rho, chi) -> float:
@@ -207,21 +250,38 @@ def current_vector_field(wf: RadialWavefunction, tp: TrapParams,
     and axisymmetric.  Grid points at the exact origin get J = 0 (the
     current vanishes there for |m| >= 1 states).  chi is summed once per
     distinct radius of the grid: 925 of the 4096 points at n = 64 and
-    half_extent = 6.
+    half_extent = 6.  The grid's geometry is built once per
+    (half_extent, n) and kept read-only (the last 4 grids); the four
+    returned arrays are the caller's own.
+    """
+    x, y, safe, radii, where, ex, ey = _field_grid(half_extent, n)
+    jx = np.zeros_like(x)
+    jy = np.zeros_like(x)
+    # J depends on rho alone: sum chi once per distinct radius, then gather
+    j_phi = current_density(wf, tp, radii).J[where]
+    jx[safe] = ex * j_phi
+    jy[safe] = ey * j_phi
+    return x.copy(), y.copy(), jx, jy
+
+
+@functools.lru_cache(maxsize=4)
+def _field_grid(half_extent: float, n: int):
+    """Read-only geometry of current_vector_field's square grid.
+
+    (x, y, safe, radii, where, ex, ey): the meshes, the mask of the points
+    off the origin, their distinct radii with the index that gathers them
+    back, and the unit vector (ex, ey) = (-y, x) / rho at each of them.
     """
     axis = np.linspace(-half_extent, half_extent, n)
     x, y = np.meshgrid(axis, axis, indexing="ij")
     rho = np.hypot(x, y)
     safe = rho > 0
-    jx = np.zeros_like(rho)
-    jy = np.zeros_like(rho)
     r = rho[safe]
-    # J depends on rho alone: sum chi once per distinct radius, then gather
     radii, where = np.unique(r, return_inverse=True)
-    j_phi = current_density(wf, tp, radii).J[where]
-    jx[safe] = -y[safe] / r * j_phi
-    jy[safe] = x[safe] / r * j_phi
-    return x, y, jx, jy
+    geometry = (x, y, safe, radii, where, -y[safe] / r, x[safe] / r)
+    for array in geometry:
+        array.flags.writeable = False
+    return geometry
 
 
 def velocity_expectation(wf: RadialWavefunction, tp: TrapParams) -> float:
@@ -253,9 +313,23 @@ def density_profile(wf: RadialWavefunction,
     where it does not turn, as when the grid misses the peak, it is the
     higher end of that bracket.  In the strong-coupling ring regime the
     peak approaches the classical minimum of the effective potential.
+
+    Without a grid the profile is sampled at 4000 points on
+    [1e-3, rho_max], once per state: the state keeps it, with read-only
+    arrays, and every later call returns that same profile.  A profile
+    on a caller's grid is computed afresh on every call.
     """
-    if rho_grid is None:
-        rho_grid = np.linspace(1e-3, wf.rho_max, 4000)
+    if rho_grid is not None:
+        return _sampled_profile(wf, rho_grid)
+    if wf._profile is None:
+        profile = _sampled_profile(wf, np.linspace(1e-3, wf.rho_max, 4000))
+        profile.rho.flags.writeable = False
+        profile.density.flags.writeable = False
+        wf._profile = profile
+    return wf._profile
+
+
+def _sampled_profile(wf: RadialWavefunction, rho_grid) -> DensityProfile:
     rho = np.asarray(rho_grid, dtype=float)
     dens = wf.density(rho)
     mean_rho = wf.radial_moment(1)

@@ -329,6 +329,17 @@ def _panel_count(n: int) -> int:
     return -(-n // 4) + 5
 
 
+@functools.lru_cache(maxsize=1)
+def _panel_rule():
+    """Nodes and weights of the 40-point Gauss-Legendre rule on [-1, 1].
+
+    Computed on first use, once per process, and kept read-only.
+    """
+    t, tw = np.polynomial.legendre.leggauss(_PANEL_ORDER)
+    t.flags.writeable = tw.flags.writeable = False
+    return t, tw
+
+
 def _discretization(m_abs: int, n: int, alpha: float, panels: int):
     """Nodes and weights of the discrete measure standing in for w / rho.
 
@@ -344,7 +355,7 @@ def _discretization(m_abs: int, n: int, alpha: float, panels: int):
     rounding for every polynomial the recurrence and the blocks meet.
     """
     radius = (math.sqrt(4 * n + 2 * m_abs + 80) + 4) / math.sqrt(2 * alpha)
-    t, tw = np.polynomial.legendre.leggauss(_PANEL_ORDER)
+    t, tw = _panel_rule()
     h = math.sqrt(radius) / panels
     u = (h * (np.arange(panels)[:, None] + 0.5 * (t + 1.0))).ravel()
     x = u * u

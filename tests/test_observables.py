@@ -1,5 +1,6 @@
 """Wavefunction reconstruction, currents, velocities, density profiles."""
 
+import functools
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from magtrap import TrapParams, observables
+from magtrap import TrapParams, observables, radial
 from magtrap.observables import (
     RadialWavefunction,
     current_density,
@@ -18,7 +19,12 @@ from magtrap.observables import (
     velocity_expectation,
 )
 from magtrap.params import effective_potential_minimum
-from magtrap.radial import RadialBasis, ground_state_scan, solve_sector
+from magtrap.radial import (
+    RadialBasis,
+    RadialEigenSolution,
+    ground_state_scan,
+    solve_sector,
+)
 
 
 def _reference_chi(sol, level=0):
@@ -349,6 +355,10 @@ class TestRhoMax:
 
         monkeypatch.setattr(observables, "_illinois_root", refuse)
         monkeypatch.setattr(RadialBasis, "_chi_and_slope", counted)
+        # a state cache of this test's own: every state here is built here,
+        # and none built on the counted recurrence outlives the test
+        monkeypatch.setattr(observables, "_state", functools.lru_cache(
+            maxsize=64)(observables._state.__wrapped__))
         for nu, b, m, size, level in [(1.0, 1.0, 1, 30, 0),
                                       (1.0, 1.0, 1, 1, 0),
                                       (0.0, 20.0, 0, 30, 0),
@@ -361,3 +371,122 @@ class TestRhoMax:
         assert calls == []
         with pytest.raises(AssertionError, match="root search"):
             density_profile(wf)
+
+
+def _clear_every_cache():
+    for cache in (observables._state, observables._field_grid,
+                  radial._reduce, radial._sample_table, radial._panel_rule):
+        cache.cache_clear()
+
+
+def _assert_same_state(got, want):
+    """Bit-equal chi, moments, rho_max and default profile."""
+    rho = np.linspace(0.01, want.rho_max, 301)
+    assert np.array_equal(got.chi(rho), want.chi(rho))
+    assert got._moments == want._moments
+    assert got.rho_max == want.rho_max
+    a, b = density_profile(got), density_profile(want)
+    assert np.array_equal(a.rho, b.rho)
+    assert np.array_equal(a.density, b.density)
+    assert (a.mean_rho, a.rho_peak) == (b.mean_rho, b.rho_peak)
+
+
+class TestStateCache:
+    """A state is built once per eigenvector; a cold build gives its bits."""
+
+    TP = TrapParams(nu=1.3, b=2.1)
+
+    def test_a_repeat_returns_the_same_state(self):
+        sol = solve_sector(self.TP, 2, size=24)
+        wf = RadialWavefunction.from_solution(sol)
+        assert RadialWavefunction.from_solution(sol) is wf
+        # a fresh solve of the same point carries the same vector
+        again = solve_sector(self.TP, 2, size=24)
+        assert again.vectors is not sol.vectors
+        assert RadialWavefunction.from_solution(again) is wf
+
+    def test_a_cold_rebuild_is_bit_equal(self):
+        sol = solve_sector(self.TP, 1, size=30)
+        wf = RadialWavefunction.from_solution(sol, 1)
+        field = current_vector_field(wf, self.TP, 5.0, 33)
+        _clear_every_cache()
+        cold = RadialWavefunction.from_solution(sol, 1)
+        assert cold is not wf
+        _assert_same_state(cold, wf)
+        for a, b in zip(current_vector_field(cold, self.TP, 5.0, 33), field):
+            assert np.array_equal(a, b)
+
+    def test_levels_and_altered_vectors_have_states_of_their_own(self):
+        sol = solve_sector(self.TP, 0, size=20)
+        ground = RadialWavefunction.from_solution(sol, 0)
+        assert RadialWavefunction.from_solution(sol, 1) is not ground
+
+        def by_hand(vectors):
+            return RadialEigenSolution(m=sol.m, params=sol.params,
+                                       basis=sol.basis, energies=sol.energies,
+                                       vectors=vectors)
+
+        flipped = RadialWavefunction.from_solution(by_hand(-sol.vectors))
+        assert flipped is not ground
+        rho = np.linspace(0.05, ground.rho_max, 200)
+        assert np.array_equal(flipped.chi(rho), -ground.chi(rho))
+        assert flipped._moments == ground._moments
+
+        mutated = sol.vectors.copy()
+        mutated[3, 0] += 1e-3
+        assert RadialWavefunction.from_solution(by_hand(mutated)) \
+            is not ground
+        # the same content by hand is the same state
+        copied = RadialWavefunction.from_solution(by_hand(sol.vectors.copy()))
+        assert copied is ground
+
+    def test_the_kept_profile_is_read_only(self):
+        wf = RadialWavefunction.from_solution(solve_sector(self.TP, 1, 20))
+        kept = density_profile(wf)
+        assert density_profile(wf) is kept
+        for array in (kept.rho, kept.density):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+    def test_arrays_on_a_callers_grid_are_the_callers_own(self):
+        wf = RadialWavefunction.from_solution(solve_sector(self.TP, 1, 20))
+        grid = np.linspace(0.1, 6.0, 50)
+        profile = density_profile(wf, grid)
+        want = profile.density.copy()
+        profile.density[:] = -1.0
+        assert np.array_equal(density_profile(wf, grid).density, want)
+
+        field = current_vector_field(wf, self.TP, 4.0, 9)
+        want = [a.copy() for a in field]
+        for array in field:
+            array[:] = 7.0
+        for a, b in zip(current_vector_field(wf, self.TP, 4.0, 9), want):
+            assert np.array_equal(a, b)
+
+    def test_the_cache_keeps_at_most_its_bound(self):
+        sol = solve_sector(self.TP, 0, size=70)
+        first = RadialWavefunction.from_solution(sol, 0)
+        for level in range(1, 70):
+            RadialWavefunction.from_solution(sol, level)
+        info = observables._state.cache_info()
+        assert info.currsize <= info.maxsize == 64
+        # the least recently used state was dropped, and is built anew
+        assert RadialWavefunction.from_solution(sol, 0) is not first
+
+    @given(nu=st.floats(0.0, 3.0), b=st.floats(0.0, 10.0),
+           m=st.integers(-4, 4), size=st.integers(1, 40), data=st.data())
+    def test_any_state_is_shared_and_rebuilds_bit_equal(self, nu, b, m, size,
+                                                        data):
+        level = data.draw(st.integers(0, size - 1), label="level")
+        tp = TrapParams(nu=nu, b=b)
+        sol = solve_sector(tp, m, size=size)
+        wf = RadialWavefunction.from_solution(sol, level)
+        again = solve_sector(tp, m, size=size)
+        assert RadialWavefunction.from_solution(again, level) is wf
+        _clear_every_cache()
+        cold = RadialWavefunction.from_solution(sol, level)
+        assert cold is not wf
+        _assert_same_state(cold, wf)
+        # the moments are BLAS forms of the solution's own column, whose
+        # last bits follow its stride: a contiguous copy would move them
+        assert cold._moments == sol.basis.radial_moments(sol.vectors[:, level])
