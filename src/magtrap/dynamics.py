@@ -942,17 +942,6 @@ def state_observables(state: GridState, tp: TrapParams,
                         state.theta)
 
 
-# one grid at a time: the table of a 4096^2 grid takes 256 MiB
-@lru_cache(maxsize=1)
-def _unit_phase(spec: GridSpec) -> np.ndarray:
-    """e^{i phi} = (xi + i eta) / rho at every sample of a grid, read-only."""
-    # the samples sit half a cell off the origin, so rho > 0 everywhere
-    xi = spec.axis()[:, None]  # a column; eta is the row xi.T
-    z = (xi + 1j * xi.T) / np.hypot(xi, xi.T)
-    z.flags.writeable = False
-    return z
-
-
 def angular_harmonics(state: GridState, n_harmonics: int = 48) -> np.ndarray:
     """<e^{i k phi}> for k = 0..n_harmonics, weighted by the density.
 
@@ -961,8 +950,10 @@ def angular_harmonics(state: GridState, n_harmonics: int = 48) -> np.ndarray:
     invariant under frame rotation up to a phase, so spreading diagnostics
     built from their moduli need no lab-frame conversion.
     """
+    # the samples sit half a cell off the origin, so rho > 0 everywhere
+    xi = state.spec.axis()[:, None]  # a column; eta is the row xi.T
     w = state.density() * state.spec.h ** 2
-    z = _unit_phase(state.spec)
+    z = (xi + 1j * xi.T) / np.hypot(xi, xi.T)
     coeffs = np.empty(n_harmonics + 1, dtype=complex)
     acc = np.ones_like(z)
     coeffs[0] = w.sum()

@@ -39,8 +39,8 @@ a sampling range, so building a state runs no root search, and no array
 of chi is summed until a caller asks for one.
 
 A state is built once per eigenvector and shared: from_solution returns
-the state already built for a vector of the same content in the same
-basis, from a bounded cache, and that state keeps its default density
+the state already built for a vector of the same content and layout in
+the same basis, from a bounded cache, and that state keeps its default density
 profile once asked for it.  So a state, and the kept profile with its
 read-only arrays, are to be treated as immutable.  current_vector_field
 builds the geometry of its square grid once per (half_extent, n).
@@ -111,8 +111,8 @@ class RadialWavefunction:
                       level: int = 0) -> "RadialWavefunction":
         """State `level` of a solution, 0 the lowest, in [0, K).
 
-        Built once per eigenvector: a vector with the same content, in the
-        same basis, returns the very same state, shared and so to be
+        Built once per eigenvector: a vector with the same content and
+        layout, in the same basis, returns the very same state, shared and so to be
         treated as immutable.  The 64 most recently used states are kept.
         """
         size = solution.vectors.shape[1]
@@ -151,19 +151,22 @@ class RadialWavefunction:
 
 
 class _Eigenvector:
-    """A state's eigenvector, hashed and compared by its content alone.
+    """A state's eigenvector, hashed and compared by its content and layout.
 
     The key of the state cache.  The column itself is kept only until its
     state is built: the moments are BLAS products, whose last bits follow
     the column's stride, so a state is built from the solution's own
-    column, exactly as without the cache.
+    column, exactly as without the cache.  For the same reason the key
+    holds the column's dtype and strides next to its values: columns of
+    equal values but another layout get states of their own.
     """
 
     __slots__ = ("column", "content")
 
     def __init__(self, column):
         self.column = column
-        self.content = np.asarray(column, dtype=float).tobytes()
+        self.content = (column.dtype.str, column.strides,
+                        np.asarray(column, dtype=float).tobytes())
 
     def __hash__(self):
         return hash(self.content)

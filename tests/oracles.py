@@ -27,9 +27,7 @@ current field evaluated one point at a time and the 1200-point scan for
 rho_max are the package's former code, kept as the references for the
 in-place recurrence, the field summed once per distinct radius and the
 rho_max found by root searches.  The full density summed under a border mask is the
-reference for the edge guard's strip sums.  The angular harmonics with
-e^{i phi} rebuilt on every call are the package's former code, kept as the
-reference for the table kept per grid.  The dense h2, with its own soft
+reference for the edge guard's strip sums.  The dense h2, with its own soft
 core and its own cell mean of 1/rho, is the reference for the package's
 LOBPCG sector solve; the
 imaginary-time relaxation that solve replaced is no oracle, since its
@@ -567,25 +565,6 @@ def reference_edge_mass(psi, h: float, cells: int) -> float:
     border = np.ones(psi.shape, dtype=bool)
     border[cells:-cells, cells:-cells] = False
     return h * h * float(np.sum((np.abs(psi) ** 2)[border]))
-
-
-def reference_angular_harmonics(density, axis, h: float,
-                                n_harmonics: int) -> np.ndarray:
-    """<e^{i k phi}>, k = 0..n_harmonics, with e^{i phi} built per call.
-
-    The package's former code: (xi + i eta) / rho formed from the axis on
-    every call, where the package keeps it per grid.
-    """
-    xi = axis[:, None]
-    w = density * h ** 2
-    z = (xi + 1j * xi.T) / np.hypot(xi, xi.T)
-    coeffs = np.empty(n_harmonics + 1, dtype=complex)
-    acc = np.ones_like(z)
-    coeffs[0] = w.sum()
-    for k in range(1, n_harmonics + 1):
-        acc = acc * z
-        coeffs[k] = np.sum(w * acc)
-    return coeffs / coeffs[0].real
 
 
 def reference_rotation(psi, half_extent: float, theta: float) -> np.ndarray:

@@ -35,8 +35,6 @@ from magtrap.dynamics import (
     _Tables,
     _step_factors,
     _tables_for,
-    _unit_phase,
-    angular_harmonics,
 )
 
 SPEC128 = GridSpec(n=128, half_extent=8.0)
@@ -982,24 +980,6 @@ class TestEigensolveProperties:
 
 
 class TestAngularDiagnostics:
-    @pytest.mark.parametrize("spec", [SPEC64, SPEC128,
-                                      GridSpec(n=32, half_extent=6.0)])
-    def test_harmonics_match_the_per_call_geometry(self, spec):
-        h2 = spec.h ** 2
-        psi = (gaussian_packet(spec, 0.4 * spec.half_extent).amplitudes
-               + 0.5j * sector_seed(spec, 3).amplitudes)
-        psi /= math.sqrt(h2 * np.vdot(psi, psi).real)
-        state = GridState(spec=spec, amplitudes=psi)
-        want = oracles.reference_angular_harmonics(state.density(),
-                                                   spec.axis(), spec.h, 12)
-        assert np.array_equal(angular_harmonics(state, 12), want)
-        # kept for this one grid, read-only
-        table = _unit_phase(spec)
-        assert _unit_phase(spec) is table
-        assert _unit_phase.cache_info().currsize == 1
-        with pytest.raises(ValueError, match="read-only"):
-            table[0, 0] = 0.0
-
     def test_symmetric_state_has_full_circular_variance(self):
         assert circular_variance(sector_seed(SPEC128, 2)) > 0.999
 

@@ -439,6 +439,12 @@ class TestStateCache:
         # the same content by hand is the same state
         copied = RadialWavefunction.from_solution(by_hand(sol.vectors.copy()))
         assert copied is ground
+        # the same values in another layout are a state of their own, whose
+        # moments are those of its own column, as a cold build has them
+        fortran = np.asfortranarray(sol.vectors)
+        transposed = RadialWavefunction.from_solution(by_hand(fortran))
+        assert transposed is not ground
+        assert transposed._moments == sol.basis.radial_moments(fortran[:, 0])
 
     def test_the_kept_profile_is_read_only(self):
         wf = RadialWavefunction.from_solution(solve_sector(self.TP, 1, 20))
