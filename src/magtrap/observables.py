@@ -27,7 +27,7 @@ observables need: velocity_expectation, CurrentField.plane_integral and the
 mean radius of density_profile are built from them, so no observable
 runs quadrature.  The density peak of density_profile is the root of
 chi', summed by the derivative recurrence of the basis
-(RadialBasis._chi_and_slope), so none runs an optimizer either.
+(RadialBasis._density_slope), so none runs an optimizer either.
 
 rho_max, the outer end of the default sampling grids, lies 1 past where
 chi^2 falls to 1e-16 of its largest sample, interpolated between samples.
@@ -39,11 +39,13 @@ a sampling range, so building a state runs no root search, and no array
 of chi is summed until a caller asks for one.
 
 A state is built once per eigenvector and shared: from_solution returns
-the state already built for a vector of the same content and layout in
-the same basis, from a bounded cache, and that state keeps its default density
-profile once asked for it.  So a state, and the kept profile with its
-read-only arrays, are to be treated as immutable.  current_vector_field
-builds the geometry of its square grid once per (half_extent, n).
+the state already built for a vector of the same values in the same basis,
+from a bounded cache, and that state keeps its default density profile
+once asked for it.  So a state, and the kept profile with its read-only
+arrays, are to be treated as immutable.  The moments read a contiguous
+copy of the vector, so a state depends on its values alone, however they
+are stored.  current_vector_field builds the geometry of its square grid
+once per (half_extent, n).
 """
 
 from __future__ import annotations
@@ -98,11 +100,10 @@ class RadialWavefunction:
         self.m = int(m)
         self._chi = chi
         self.rho_max = float(rho_max)
-        # <rho^p> known exactly, by power, and a callable rho -> (chi, a
-        # value with the sign of d(chi^2)/drho); both filled only by
-        # from_solution
+        # <rho^p> known exactly, by power, and a callable rho -> a value
+        # with the sign of d(chi^2)/drho; both filled only by from_solution
         self._moments: dict[int, float] = {}
-        self._chi_and_slope = None
+        self._density_slope = None
         # density_profile on the default grid, kept by its first call
         self._profile = None
 
@@ -111,16 +112,17 @@ class RadialWavefunction:
                       level: int = 0) -> "RadialWavefunction":
         """State `level` of a solution, 0 the lowest, in [0, K).
 
-        Built once per eigenvector: a vector with the same content and
-        layout, in the same basis, returns the very same state, shared and so to be
-        treated as immutable.  The 64 most recently used states are kept.
+        Built once per eigenvector: a vector of the same values, in the
+        same basis, returns the very same state, whatever its dtype or
+        memory layout; it is shared, and so to be treated as immutable.
+        The 64 most recently used states are kept.
         """
         size = solution.vectors.shape[1]
         if not 0 <= level < size:
             raise ValueError(f"level {level} is outside the valid range "
                              f"[0, {size}) of a K = {size} solution")
-        return _state(cls, solution.m, solution.basis,
-                      _Eigenvector(solution.vectors[:, level]))
+        column = np.asarray(solution.vectors[:, level], dtype=float)
+        return _state(cls, solution.m, solution.basis, column.tobytes())
 
     def chi(self, rho):
         """Radial factor chi(rho)."""
@@ -150,41 +152,19 @@ class RadialWavefunction:
         return self._moments[power]
 
 
-class _Eigenvector:
-    """A state's eigenvector, hashed and compared by its content and layout.
-
-    The key of the state cache.  The column itself is kept only until its
-    state is built: the moments are BLAS products, whose last bits follow
-    the column's stride, so a state is built from the solution's own
-    column, exactly as without the cache.  For the same reason the key
-    holds the column's dtype and strides next to its values: columns of
-    equal values but another layout get states of their own.
-    """
-
-    __slots__ = ("column", "content")
-
-    def __init__(self, column):
-        self.column = column
-        self.content = (column.dtype.str, column.strides,
-                        np.asarray(column, dtype=float).tobytes())
-
-    def __hash__(self):
-        return hash(self.content)
-
-    def __eq__(self, other):
-        return self.content == other.content
-
-
 @functools.lru_cache(maxsize=64)
-def _state(cls, m: int, basis, vector: _Eigenvector) -> RadialWavefunction:
-    """The state of one eigenvector of a basis, built on its first call."""
-    y, vector.column = vector.column, None
+def _state(cls, m: int, basis, vector: bytes) -> RadialWavefunction:
+    """The state of one eigenvector of a basis, built on its first call.
+
+    vector is the eigenvector's float64 bytes, the key of the cache.
+    """
+    y = np.frombuffer(vector)
     # orthonormal eigenvector => int chi^2 = 1; rescale to 1/(2 pi)
     weights = y * np.sqrt(_CHI_NORM)
     rho_max = _tail_radius(*basis._samples(weights))
     wf = cls(m, basis.expansion(weights), rho_max + 1.0)
     wf._moments = basis.radial_moments(y)
-    wf._chi_and_slope = basis._chi_and_slope(weights)
+    wf._density_slope = basis._density_slope(weights)
     return wf
 
 
@@ -341,9 +321,7 @@ def _sampled_profile(wf: RadialWavefunction, rho_grid) -> DensityProfile:
     i_lo, i_hi = max(i_best - 2, 0), min(i_best + 2, len(rho) - 1)
     lo, hi = float(rho[i_lo]), float(rho[i_hi])
 
-    def slope(r):
-        return wf._chi_and_slope(r)[1]
-
+    slope = wf._density_slope
     f_lo, f_hi = slope(lo), slope(hi)
     if f_lo > 0.0 > f_hi:
         peak, _ = _illinois_root(slope, lo, hi, f_lo, f_hi, xtol=1e-10)

@@ -139,7 +139,7 @@ class RadialBasis:
     nu = 0, b = 0 ground state; pass alpha = gauss_width/2 to match the
     b = 0 state at finite nu.  Every width shares the one alpha = 1/2
     reduction of its (|m|, size): this basis is that one dilated by
-    c = sqrt(2 alpha), which expansion, _chi_and_slope, _samples and
+    c = sqrt(2 alpha), which expansion, _density_slope, _samples and
     radial_moments apply as scalars.  size runs from 1 to MAX_BASIS_K (240),
     the largest basis whose recurrence the tests check; a larger one is
     refused here, before any reduction.
@@ -217,22 +217,20 @@ class RadialBasis:
 
         return series
 
-    def _chi_and_slope(self, weights):
-        """Callable rho -> (chi, g^2 P (r P' + (s - r^2) P)) at r = c rho > 0.
+    def _density_slope(self, weights):
+        """Callable rho -> g^2 P (r P' + (s - r^2) P) at r = c rho > 0.
 
         With chi = expansion(weights) = g P at r, g = r^s exp(-r^2 / 2),
-        s = 1/2 + |m| and P = sqrt(c) sum_k weights[k] q_k, the second value
-        is rho/2 times d(chi^2)/drho.  g P and g P' run the recurrences of
+        s = 1/2 + |m| and P = sqrt(c) sum_k weights[k] q_k, the value is
+        rho/2 times d(chi^2)/drho.  g P and g P' run the recurrences of
         _stieltjes with g carried from the start, in plain float arithmetic:
         the density peak search of observables.density_profile calls it one
         point at a time, where numpy would pay its per-operation overhead
-        at every step of the recurrence.  rho_max needs no search: it lies
-        1 past where chi^2 falls to 1e-16 of its largest sample,
-        interpolated between samples (_samples).
+        at every step of the recurrence.
         """
         a, sb, w, s, c = self._recurrence(weights)
 
-        def chi_and_slope(rho):
+        def density_slope(rho):
             r = c * rho
             q = math.exp(s * math.log(r) - 0.5 * r * r) / sb[0]
             q_prev = dq = dq_prev = dp = 0.0
@@ -244,9 +242,9 @@ class RadialBasis:
                     (q + x * dq - sb[k] * dq_prev) / sb[k + 1], dq)
                 p += w[k + 1] * q
                 dp += w[k + 1] * dq
-            return p, p * (r * dp + (s - r * r) * p)
+            return p * (r * dp + (s - r * r) * p)
 
-        return chi_and_slope
+        return density_slope
 
     def _samples(self, weights):
         """(rho_i, chi(rho_i)) on the basis's sampling grid, ascending.
@@ -265,10 +263,12 @@ class RadialBasis:
         Exact quadratic forms w^T M_p w over the cached alpha = 1/2 blocks,
         times c^-p for the dilation: the Coulomb block for 1/rho, the
         truncated Jacobi matrix for rho and twice the trap block for rho^2.
-        weights are taken as normalized.
+        weights are taken as normalized.  The forms read a contiguous
+        float64 copy of them, so the moments depend on their values alone:
+        BLAS sums a strided vector in another order than a contiguous one.
         """
         blocks, c = _sector_blocks(self.m, self.size, self.alpha)
-        w = np.asarray(weights, dtype=float)
+        w = np.array(weights, dtype=float)
         return {-1: c * float(w @ blocks.coulomb @ w),
                 1: float(w @ blocks.position @ w) / c,
                 2: 2.0 * float(w @ blocks.trap @ w) / (c * c)}
@@ -409,9 +409,10 @@ class _SectorMatrices:
     position come from the Jacobi matrix, position being its K x K
     truncation, the block of rho itself.  a and sb determine it, but it is
     kept dense so that <1/rho>, <rho> and <rho^2> are the same BLAS form
-    y^T M y over read-only float64 blocks (under 2 MB per sector at
-    K = 240) instead of a Python-list recurrence.  a and sb, with
-    sb_k = sqrt(b_k), are the recurrence of the q_k.
+    y^T M y, on a contiguous copy of y, over read-only float64 blocks
+    (under 2 MB per sector at K = 240) instead of a Python-list
+    recurrence.  a and sb, with sb_k = sqrt(b_k), are the recurrence of
+    the q_k.
     """
 
     kinetic: np.ndarray

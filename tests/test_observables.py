@@ -347,14 +347,14 @@ class TestRhoMax:
             raise AssertionError("root search")
 
         calls = []
-        scalar = RadialBasis._chi_and_slope
+        scalar = RadialBasis._density_slope
 
         def counted(basis, weights):
-            chi_and_slope = scalar(basis, weights)
-            return lambda rho: calls.append(rho) or chi_and_slope(rho)
+            density_slope = scalar(basis, weights)
+            return lambda rho: calls.append(rho) or density_slope(rho)
 
         monkeypatch.setattr(observables, "_illinois_root", refuse)
-        monkeypatch.setattr(RadialBasis, "_chi_and_slope", counted)
+        monkeypatch.setattr(RadialBasis, "_density_slope", counted)
         # a state cache of this test's own: every state here is built here,
         # and none built on the counted recurrence outlives the test
         monkeypatch.setattr(observables, "_state", functools.lru_cache(
@@ -439,11 +439,11 @@ class TestStateCache:
         # the same content by hand is the same state
         copied = RadialWavefunction.from_solution(by_hand(sol.vectors.copy()))
         assert copied is ground
-        # the same values in another layout are a state of their own, whose
+        # the same values in another layout are the same state, whose
         # moments are those of its own column, as a cold build has them
         fortran = np.asfortranarray(sol.vectors)
         transposed = RadialWavefunction.from_solution(by_hand(fortran))
-        assert transposed is not ground
+        assert transposed is ground
         assert transposed._moments == sol.basis.radial_moments(fortran[:, 0])
 
     def test_the_kept_profile_is_read_only(self):
@@ -493,6 +493,46 @@ class TestStateCache:
         cold = RadialWavefunction.from_solution(sol, level)
         assert cold is not wf
         _assert_same_state(cold, wf)
-        # the moments are BLAS forms of the solution's own column, whose
-        # last bits follow its stride: a contiguous copy would move them
+        # the moments are BLAS forms of a contiguous copy of the column, so
+        # the strided column and a contiguous copy of it give the same bits
         assert cold._moments == sol.basis.radial_moments(sol.vectors[:, level])
+
+    def test_the_same_values_in_any_layout_are_one_state(self):
+        sol = solve_sector(self.TP, 1, size=40)
+        _assert_one_state_in_every_layout(sol, 1)
+
+    @given(nu=st.floats(0.0, 3.0), b=st.floats(0.0, 10.0),
+           m=st.integers(-4, 4), size=st.integers(1, 60), data=st.data())
+    def test_any_state_is_one_state_in_every_layout(self, nu, b, m, size,
+                                                    data):
+        level = data.draw(st.integers(0, size - 1), label="level")
+        sol = solve_sector(TrapParams(nu=nu, b=b), m, size=size)
+        _assert_one_state_in_every_layout(sol, level)
+
+
+def _layouts(vectors):
+    """The same values in C and Fortran order, in a buffer offset by one
+    byte, and as every other column of a wider matrix."""
+    unaligned = np.frombuffer(bytearray(vectors.nbytes + 1), offset=1,
+                              count=vectors.size).reshape(vectors.shape)
+    unaligned[...] = vectors
+    wide = np.zeros((vectors.shape[0], 2 * vectors.shape[1]))
+    wide[:, ::2] = vectors
+    return [vectors, np.asfortranarray(vectors), unaligned, wide[:, ::2]]
+
+
+def _assert_one_state_in_every_layout(sol, level):
+    """Every layout of the vectors gives one state and bit-equal moments."""
+    want = sol.basis.radial_moments(np.ascontiguousarray(
+        sol.vectors[:, level]))
+    states = []
+    for vectors in _layouts(sol.vectors):
+        assert np.array_equal(vectors, sol.vectors)
+        assert sol.basis.radial_moments(vectors[:, level]) == want
+        by_hand = RadialEigenSolution(m=sol.m, params=sol.params,
+                                      basis=sol.basis, energies=sol.energies,
+                                      vectors=vectors)
+        wf = RadialWavefunction.from_solution(by_hand, level)
+        assert wf._moments == want
+        states.append(wf)
+    assert all(wf is states[0] for wf in states)
