@@ -235,8 +235,9 @@ class RampProtocol:
     def __post_init__(self):
         if self.kind not in ("step", "linear", "smooth"):
             raise ValueError(f"unknown ramp kind {self.kind!r}")
-        if self.nu_final < 0:
-            raise ValueError("nu_final must be >= 0 (orientation is field_sign)")
+        if not (self.nu_final >= 0 and math.isfinite(self.nu_final)):
+            raise ValueError(f"nu_final = {self.nu_final} must be finite "
+                             f"and >= 0 (orientation is field_sign)")
         if self.kind == "step":
             if self.tau_ramp != 0.0:
                 raise ValueError("a step ramp has tau_ramp = 0")
@@ -505,9 +506,9 @@ def gaussian_packet(spec: GridSpec, center: float = 4.0,
     variance per axis is 1/(4 width); width = 1/2 matches the trap ground
     state at nu = 0.  The 3-sigma support must fit inside the box.
     """
-    if width <= 0:
-        raise ValueError("width must be positive")
-    if abs(center) + 3.0 / math.sqrt(2.0 * width) >= spec.half_extent:
+    if not 0 < width < math.inf:
+        raise ValueError(f"width = {width} must be positive and finite")
+    if not abs(center) + 3.0 / math.sqrt(2.0 * width) < spec.half_extent:
         raise ValueError(
             f"packet at xi0 = {center} with width {width} reaches the box "
             f"edge L = {spec.half_extent}; enlarge the box (aliasing hazard)")
@@ -533,8 +534,8 @@ def strang_step(state: GridState, tp: TrapParams, dtau: float) -> GridState:
     Advances tau by dtau; the frame angle is untouched (that bookkeeping
     belongs to evolve, which applies it in closed form).
     """
-    if dtau <= 0:
-        raise ValueError("dtau must be positive")
+    if not 0 < dtau < math.inf:
+        raise ValueError(f"dtau = {dtau} must be positive and finite")
     propagator = _Propagator(state.spec, tp.b, dtau)
     psi = propagator.step(state.amplitudes.copy(), tp.nu)
     return replace(state, amplitudes=propagator.settle(psi, out=psi),
@@ -705,8 +706,8 @@ def evolve(state: GridState, tp: TrapParams, dtau: float, tau_end: float,
     workers is accepted for compatibility and ignored: every transform runs
     on one thread.
     """
-    if dtau <= 0:
-        raise ValueError("dtau must be positive")
+    if not 0 < dtau < math.inf:
+        raise ValueError(f"dtau = {dtau} must be positive and finite")
     if snapshot_frame not in ("lab", "rotating"):
         raise ValueError("snapshot_frame must be 'lab' or 'rotating'")
     spec = state.spec
@@ -715,8 +716,9 @@ def evolve(state: GridState, tp: TrapParams, dtau: float, tau_end: float,
     tau0 = state.tau
     theta0 = state.theta
     span = tau_end - tau0
-    if span <= 0:
-        raise ValueError("tau_end must exceed the state's tau")
+    if not 0 < span < math.inf:
+        raise ValueError(f"tau_end = {tau_end} must be finite and exceed "
+                         f"the state's tau = {tau0}")
     # integrate to the nearest whole number of steps; the tau column reports
     # the times actually reached
     n_steps = max(1, round(span / dtau))

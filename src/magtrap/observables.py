@@ -31,12 +31,11 @@ chi', summed by the derivative recurrence of the basis
 
 rho_max, the outer end of the default sampling grids, lies 1 past where
 chi^2 falls to 1e-16 of its largest sample, interpolated between samples.
-The samples lie on a grid fixed by the basis: one product of the
-eigenvector with a table cached per basis (RadialBasis._samples), fine
-enough to see every lobe of chi, including the ripples at 1e-15 of the
-peak that a basis too wide for its state leaves in the tail.  rho_max is
-a sampling range, so building a state runs no root search, and no array
-of chi is summed until a caller asks for one.
+The samples are the state's own chi, summed once when the state is built
+on a grid fixed by the basis (RadialBasis._sampling_grid), fine enough to
+see every lobe of chi, including the ripples at 1e-15 of the peak that a
+basis too wide for its state leaves in the tail.  rho_max is a sampling
+range, so building a state runs no root search.
 
 A state is built once per eigenvector and shared: from_solution returns
 the state already built for a vector of the same values in the same basis,
@@ -161,8 +160,9 @@ def _state(cls, m: int, basis, vector: bytes) -> RadialWavefunction:
     y = np.frombuffer(vector)
     # orthonormal eigenvector => int chi^2 = 1; rescale to 1/(2 pi)
     weights = y * np.sqrt(_CHI_NORM)
-    rho_max = _tail_radius(*basis._samples(weights))
-    wf = cls(m, basis.expansion(weights), rho_max + 1.0)
+    chi = basis.expansion(weights)
+    rho = basis._sampling_grid()
+    wf = cls(m, chi, _tail_radius(rho, chi(rho)) + 1.0)
     wf._moments = basis.radial_moments(y)
     wf._density_slope = basis._density_slope(weights)
     return wf
@@ -171,11 +171,12 @@ def _state(cls, m: int, basis, vector: bytes) -> RadialWavefunction:
 def _tail_radius(rho, chi) -> float:
     """Where chi^2 falls to 1e-16 of its largest sample, between samples.
 
-    rho_max lies 1 past it.  rho and chi are the basis's samples of the
-    state (RadialBasis._samples), which see every lobe of chi.  The floor
-    is 1e-16 of the largest chi^2 among them, and the crossing is
-    interpolated linearly in log chi^2 between the outermost sample above
-    the floor and the next one: no search, and no chi beyond the samples.
+    rho_max lies 1 past it.  chi is the state's own chi summed on the
+    basis's sampling grid rho (RadialBasis._sampling_grid), which sees
+    every lobe of chi.  The floor is 1e-16 of the largest chi^2 among
+    them, and the crossing is interpolated linearly in log chi^2 between
+    the outermost sample above the floor and the next one: no search, and
+    no chi beyond the samples.
     """
     dens = chi * chi
     floor = _TAIL_SHARE * float(dens.max())
@@ -269,8 +270,13 @@ def _field_grid(half_extent: float, n: int):
 
 def velocity_expectation(wf: RadialWavefunction, tp: TrapParams) -> float:
     """<v_phi> = m <1/rho> - (nu/2) <rho>, in units sqrt(hbar omega_t / mu)."""
-    canonical = wf.m * wf.radial_moment(-1) if wf.m != 0 else 0.0
-    return canonical - 0.5 * tp.nu * wf.radial_moment(1)
+    return _velocity(wf.m, wf.radial_moment(-1), wf.radial_moment(1), tp.nu)
+
+
+def _velocity(m: int, inverse_rho: float, rho: float, nu: float) -> float:
+    """m <1/rho> - (nu/2) <rho> from the two moments."""
+    canonical = m * inverse_rho if m != 0 else 0.0
+    return canonical - 0.5 * nu * rho
 
 
 @dataclass(frozen=True)
@@ -338,14 +344,18 @@ def ground_velocity_sweep(b: float, nu_values,
     """Ground-state velocity along a field sweep at fixed b.
 
     For each nu the ground sector is found by scanning m_range; rows are
-    (nu, m_star, energy, velocity) in ascending nu order.  workers is
-    accepted for compatibility and ignored: a sector scan takes a few
-    milliseconds, and a thread pool made sweeps several times slower.
+    (nu, m_star, energy, velocity) in ascending nu order.  It builds no
+    state: the velocity is velocity_expectation's, from the two moments
+    of the ground eigenvector (RadialBasis.radial_moments), bit for bit.
+    workers is accepted for compatibility and ignored: a sector scan takes
+    a few milliseconds, and a thread pool made sweeps several times slower.
     """
     rows = []
     for nu in sorted({float(nu) for nu in nu_values}):
-        tp = TrapParams(nu=nu, b=b)
-        rec = ground_state_scan(tp, m_range=m_range, size=size)
-        wf = RadialWavefunction.from_solution(rec.solution)
-        rows.append((nu, rec.m_star, rec.energy, velocity_expectation(wf, tp)))
+        rec = ground_state_scan(TrapParams(nu=nu, b=b), m_range=m_range,
+                                size=size)
+        sol = rec.solution
+        moments = sol.basis.radial_moments(sol.vectors[:, 0])
+        rows.append((nu, rec.m_star, rec.energy,
+                     _velocity(sol.m, moments[-1], moments[1], nu)))
     return rows

@@ -139,7 +139,7 @@ class RadialBasis:
     nu = 0, b = 0 ground state; pass alpha = gauss_width/2 to match the
     b = 0 state at finite nu.  Every width shares the one alpha = 1/2
     reduction of its (|m|, size): this basis is that one dilated by
-    c = sqrt(2 alpha), which expansion, _density_slope, _samples and
+    c = sqrt(2 alpha), which expansion, _density_slope, _sampling_grid and
     radial_moments apply as scalars.  size runs from 1 to MAX_BASIS_K (240),
     the largest basis whose recurrence the tests check; a larger one is
     refused here, before any reduction.
@@ -246,16 +246,24 @@ class RadialBasis:
 
         return density_slope
 
-    def _samples(self, weights):
-        """(rho_i, chi(rho_i)) on the basis's sampling grid, ascending.
+    def _sampling_grid(self) -> np.ndarray:
+        """Ascending rho on which a state of this basis shows every lobe.
 
-        One product with the cached table of the phi_k on that grid
-        (_sample_table), with no recurrence: samples dense enough to see
-        every lobe of chi, out to where the basis has no weight left.
+        A state of K functions is g times a polynomial of degree K - 1,
+        which oscillates on the scale of the zeros of q_K, the eigenvalues
+        of the truncated Jacobi matrix.  At alpha = 1/2 they all lie below
+        R = sqrt(4K + 2|m| - 2), at 0.6 to 0.86 of it.  The grid steps by
+        pi / (4 R) and runs to R + 8, where every phi_k has fallen below
+        1e-18 of its largest value; it is divided by c for the dilation.
+        In the outer half of the zeros, where a state ends, two zeros are
+        at least 2.8 steps apart, and 4.2 from K = 15 on, where a basis has
+        room for the ripples a narrow state leaves in its tail
+        (tests/test_radial.py checks these facts for K <= 240, |m| <= 40).
         """
-        _, _, w, _, c = self._recurrence(weights)
-        r, table = _sample_table(abs(self.m), self.size)
-        return r / c, table @ np.array(w)
+        radius = math.sqrt(4 * self.size + 2 * abs(self.m) - 2)
+        step = math.pi / (4.0 * radius)
+        r = step * np.arange(1, math.ceil((radius + 8.0) / step) + 1)
+        return r / math.sqrt(2.0 * self.alpha)
 
     def radial_moments(self, weights) -> dict[int, float]:
         """<rho^p> for p = -1, 1, 2 of the state sum_k weights[k] phi_k.
@@ -464,40 +472,6 @@ def _reduce(m_abs: int, size: int) -> _SectorMatrices | None:
     for block in blocks:
         block.flags.writeable = False
     return _SectorMatrices(*blocks, a.tolist(), sb.tolist())
-
-
-@functools.lru_cache(maxsize=32)
-def _sample_table(m_abs: int, size: int):
-    """(r_i, phi_k(r_i)) of the alpha = 1/2 basis on a grid that sees chi.
-
-    A state of K functions is g times a polynomial of degree K - 1, which
-    oscillates on the scale of the zeros of q_K, the eigenvalues of the
-    truncated Jacobi matrix.  They all lie below R = sqrt(4K + 2|m| - 2),
-    at 0.6 to 0.86 of it.  The grid steps by pi / (4 R) and runs to R + 8,
-    where every phi_k has fallen below 1e-18 of its largest value.  In the
-    outer half of the zeros, where a state ends, two zeros are at least
-    2.8 steps apart, and 4.2 from K = 15 on, where a basis has room for
-    the ripples a narrow state leaves in its tail (tests/test_radial.py
-    checks these facts for K <= 240, |m| <= 40).  The table, sample i in
-    row i, is filled once per (|m|, K) by the recurrence of expansion with
-    every step kept: 64 kB at K = 30, 3 MB at K = 240.  Called only
-    after _sector_blocks has accepted the basis.
-    """
-    blocks = _reduce(m_abs, size)
-    a, sb = blocks.a, blocks.sb
-    radius = math.sqrt(4 * size + 2 * m_abs - 2)
-    step = math.pi / (4.0 * radius)
-    r = step * np.arange(1, math.ceil((radius + 8.0) / step) + 1)
-    table = np.empty((len(r), size))
-    table[:, 0] = np.exp((0.5 + m_abs) * np.log(r) - 0.5 * r * r) / sb[0]
-    prev = 0.0
-    for k in range(size - 1):
-        q = table[:, k]
-        table[:, k + 1] = ((r - a[k]) * q - sb[k] * prev) / sb[k + 1]
-        prev = q
-    for array in (r, table):
-        array.flags.writeable = False
-    return r, table
 
 
 def _sector_blocks(m: int, size: int, alpha: float):

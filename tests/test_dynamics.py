@@ -115,6 +115,14 @@ class TestPackets:
         with pytest.raises(ValueError, match="width"):
             gaussian_packet(SPEC128, center=0.0, width=0.0)
 
+    def test_a_nan_center_is_refused(self):
+        with pytest.raises(ValueError, match="xi0 = nan"):
+            gaussian_packet(SPEC128, center=math.nan)
+
+    def test_a_nan_width_is_refused(self):
+        with pytest.raises(ValueError, match="width = nan"):
+            gaussian_packet(SPEC128, center=0.0, width=math.nan)
+
     @pytest.mark.parametrize("m", [0, 1, -2, 3])
     def test_sector_seed_carries_its_angular_momentum(self, m):
         st = sector_seed(SPEC128, m)
@@ -133,6 +141,11 @@ class TestRampProtocol:
     def test_rejects_inconsistent_protocols(self, kwargs):
         with pytest.raises(ValueError):
             RampProtocol(**kwargs)
+
+    @pytest.mark.parametrize("nu_final", [math.nan, math.inf])
+    def test_rejects_a_field_that_is_not_finite(self, nu_final):
+        with pytest.raises(ValueError, match=f"nu_final = {nu_final}"):
+            RampProtocol("step", nu_final)
 
     def test_step_profile(self):
         r = RampProtocol("step", 1.5)
@@ -885,6 +898,19 @@ class TestGuards:
         st = gaussian_packet(SPEC128, 2.0)
         with pytest.raises(ValueError, match="dtau"):
             strang_step(st, FREE, 0.0)
+
+    def test_strang_step_refuses_a_nan_step(self):
+        with pytest.raises(ValueError, match="dtau = nan"):
+            strang_step(gaussian_packet(SPEC128, 2.0), FREE, math.nan)
+
+    def test_evolve_refuses_a_nan_step(self):
+        with pytest.raises(ValueError, match="dtau = nan"):
+            evolve(gaussian_packet(SPEC128, 2.0), FREE, math.nan, 1.0)
+
+    @pytest.mark.parametrize("tau_end", [math.nan, math.inf])
+    def test_evolve_refuses_an_end_that_is_not_finite(self, tau_end):
+        with pytest.raises(ValueError, match=f"tau_end = {tau_end}"):
+            evolve(gaussian_packet(SPEC128, 2.0), FREE, 1e-3, tau_end)
 
 
 class TestImaginaryTime:

@@ -224,6 +224,18 @@ class TestGroundVelocitySweep:
         sectors = [r[1] for r in rows]
         assert sectors == sorted(sectors)
 
+    def test_builds_no_state_and_gives_each_states_velocity(self):
+        # the velocities come from the ground eigenvectors' moments, with
+        # no state built, and equal those of the states bit for bit
+        before = observables._state.cache_info()
+        rows = ground_velocity_sweep(2.3, self.NUS, size=14)
+        assert observables._state.cache_info() == before
+        for nu, _, _, velocity in rows:
+            tp = TrapParams(nu=nu, b=2.3)
+            rec = ground_state_scan(tp, size=14)
+            wf = RadialWavefunction.from_solution(rec.solution)
+            assert velocity == velocity_expectation(wf, tp)
+
 
 class TestDensityProfile:
     def test_profile_normalized(self, wf_m1):
@@ -340,9 +352,20 @@ class TestRhoMax:
         dens = wf.chi(rho) ** 2
         assert dens[rho >= wf.rho_max].max() < 1e-16 * dens.max()
 
+    @given(nu=st.floats(0.0, 5.0), b=st.floats(0.0, 10.0),
+           m=st.integers(-6, 6), size=st.integers(1, 60), data=st.data())
+    def test_the_tail_is_read_off_the_states_own_chi(self, nu, b, m, size,
+                                                     data):
+        level = data.draw(st.integers(0, min(2, size - 1)), label="level")
+        sol = solve_sector(TrapParams(nu=nu, b=b), m, size=size)
+        wf = RadialWavefunction.from_solution(sol, level)
+        rho = sol.basis._sampling_grid()
+        assert wf.rho_max == observables._tail_radius(rho, wf.chi(rho)) + 1.0
+
     def test_building_a_state_runs_no_root_search(self, monkeypatch):
-        # rho_max is read off the basis's samples: only density_profile's
-        # peak runs a search, on the state's scalar recurrence
+        # rho_max is read off the state's chi on the basis's grid: only
+        # density_profile's peak runs a search, on the state's scalar
+        # recurrence
         def refuse(*args, **kwargs):
             raise AssertionError("root search")
 
@@ -375,7 +398,7 @@ class TestRhoMax:
 
 def _clear_every_cache():
     for cache in (observables._state, observables._field_grid,
-                  radial._reduce, radial._sample_table, radial._panel_rule):
+                  radial._reduce, radial._panel_rule):
         cache.cache_clear()
 
 

@@ -24,7 +24,6 @@ from magtrap.radial import (
     _discretization,
     _panel_count,
     _reduce,
-    _sample_table,
     _sector_blocks,
     _sector_eigh,
     _stieltjes,
@@ -489,7 +488,11 @@ class TestSpectrumSweep:
 
 
 class TestSampleGrid:
-    """The facts _sample_table's docstring rests on, over K <= 240, |m| <= 40."""
+    """The facts RadialBasis._sampling_grid's docstring rests on.
+
+    Over K <= 240, |m| <= 40, on the grid of the alpha = 1/2 basis, where
+    each phi_k is expansion of a unit vector.
+    """
 
     @pytest.mark.parametrize("m_abs", [0, 1, 6, 20, 40])
     @pytest.mark.parametrize("size", [1, 2, 3, 5, 15, 30, 60, 240])
@@ -497,7 +500,10 @@ class TestSampleGrid:
                                                             size):
         zeros = np.linalg.eigvalsh(_reduce(m_abs, size).position)
         radius = math.sqrt(4 * size + 2 * m_abs - 2)
-        r, table = _sample_table(m_abs, size)
+        basis = RadialBasis(m=m_abs, size=size)
+        r = basis._sampling_grid()
+        table = np.column_stack([basis.expansion(unit)(r)
+                                 for unit in np.eye(size)])
         step = r[1] - r[0]
         # every zero of q_K below R, at most 0.86 of it
         assert zeros[-1] < 0.87 * radius
@@ -509,12 +515,3 @@ class TestSampleGrid:
         assert r[-1] >= radius + 8.0
         peaks = np.abs(table).max(axis=0)
         assert np.all(np.abs(table[-1]) < 1e-18 * peaks)
-
-    def test_table_holds_the_basis_functions(self):
-        # each column is phi_k on the grid, as expansion sums it
-        basis = RadialBasis(m=2, size=12)
-        r, table = _sample_table(2, 12)
-        for k in range(12):
-            phi_k = basis.expansion(np.eye(12)[k])(r)
-            np.testing.assert_allclose(table[:, k], phi_k, rtol=1e-13,
-                                       atol=1e-15 * np.abs(phi_k).max())
