@@ -61,6 +61,7 @@ from .dynamics import (
     DEFAULT_PACKET_WIDTH,
     GridSpec,
     RampProtocol,
+    _step_count,
     evolve,
     gaussian_packet,
     imaginary_time_ground,
@@ -379,9 +380,9 @@ def _check_dtau(dtau: float) -> None:
 
 
 def _check_record_count(tau_end: float, dtau: float, snapshots: int = 0):
-    # the step count evolve takes; round raises OverflowError (exit 3) when
-    # tau_end / dtau is not finite
-    steps = max(1, round(tau_end / dtau))
+    # the step count evolve takes; OverflowError (exit 3) when tau_end / dtau
+    # is not finite
+    steps = _step_count(tau_end, dtau)
     # a record at step 0, every _RECORD_EVERY steps, and at the last step
     records = -(-steps // _RECORD_EVERY) + 1 + snapshots
     if records > MAX_RECORDS:

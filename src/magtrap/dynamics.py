@@ -241,8 +241,9 @@ class RampProtocol:
         if self.kind == "step":
             if self.tau_ramp != 0.0:
                 raise ValueError("a step ramp has tau_ramp = 0")
-        elif not (self.tau_ramp > 0):
-            raise ValueError(f"{self.kind} ramp needs tau_ramp > 0")
+        elif not 0 < self.tau_ramp < math.inf:
+            raise ValueError(f"{self.kind} ramp needs 0 < tau_ramp < inf, "
+                             f"got {self.tau_ramp!r}")
 
     def nu(self, tau):
         tau = np.asarray(tau, dtype=float)
@@ -681,6 +682,15 @@ class EvolutionResult:
         return to_lab_frame(self.final_state)
 
 
+def _step_count(span: float, dtau: float) -> int:
+    """The nearest whole number of dtau steps to span, at least one."""
+    steps = span / dtau
+    if not math.isfinite(steps):
+        raise OverflowError(f"span = {span!r} over dtau = {dtau!r} is more "
+                            f"steps than float64 counts")
+    return max(1, round(steps))
+
+
 def evolve(state: GridState, tp: TrapParams, dtau: float, tau_end: float,
            ramp: RampProtocol | None = None, *, record_every: int = 10,
            snapshot_times=(), snapshot_frame: str = "rotating",
@@ -701,7 +711,8 @@ def evolve(state: GridState, tp: TrapParams, dtau: float, tau_end: float,
     BoundaryLeakError when more than edge_tol probability sits within
     edge_cells of the box edge (checked every 10th step and at the last,
     whatever record_every is), and with OverflowError when nu^2 overflows
-    float64.  Each step advances the state, checks the norm, then the edge,
+    float64 or when span / dtau does (the latter before any grid array is
+    built).  Each step advances the state, checks the norm, then the edge,
     and only then records and takes its snapshots.
     workers is accepted for compatibility and ignored: every transform runs
     on one thread.
@@ -719,9 +730,8 @@ def evolve(state: GridState, tp: TrapParams, dtau: float, tau_end: float,
     if not 0 < span < math.inf:
         raise ValueError(f"tau_end = {tau_end} must be finite and exceed "
                          f"the state's tau = {tau0}")
-    # integrate to the nearest whole number of steps; the tau column reports
-    # the times actually reached
-    n_steps = max(1, round(span / dtau))
+    # the tau column reports the times actually reached
+    n_steps = _step_count(span, dtau)
 
     # the step's tables before the copy: built later, they raise the peak
     propagator = _Propagator(spec, tp.b, dtau)

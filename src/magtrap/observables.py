@@ -288,10 +288,6 @@ class DensityProfile:
     mean_rho: float
     rho_peak: float
 
-    def integral(self) -> float:
-        """Trapezoid integral of the sampled profile (should be ~1)."""
-        return float(np.trapezoid(self.density, self.rho))
-
 
 def density_profile(wf: RadialWavefunction,
                     rho_grid: np.ndarray | None = None) -> DensityProfile:

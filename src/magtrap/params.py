@@ -47,7 +47,6 @@ __all__ = [
     "QuantumNumbers",
     "TrapParams",
     "effective_potential",
-    "effective_potential_minimum",
     "fock_darwin_energy",
     "from_physical",
 ]
@@ -127,11 +126,6 @@ class TrapParams:
         return cls(nu=abs(nu), b=b, field_sign=sign)
 
     @property
-    def b_prime(self) -> float:
-        """Coulomb coefficient 2b of the radial equation."""
-        return 2.0 * self.b
-
-    @property
     def gauss_width(self) -> float:
         """Oscillator stiffness a = sqrt(1 + nu^2/4) of the b = 0 problem."""
         return math.sqrt(1.0 + 0.25 * self.nu * self.nu)
@@ -181,41 +175,10 @@ def effective_potential(tp: TrapParams, m: int, rho):
     v = (-m * tp.nu
          + a2 * rho_arr ** 2
          + (m * m - 0.25) / rho_arr ** 2
-         + tp.b_prime / rho_arr)
+         + 2.0 * tp.b / rho_arr)
     if np.ndim(rho) == 0:
         return float(v)
     return v
-
-
-def effective_potential_minimum(tp: TrapParams, m: int) -> float:
-    """Radius of the stationary minimum of V(rho), if one exists.
-
-    Stationary points solve a^2 rho^4 - b rho - (m^2 - 1/4) = 0 with
-    a^2 = 1 + nu^2/4.  For |m| >= 1 there is exactly one positive root and
-    it is the global minimum.  For m = 0 the potential falls to -infinity
-    at the origin; an outer local minimum (ring configuration) exists only
-    for sufficiently large b, otherwise a ValueError is raised.
-    """
-    a2 = 1.0 + 0.25 * tp.nu * tp.nu
-    roots = np.roots([a2, 0.0, 0.0, -tp.b, -(m * m - 0.25)])
-    best = None
-    for r in roots:
-        if abs(r.imag) > 1e-9 * (1.0 + abs(r.real)):
-            continue
-        rho = r.real
-        if rho <= 0:
-            continue
-        # keep only genuine minima (V'' > 0); for m = 0 this drops the
-        # inner maximum that separates the well from the singular core
-        v2 = 2.0 * a2 + 6.0 * (m * m - 0.25) / rho ** 4 + 4.0 * tp.b / rho ** 3
-        if v2 <= 0:
-            continue
-        if best is None or rho > best:
-            best = rho
-    if best is None:
-        raise ValueError(
-            f"V has no stationary minimum for m={m}, nu={tp.nu}, b={tp.b}")
-    return float(best)
 
 
 def fock_darwin_energy(tp: TrapParams, q: QuantumNumbers) -> float:

@@ -89,7 +89,6 @@ __all__ = [
     "MAX_BASIS_K",
     "overlap_and_hamiltonian_matrices",
     "solve_sector",
-    "crude_variational_energy",
     "ground_state_scan",
     "find_crossing",
     "spectrum_sweep",
@@ -604,26 +603,6 @@ def solve_sector(tp: TrapParams, m: int, size: int = DEFAULT_BASIS_SIZE,
                     f"and K={size + 10} (m={m}, nu={tp.nu}, b={tp.b}); "
                     f"increase the basis", RuntimeWarning)
     return sol
-
-
-def crude_variational_energy(tp: TrapParams, m: int) -> float:
-    """Single-Gaussian variational bound for the lowest level of sector m.
-
-    Trial function chi_m = rho^(m + 1/2) exp(-a rho^2 / 2) with the b = 0
-    width a = sqrt(1 + nu^2/4), for m >= 0.  All expectation values close in
-    Gamma functions:
-
-        E = a (m + 1) - m nu / 2 + b sqrt(a) Gamma(m + 1/2) / Gamma(m + 1)
-
-    Exact at b = 0; an upper bound everywhere (it degrades badly once b
-    pushes the true state into a ring far from the origin).
-    """
-    if m < 0:
-        raise ValueError("crude trial state is defined for m >= 0")
-    a = tp.gauss_width
-    coul = tp.b * math.sqrt(a) * math.exp(math.lgamma(m + 0.5)
-                                          - math.lgamma(m + 1.0))
-    return a * (m + 1.0) - 0.5 * m * tp.nu + coul
 
 
 def ground_state_scan(tp: TrapParams,

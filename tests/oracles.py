@@ -31,7 +31,10 @@ reference for the edge guard's strip sums.  The dense h2, with its own soft
 core and its own cell mean of 1/rho, is the reference for the package's
 LOBPCG sector solve; the
 imaginary-time relaxation that solve replaced is no oracle, since its
-splitting bias reached 1.4e-4.
+splitting bias reached 1.4e-4.  The one-Gaussian variational bound and the
+classical ring radius are the package's former helpers, kept as the upper
+bound on the solver's ground energy and as the radius the ring-regime
+density peak approaches.
 """
 
 from __future__ import annotations
@@ -54,6 +57,42 @@ def fock_darwin_energy(nu: float, m: int, n: int) -> float:
     """
     a = math.sqrt(1.0 + 0.25 * nu * nu)
     return a * (2 * n + abs(m) + 1) - 0.5 * m * nu
+
+
+def single_gaussian_bound(nu: float, b: float, m: int) -> float:
+    """Rayleigh quotient of the one-Gaussian trial state of sector m >= 0.
+
+    The trial chi = rho^(m + 1/2) exp(-a rho^2 / 2) with the b = 0 width
+    a = sqrt(1 + nu^2/4) closes in Gamma functions:
+
+        E = a (m + 1) - m nu / 2 + b sqrt(a) Gamma(m + 1/2) / Gamma(m + 1)
+
+    It is exact at b = 0 and an upper bound on the sector's lowest level
+    for every b.
+    """
+    if m < 0:
+        raise ValueError("the trial state is written for m >= 0")
+    a = math.sqrt(1.0 + 0.25 * nu * nu)
+    ratio = math.exp(math.lgamma(m + 0.5) - math.lgamma(m + 1.0))
+    return a * (m + 1) - 0.5 * m * nu + b * math.sqrt(a) * ratio
+
+
+def classical_ring_radius(nu: float, b: float, m: int) -> float:
+    """Radius of the outer minimum of the effective potential V(rho).
+
+    V'(rho) = (2 / rho^3) f(rho) with f = a^2 rho^4 - b rho - (m^2 - 1/4)
+    and a^2 = 1 + nu^2/4, so the stationary points are the positive roots
+    of f and V'' > 0 where f' > 0.  The outermost such root is returned;
+    for m = 0 at small b, f has no positive root and a ValueError is raised.
+    """
+    a2 = 1.0 + 0.25 * nu * nu
+    roots = np.roots([a2, 0.0, 0.0, -b, -(m * m - 0.25)])
+    real = roots[np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots.real))]
+    minima = [r for r in real.real
+              if r > 0 and 4.0 * a2 * r ** 3 - b > 0]
+    if not minima:
+        raise ValueError(f"V has no minimum for nu={nu}, b={b}, m={m}")
+    return float(max(minima))
 
 
 def grid_ground_energy(nu: float, b: float, m: int,

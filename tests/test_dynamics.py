@@ -137,6 +137,8 @@ class TestRampProtocol:
         {"kind": "linear", "nu_final": 1.0},
         {"kind": "smooth", "nu_final": 1.0, "tau_ramp": -1.0},
         {"kind": "step", "nu_final": -0.5},
+        {"kind": "linear", "nu_final": 1.0, "tau_ramp": math.inf},
+        {"kind": "smooth", "nu_final": 1.0, "tau_ramp": math.inf},
     ])
     def test_rejects_inconsistent_protocols(self, kwargs):
         with pytest.raises(ValueError):
@@ -911,6 +913,11 @@ class TestGuards:
     def test_evolve_refuses_an_end_that_is_not_finite(self, tau_end):
         with pytest.raises(ValueError, match=f"tau_end = {tau_end}"):
             evolve(gaussian_packet(SPEC128, 2.0), FREE, 1e-3, tau_end)
+
+    def test_evolve_names_a_step_count_that_overflows(self):
+        # both inputs are finite, but span / dtau is not
+        with pytest.raises(OverflowError, match="dtau = 1e-320"):
+            evolve(gaussian_packet(SPEC128, 2.0), FREE, 1e-320, 1.0)
 
 
 class TestImaginaryTime:

@@ -1215,7 +1215,7 @@ class TestRampCompareThreads:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["message"] == (
-            "smooth ramp needs tau_ramp > 0")
+            "smooth ramp needs 0 < tau_ramp < inf, got 0.0")
         assert list(tmp_path.iterdir()) == []
 
     def test_warnings_of_either_thread_reach_the_json_line(

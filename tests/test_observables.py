@@ -18,7 +18,6 @@ from magtrap.observables import (
     ground_velocity_sweep,
     velocity_expectation,
 )
-from magtrap.params import effective_potential_minimum
 from magtrap.radial import (
     RadialBasis,
     RadialEigenSolution,
@@ -241,14 +240,15 @@ class TestDensityProfile:
     def test_profile_normalized(self, wf_m1):
         wf, _ = wf_m1
         prof = density_profile(wf)
-        assert prof.integral() == pytest.approx(1.0, abs=1e-4)
+        assert np.trapezoid(prof.density, prof.rho) == pytest.approx(
+            1.0, abs=1e-4)
         assert prof.mean_rho == pytest.approx(wf.radial_moment(1), abs=1e-12)
 
     def test_ring_regime_peaks_near_classical_minimum(self):
         tp = TrapParams(nu=0.0, b=20.0)
         wf = RadialWavefunction.from_solution(solve_sector(tp, 0))
         prof = density_profile(wf)
-        rho_cl = effective_potential_minimum(tp, 0)
+        rho_cl = oracles.classical_ring_radius(0.0, 20.0, 0)
         assert prof.rho_peak == pytest.approx(rho_cl, rel=0.05)
 
     def test_peak_refinement_beats_grid_resolution(self, wf_m1):

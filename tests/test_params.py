@@ -14,7 +14,6 @@ from magtrap.params import (
     QuantumNumbers,
     TrapParams,
     effective_potential,
-    effective_potential_minimum,
     fock_darwin_energy,
     from_physical,
 )
@@ -24,7 +23,6 @@ class TestTrapParams:
     def test_defaults_and_derived_quantities(self):
         tp = TrapParams(nu=1.0, b=3.0)
         assert tp.field_sign == +1
-        assert tp.b_prime == 6.0
         assert tp.gauss_width == pytest.approx(math.sqrt(1.25), abs=1e-15)
 
     def test_zero_field_width_is_one(self):
@@ -143,23 +141,6 @@ class TestEffectivePotential:
         a2 = 1.0 + 0.25 * nu * nu
         v = effective_potential(tp, m, 100.0)
         assert v == pytest.approx(-m * nu + a2 * 1e4, rel=1e-3)
-
-    def test_minimum_is_stationary_point(self):
-        tp = TrapParams(nu=1.0, b=5.0)
-        rho0 = effective_potential_minimum(tp, 1)
-        eps = 1e-6
-        v_lo = effective_potential(tp, 1, rho0 - eps)
-        v_hi = effective_potential(tp, 1, rho0 + eps)
-        v_at = effective_potential(tp, 1, rho0)
-        assert v_at <= v_lo and v_at <= v_hi
-
-    def test_m0_small_b_has_no_minimum(self):
-        with pytest.raises(ValueError):
-            effective_potential_minimum(TrapParams(nu=0.0, b=0.0), 0)
-
-    def test_m0_ring_minimum_appears_at_large_b(self):
-        rho0 = effective_potential_minimum(TrapParams(nu=0.0, b=10.0), 0)
-        assert rho0 > 1.0
 
 
 class TestFockDarwin:

@@ -27,7 +27,6 @@ from magtrap.radial import (
     _sector_blocks,
     _sector_eigh,
     _stieltjes,
-    crude_variational_energy,
     find_crossing,
     ground_state_scan,
     overlap_and_hamiltonian_matrices,
@@ -93,23 +92,13 @@ class TestVariationalStructure:
         sol = solve_sector(TrapParams(nu=0.5, b=2.0), 1)
         assert np.all(np.diff(sol.energies) > 0)
 
-    def test_crude_bound_is_exact_at_zero_coupling(self):
-        assert crude_variational_energy(TrapParams(nu=0.0), 0) == 1.0
-        assert crude_variational_energy(
-            TrapParams(nu=1.0), 0) == pytest.approx(math.sqrt(5) / 2,
-                                                    abs=1e-15)
-
     def test_crude_upper_bounds_converged_energy(self):
         # the single-Gaussian trial keeps its bound property even deep in
         # the ring regime, where its error is enormous
         for b in (0.0, 1.0, 10.0):
             tp = TrapParams(nu=0.5, b=b)
-            crude = crude_variational_energy(tp, 0)
+            crude = oracles.single_gaussian_bound(0.5, b, 0)
             assert crude >= solve_sector(tp, 0).energies[0] - 1e-10
-
-    def test_crude_rejects_negative_m(self):
-        with pytest.raises(ValueError):
-            crude_variational_energy(TrapParams(nu=1.0), -1)
 
 
 class TestCoefficients:
