@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from magtrap.params import (
     COULOMB_K,
     HBAR,
@@ -141,6 +142,33 @@ class TestEffectivePotential:
         a2 = 1.0 + 0.25 * nu * nu
         v = effective_potential(tp, m, 100.0)
         assert v == pytest.approx(-m * nu + a2 * 1e4, rel=1e-3)
+
+    def test_minimum_is_stationary_point(self):
+        # the ring radius from V' = 0 is a minimum of the package's V
+        tp = TrapParams(nu=1.0, b=5.0)
+        rho0 = oracles.classical_ring_radius(1.0, 5.0, 1)
+        eps = 1e-6
+        v_lo = effective_potential(tp, 1, rho0 - eps)
+        v_hi = effective_potential(tp, 1, rho0 + eps)
+        v_at = effective_potential(tp, 1, rho0)
+        assert v_at <= v_lo and v_at <= v_hi
+
+    def test_m0_small_b_has_no_minimum(self):
+        # V = rho^2 - 1/(4 rho^2) rises everywhere
+        rho = np.linspace(0.01, 10.0, 10_000)
+        v = effective_potential(TrapParams(nu=0.0, b=0.0), 0, rho)
+        assert np.all(np.diff(v) > 0)
+        with pytest.raises(ValueError):
+            oracles.classical_ring_radius(0.0, 0.0, 0)
+
+    def test_m0_ring_minimum_appears_at_large_b(self):
+        rho0 = oracles.classical_ring_radius(0.0, 10.0, 0)
+        assert rho0 > 1.0
+        # away from the plunge at the origin, the package's V bottoms out
+        # at the same radius
+        rho = np.linspace(0.5, 5.0, 45_001)
+        v = effective_potential(TrapParams(nu=0.0, b=10.0), 0, rho)
+        assert rho[np.argmin(v)] == pytest.approx(rho0, abs=1e-4)
 
 
 class TestFockDarwin:

@@ -16,6 +16,7 @@ from magtrap.observables import (
     density_profile,
     velocity_expectation,
 )
+from magtrap.params import QuantumNumbers, fock_darwin_energy
 from magtrap.radial import (
     MAX_BASIS_K,
     BasisConditioningError,
@@ -91,6 +92,14 @@ class TestVariationalStructure:
     def test_levels_ascending(self):
         sol = solve_sector(TrapParams(nu=0.5, b=2.0), 1)
         assert np.all(np.diff(sol.energies) > 0)
+
+    def test_crude_bound_is_exact_at_zero_coupling(self):
+        # at b = 0 the one-Gaussian trial is the Fock-Darwin ground state
+        assert oracles.single_gaussian_bound(0.0, 0.0, 0) == 1.0
+        for nu, m in ((1.0, 0), (0.5, 2), (2.0, 3)):
+            exact = fock_darwin_energy(TrapParams(nu=nu), QuantumNumbers(m=m))
+            assert oracles.single_gaussian_bound(nu, 0.0, m) == pytest.approx(
+                exact, abs=1e-14)
 
     def test_crude_upper_bounds_converged_energy(self):
         # the single-Gaussian trial keeps its bound property even deep in
